@@ -150,20 +150,50 @@ def oracle_aux(h: float, v: float, beta: float, cost: CostFunction, cap: float, 
     """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g)."""
     if cap <= 0.0:
         return 0.0, 0.0
-    grid = np.arange(0.0, cap, step)
-    grid = np.append(grid, cap)
-    # Quadratic (and any numpy-broadcastable) costs evaluate the whole lattice
-    # at once; fall back to per-point evaluation for scalar-only callables.
-    try:
-        batched = np.asarray(cost.value(grid), dtype=float)
-    except Exception:
-        batched = None
-    if batched is not None and batched.shape == grid.shape:
-        values = h * grid + v * beta * batched
-    else:
-        values = np.array([h * g + v * beta * cost.value(float(g)) for g in grid])
-    i = int(np.argmin(values))
-    return float(grid[i]), float(values[i])
+    return _AuxLattice(cost, cap, step).argmin(h, v * beta)
+
+
+class _AuxLattice:
+    """The gamma lattice 0, step, 2*step, ..., cap with C evaluated on it.
+
+    One lattice serves any number of (h, v*beta) searches with the same cost
+    and cap; the searches write into two scratch arrays owned by the lattice
+    instead of allocating fresh ones.
+    """
+
+    def __init__(self, cost: CostFunction, cap: float, step: float):
+        self.grid = np.append(np.arange(0.0, cap, step), cap)
+        # Quadratic (and any numpy-broadcastable) costs evaluate the whole
+        # lattice at once; fall back to per-point evaluation for scalar-only
+        # callables.
+        try:
+            values = np.asarray(cost.value(self.grid), dtype=float)
+        except Exception:
+            values = None
+        if values is None or values.shape != self.grid.shape:
+            values = np.array([cost.value(float(g)) for g in self.grid], dtype=float)
+        self.cost_values = values
+        self._linear = np.empty_like(self.grid)
+        self._penalty = np.empty_like(self.grid)
+
+    def argmin(self, h: float, vb: float) -> tuple[float, float]:
+        """Lattice argmin of h*g + vb*C(g) and its value.
+
+        Backlogs and weights far below 1 can make every lattice value
+        underflow to zero (h = -5e-324 with vb = 0 ties every point at 0), so
+        the search runs on the objective scaled by the power of two that
+        lifts the larger coefficient into [0.5, 1). That scaling is exact
+        wherever nothing underflows, so the argmin changes only where
+        underflow had tied or misordered the points. The value is returned
+        at the original scale.
+        """
+        _, exponent = math.frexp(max(abs(h), abs(vb)))
+        shift = max(-exponent, 0)
+        np.multiply(self.grid, math.ldexp(h, shift), out=self._linear)
+        np.multiply(self.cost_values, math.ldexp(vb, shift), out=self._penalty)
+        np.add(self._linear, self._penalty, out=self._linear)
+        i = int(np.argmin(self._linear))
+        return float(self.grid[i]), float(h * self.grid[i] + vb * self.cost_values[i])
 
 
 def oracle_energy(
@@ -364,42 +394,39 @@ def _demand_profile(frame: Frame, arrivals, combo) -> np.ndarray:
 
 
 def _slot_actions(
-    demand: np.ndarray,
-    frame: Frame,
+    demand_p: float,
+    slot: SlotInput,
     battery: BatteryParams,
     grid_params: GridParams,
     h: float,
     k_charge: int,
     k_discharge: int,
-) -> list[list[tuple[int, float]]]:
-    """Feasible lattice flows and their slot cost (purchase + entry) per slot."""
-    actions: list[list[tuple[int, float]]] = []
-    for p, slot in enumerate(frame.slots):
-        s_w = min(demand[p], slot.renewable)
-        residual = demand[p] - s_w
-        surplus = slot.renewable - s_w
-        feasible: list[tuple[int, float]] = []
-        if residual <= grid_params.e_max + _FEAS_TOL:
-            feasible.append((0, residual * slot.price))
-        for k in range(1, k_charge + 1):
-            flow = k * h
-            if flow > battery.r_max + _FEAS_TOL:
-                break
-            q = max(flow - surplus, 0.0)
-            e = residual + q
-            if e > grid_params.e_max + _FEAS_TOL:
-                break
-            feasible.append((k, e * slot.price + battery.c_rc))
-        for k in range(1, k_discharge + 1):
-            d = k * h
-            if d > min(battery.d_max_rate, residual) + _FEAS_TOL:
-                break
-            e = residual - d
-            if e > grid_params.e_max + _FEAS_TOL:
-                continue
-            feasible.append((-k, e * slot.price + battery.c_dc))
-        actions.append(feasible)
-    return actions
+) -> list[tuple[int, float]]:
+    """Feasible lattice flows of one slot and their cost (purchase + entry)."""
+    s_w = min(demand_p, slot.renewable)
+    residual = demand_p - s_w
+    surplus = slot.renewable - s_w
+    feasible: list[tuple[int, float]] = []
+    if residual <= grid_params.e_max + _FEAS_TOL:
+        feasible.append((0, residual * slot.price))
+    for k in range(1, k_charge + 1):
+        flow = k * h
+        if flow > battery.r_max + _FEAS_TOL:
+            break
+        q = max(flow - surplus, 0.0)
+        e = residual + q
+        if e > grid_params.e_max + _FEAS_TOL:
+            break
+        feasible.append((k, e * slot.price + battery.c_rc))
+    for k in range(1, k_discharge + 1):
+        d = k * h
+        if d > min(battery.d_max_rate, residual) + _FEAS_TOL:
+            break
+        e = residual - d
+        if e > grid_params.e_max + _FEAS_TOL:
+            continue
+        feasible.append((-k, e * slot.price + battery.c_dc))
+    return feasible
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -413,6 +440,15 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     long-run cap. Averaged usage and delay are priced through the convex cost
     functions once per frame, which is where the optimum of the frame-local
     auxiliary variables lands.
+
+    Profiles are searched in a fixed order, and each gets a cost floor before
+    its DP: the cheapest flow cost of every slot, summed in slot order from
+    0.0 as the DP sums a plan's slot costs, divided by the frame length, plus
+    the cheapest usage penalty and the profile's delay cost. Floating-point
+    + and / are monotone, so no plan of the profile totals less than its
+    floor. A profile whose floor is not below the best total so far could not
+    replace it, so its DP is skipped; the answer, ties included, is the one
+    the full search returns.
     """
     T = frame.length
     h = grid.energy_step
@@ -458,29 +494,47 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         raise SearchSpaceError(nodes, grid.max_nodes, h * (nodes / grid.max_nodes) ** (1 / 3))
 
     usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
+    usage_floor = float(usage_penalty.min())
 
     best_value = math.inf
-    best_profile: tuple[np.ndarray, int, tuple[int, ...]] | None = None
+    best: tuple[np.ndarray, int, tuple[int, ...], list[list[tuple[int, float]]]] | None = None
     best_usage_idx = -1
+    # A slot's flows depend only on its own demand, which many profiles share,
+    # so each (slot, demand) pair is enumerated once per call and kept with
+    # its cheapest cost (None when the slot has no feasible flow).
+    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None]] = {}
     for demand, delay_sum, combo in profiles.values():
-        actions = _slot_actions(demand, frame, battery, grid_params, h, k_charge, k_discharge)
-        if any(not feas for feas in actions):
+        actions, cheapest = [], []
+        for p, slot in enumerate(frame.slots):
+            key = (p, float(demand[p]))
+            if key not in slot_options:
+                feasible = _slot_actions(demand[p], slot, battery, grid_params, h, k_charge, k_discharge)
+                slot_options[key] = (feasible, min((c for _, c in feasible), default=None))
+            feasible, cheap = slot_options[key]
+            actions.append(feasible)
+            cheapest.append(cheap)
+        if None in cheapest:
+            continue
+        delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        floor = 0.0
+        for c in cheapest:
+            floor += c
+        if floor / T + usage_floor + delay_term >= best_value:
             continue
         cost = _dp_forward(actions, n_off, n_use, o_lo)
         terminal = cost[o_target - o_lo]
         if not np.isfinite(terminal).any():
             continue
-        totals = terminal / T + usage_penalty + weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        totals = terminal / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best_profile = (demand, delay_sum, combo)
+            best = (demand, delay_sum, combo, actions)
             best_usage_idx = idx
-    if best_profile is None:
+    if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    demand, delay_sum, combo = best_profile
-    actions = _slot_actions(demand, frame, battery, grid_params, h, k_charge, k_discharge)
+    demand, delay_sum, combo, actions = best
     flows = _dp_backtrack(actions, n_off, n_use, o_lo, o_target, best_usage_idx)
     decisions = _build_decisions(frame, demand, flows, h)
     _assert_frame_feasible(frame, decisions, bundle)
@@ -900,6 +954,20 @@ def sample_slot_states(
     return out
 
 
+def _aux_mismatches(
+    cost: CostFunction, cap: float, backlogs: Sequence[tuple[float, float]], v: float, step: float
+) -> int:
+    """Count (h, beta) pairs whose closed-form gamma is off the lattice argmin by over one step."""
+    lattice = _AuxLattice(cost, cap, step) if cap > 0.0 else None
+    bad = 0
+    for h, beta in backlogs:
+        closed_g = controller.aux_solution(h, v, beta, cost, cap)
+        grid_g = lattice.argmin(h, v * beta)[0] if lattice is not None else 0.0
+        if abs(closed_g - grid_g) > step + 1e-9:
+            bad += 1
+    return bad
+
+
 def equivalence_battery(
     bundle: ModelBundle,
     n_states: int,
@@ -923,6 +991,11 @@ def equivalence_battery(
     weights = bundle.weights
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 
+    # Auxiliary comparisons are grouped by (cost, cap) and run after the loop,
+    # so each gamma lattice and its cost values are built once and only one
+    # lattice is alive at a time.
+    aux_costs = (bundle.costs.usage, bundle.costs.delay)
+    aux_groups: dict[tuple[int, float], list[tuple[float, float]]] = {}
     schedule_bad = aux_bad = dominance_bad = slack_bad = 0
     for state, ctx in samples:
         if ctx.task is not None:
@@ -937,14 +1010,8 @@ def equivalence_battery(
         else:
             gamma_d_cap = float(weights.d_avg_max)
 
-        for h, beta, cost, cap in (
-            (state.h_u, 1.0, bundle.costs.usage, state.gamma_u_cap),
-            (state.h_d, weights.alpha / weights.mu, bundle.costs.delay, gamma_d_cap),
-        ):
-            closed_g = controller.aux_solution(h, v, beta, cost, cap)
-            grid_g, _ = oracle_aux(h, v, beta, cost, cap, grid.gamma_step)
-            if abs(closed_g - grid_g) > grid.gamma_step + 1e-9:
-                aux_bad += 1
+        aux_groups.setdefault((0, state.gamma_u_cap), []).append((state.h_u, 1.0))
+        aux_groups.setdefault((1, gamma_d_cap), []).append((state.h_d, weights.alpha / weights.mu))
 
         action = controller.energy_control(
             state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid
@@ -960,6 +1027,9 @@ def equivalence_battery(
             dominance_bad += 1
         if grid_v > closed_v + grid.energy_step * (abs(key1) + abs(key2)) + 1e-9:
             slack_bad += 1
+
+    for (which, cap), backlogs in aux_groups.items():
+        aux_bad += _aux_mismatches(aux_costs[which], cap, backlogs, v, grid.gamma_step)
 
     def count_check(name: str, count: int, detail: str) -> CheckResult:
         return CheckResult(name=name, passed=count == 0, achieved=float(count), bound=0.0, detail=detail)

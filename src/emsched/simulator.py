@@ -150,8 +150,13 @@ def step(
     costs: CostLedger,
     slot_input: SlotInput,
     bundle: ModelBundle,
+    policy: str = "joint",
 ) -> tuple[ControlDecision, ControllerState, SlotRecord]:
-    """Run one slot: schedule, split renewable, pick energy flows, update queues."""
+    """Run one slot: schedule, split renewable, pick energy flows, update queues.
+
+    Under "storage_only" every arriving task is served at once: the
+    scheduling rule gets an effective delay cap of 0.
+    """
     if slot_input.slot != state.slot:
         raise ValueError(f"slot input {slot_input.slot} does not match state slot {state.slot}")
     weights = bundle.weights
@@ -161,9 +166,10 @@ def step(
     gamma_d_cap = float(weights.d_avg_max)
     if slot_input.task is not None:
         task = slot_input.task
-        delay = controller.schedule_load(state, task, weights.mu, task.max_delay)
+        d_cap = 0 if policy == "storage_only" else task.max_delay
+        delay = controller.schedule_load(state, task, weights.mu, d_cap)
         ledger.add(task, delay)
-        gamma_d_cap = float(min(task.max_delay, weights.d_avg_max))
+        gamma_d_cap = float(min(d_cap, weights.d_avg_max))
     gamma_d = controller.aux_solution(
         state.h_d, state.v, weights.alpha / weights.mu, bundle.costs.delay, gamma_d_cap
     )
@@ -222,7 +228,11 @@ def step(
 
 
 def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
-    """Simulate the whole trace plus the drain phase and assemble the summary."""
+    """Simulate the whole trace plus the drain phase and assemble the summary.
+
+    `policy` names the summary; "storage_only" also serves every task on
+    arrival (see `step`).
+    """
     if trace.horizon != bundle.horizon:
         raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {bundle.horizon}")
     a_o, v_max = controller.design_params(
@@ -241,7 +251,7 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     t = 0
     while t < bundle.horizon or ledger.pending_after(t - 1):
         slot_input = trace.slots[t] if t < bundle.horizon else _drain_input(trace, t)
-        decision, state, record = step(state, ledger, costs, slot_input, bundle)
+        decision, state, record = step(state, ledger, costs, slot_input, bundle, policy)
         records.append(record)
         if t < bundle.horizon:
             net_flow_sum += decision.q + decision.s_r - decision.d_rate
@@ -312,18 +322,9 @@ def _zero_delay_bundle(bundle: ModelBundle) -> ModelBundle:
     return replace(bundle, weights=replace(bundle.weights, d_avg_max=0))
 
 
-def _zero_delay_trace(trace: Trace) -> Trace:
-    slots = tuple(
-        s if s.task is None else replace(s, task=replace(s.task, max_delay=0))
-        for s in trace.slots
-    )
-    return Trace(slots=slots, slot_minutes=trace.slot_minutes)
-
-
 def baseline_storage_only(trace: Trace, bundle: ModelBundle) -> RunSummary:
     """Storage control without scheduling: every load is served on arrival."""
-    summary = run(_zero_delay_trace(trace), _zero_delay_bundle(bundle), policy="storage_only")
-    return summary
+    return run(trace, _zero_delay_bundle(bundle), policy="storage_only")
 
 
 def baseline_no_storage(trace: Trace, bundle: ModelBundle) -> RunSummary:

@@ -1,15 +1,17 @@
 """Grid-search ground truth vs the closed forms, and the bound checkers."""
 
+import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emsched import controller
+from emsched import controller, oracle
 from emsched.controller import drift_bound_G
-from emsched.model import CostModel, ModelBundle, QuadraticCost, Weights
+from emsched.model import CostModel, FunctionTriple, InfeasibleSlot, ModelBundle, QuadraticCost, Weights
 from emsched.oracle import (
     CheckReport,
     CheckResult,
@@ -64,8 +66,6 @@ class TestSubproblemOracles:
         assert g == pytest.approx(0.1, abs=1e-4)
 
     def test_aux_oracle_handles_scalar_only_cost_functions(self):
-        from emsched.model import FunctionTriple
-
         scalar_cost = FunctionTriple(
             value_fn=lambda x: 0.2 * float(x) ** 2,
             derivative_fn=lambda x: 0.4 * float(x),
@@ -105,6 +105,27 @@ class TestEquivalenceBattery:
         assert not bad.passed
         assert bad.achieved >= 1.0
 
+    def test_aux_mismatches_are_counted_per_state(self, monkeypatch):
+        # A closed form that is wrong on exactly five known comparisons (three
+        # usage and two delay backlogs) must be counted exactly five times,
+        # however the comparisons are grouped.
+        bundle = day_bundle()
+        a_o, v_max = controller.design_params(
+            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
+        )
+        samples = sample_slot_states(bundle, 200, seed=2024, a_o=a_o, v=v_max)
+        wrong = {samples[i][0].h_u for i in (0, 3, 7)} | {samples[i][0].h_d for i in (1, 4)}
+        assert len(wrong) == 5
+        exact = controller.aux_solution
+
+        def sometimes_wrong(h, v, beta, cost, cap):
+            return cap + 1.0 if h in wrong else exact(h, v, beta, cost, cap)
+
+        monkeypatch.setattr(controller, "aux_solution", sometimes_wrong)
+        report = equivalence_battery(bundle, n_states=200, seed=2024)
+        assert report["aux_equivalence"].achieved == 5.0
+        assert report["schedule_equivalence"].passed
+
     def test_sampled_states_admit_feasible_actions(self):
         bundle = day_bundle()
         a_o, v_max = controller.design_params(
@@ -130,6 +151,7 @@ def backlogs(draw):
 
 
 @given(backlogs())
+@example((-5e-324, 0.0, 0.05, 0.01))  # h*g underflowed to 0 on every lattice point
 @settings(max_examples=100, deadline=None)
 def test_aux_closed_form_tracks_grid_search(params):
     h, v, beta, k = params
@@ -198,6 +220,128 @@ class TestFrameOracle:
         seed, trace, summary = small_instances[0]
         with pytest.raises(ValueError, match="divide"):
             frames_from_run(trace, summary, 7)
+
+
+def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
+    """The frame search with a DP on every feasible demand profile, built from
+    the oracle's own helpers: the reference the cost-floor skip must match."""
+    T, h = frame.length, grid.energy_step
+    battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
+    tol = oracle._FEAS_TOL
+    k_charge = int(math.floor(battery.r_max / h + tol))
+    k_discharge = int(math.floor(battery.d_max_rate / h + tol))
+    arrivals, choices = oracle._delay_choices(frame)
+    profiles = {}
+    for combo in itertools.product(*choices):
+        if sum(combo) > T * weights.d_avg_max:
+            continue
+        demand = oracle._demand_profile(frame, arrivals, combo)
+        key = tuple(np.round(demand, 12))
+        if key not in profiles or sum(combo) < profiles[key][1]:
+            profiles[key] = (demand, sum(combo), combo)
+    o_lo = max(-T * k_discharge, int(math.ceil((battery.b_min - frame.boundary_b) / h - tol)))
+    o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + tol)))
+    n_off, n_use = o_hi - o_lo + 1, T * max(k_charge, k_discharge) + 1
+    o_target = int(round(T * weights.delta_u / bundle.horizon / h))
+    usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
+
+    best, best_value = None, math.inf
+    for demand, delay_sum, combo in profiles.values():
+        actions = [
+            oracle._slot_actions(demand[p], slot, battery, grid_params, h, k_charge, k_discharge)
+            for p, slot in enumerate(frame.slots)
+        ]
+        if not all(actions):
+            continue
+        terminal = oracle._dp_forward(actions, n_off, n_use, o_lo)[o_target - o_lo]
+        totals = terminal / T + usage_penalty + weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        idx = int(np.argmin(totals))
+        if totals[idx] < best_value:
+            best, best_value = (demand, delay_sum, combo, actions, idx), float(totals[idx])
+    if best is None:
+        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
+
+    demand, delay_sum, combo, actions, idx = best
+    flows = oracle._dp_backtrack(actions, n_off, n_use, o_lo, o_target, idx)
+    return oracle.OracleSolution(
+        frame_start=frame.start,
+        frame_length=T,
+        u_opt=best_value,
+        energy_step=h,
+        decisions=oracle._build_decisions(frame, demand, flows, h),
+        delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
+        delay_sum=delay_sum,
+        usage_sum=sum(abs(k) for k in flows) * h,
+        purchase_entry_sum=sum(c for feas, k in zip(actions, flows) for kk, c in feas if kk == k),
+    )
+
+
+def overloaded_first_slot_frame(intensity: float) -> tuple[Frame, ModelBundle]:
+    """A load that cannot be served on arrival from an empty battery; one slot
+    later the renewable covers most of it."""
+    bundle = ModelBundle(
+        costs=CostModel.quadratic(0.2, None, d_avg_max=1),
+        weights=Weights(alpha=1.0, d_avg_max=1),
+        horizon=2,
+    )
+    task = LoadTask(arrival_slot=0, intensity=intensity, duration=1, max_delay=1)
+    slots = (
+        SlotInput(slot=0, price=0.063, renewable=0.0, task=task),
+        SlotInput(slot=1, price=0.118, renewable=0.3),
+    )
+    return Frame(start=0, slots=slots, boundary_b=0.0), bundle
+
+
+class TestCostFloorSkip:
+    """The cost-floor skip must return exactly what the unpruned search does."""
+
+    def test_every_frame_of_several_desk_seeds(self, small_instances, monkeypatch):
+        bundle = small_bundle()
+        grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
+        dp_calls = []
+        dp_forward = oracle._dp_forward
+        monkeypatch.setattr(oracle, "_dp_forward", lambda *a: dp_calls.append(1) or dp_forward(*a))
+        pruned_calls = full_calls = 0
+        # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
+        # floor above the cheapest slot flow would skip the winning profile.
+        for _, trace, summary in (inst for inst in small_instances if inst[0] in (0, 6, 11)):
+            for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
+                dp_calls.clear()
+                fast = lookahead_optimum(frame, bundle, grid)
+                pruned_calls += len(dp_calls)
+                dp_calls.clear()
+                assert fast == unpruned_lookahead(frame, bundle, grid)
+                full_calls += len(dp_calls)
+        assert pruned_calls < full_calls  # the skip was exercised
+
+    @pytest.mark.parametrize("alpha", [0.001, 20.0])
+    def test_two_slot_frame(self, alpha):
+        frame, bundle = two_slot_frame(alpha)
+        grid = GridSpec(energy_step=0.005)
+        assert lookahead_optimum(frame, bundle, grid) == unpruned_lookahead(frame, bundle, grid)
+
+    @pytest.mark.parametrize("intensity", [0.5, 0.4])
+    def test_infeasible_zero_delay_profile(self, intensity):
+        # 0.5 kWh: no flow of the arrival slot stays under e_max. 0.4 kWh: a
+        # discharge would, but the battery starts empty, so the DP finds no plan.
+        frame, bundle = overloaded_first_slot_frame(intensity)
+        grid = GridSpec(energy_step=0.015)
+        sol = lookahead_optimum(frame, bundle, grid)
+        assert sol.delays == ((0, 1),)
+        assert sol == unpruned_lookahead(frame, bundle, grid)
+
+    def test_usage_cost_with_a_positive_floor(self, small_instances):
+        usage = FunctionTriple(
+            value_fn=lambda x: 0.05 + 0.2 * x * x,
+            derivative_fn=lambda x: 0.4 * x,
+            inverse_derivative_fn=lambda y: y / 0.4,
+        )
+        bundle = small_bundle()
+        bundle = replace(bundle, costs=CostModel(usage=usage, delay=bundle.costs.delay))
+        grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
+        _, trace, summary = small_instances[0]
+        for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH)[:3]:
+            assert lookahead_optimum(frame, bundle, grid) == unpruned_lookahead(frame, bundle, grid)
 
 
 @pytest.fixture(scope="module")
