@@ -9,7 +9,6 @@ performance and feasibility guarantees.
 """
 
 from .controller import (
-    ControlDecision,
     ControllerState,
     design_params,
     drift_bound_G,
@@ -38,7 +37,6 @@ __all__ = [
     "CheckReport",
     "CheckResult",
     "ConfigurationError",
-    "ControlDecision",
     "ControllerState",
     "CostModel",
     "Frame",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
     BatteryParams,
@@ -33,6 +33,9 @@ from .model import (
     Weights,
 )
 from .scenario import LoadTask
+
+if TYPE_CHECKING:
+    from .simulator import SlotRecord
 
 _IDENTITY_TOL = 1e-9
 
@@ -65,23 +68,6 @@ class EnergyAction(NamedTuple):
     q: float
     d_rate: float
     s_r: float
-    regime: str
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    """Everything chosen in one slot, plus the implied usage and entry cost."""
-
-    e: float
-    q: float
-    d_rate: float
-    s_w: float
-    s_r: float
-    delay: int
-    gamma_u: float
-    gamma_d: float
-    usage_amount: float
-    entry_cost: float
     regime: str
 
 
@@ -201,13 +187,19 @@ def renewable_split(demand: float, renewable: float) -> float:
     return min(demand, renewable)
 
 
-def _entry_cost(q: float, s_r: float, d_rate: float, battery: BatteryParams) -> float:
+def entry_cost(q: float, s_r: float, d_rate: float, battery: BatteryParams) -> float:
+    """Battery wear of a slot: one fixed fee per direction the battery moves."""
     cost = 0.0
     if q + s_r > 0.0:
         cost += battery.c_rc
     if d_rate > 0.0:
         cost += battery.c_dc
     return cost
+
+
+def usage_amount(q: float, s_r: float, d_rate: float) -> float:
+    """Battery usage of a slot: the magnitude of its net flow into the battery."""
+    return abs(q + s_r - d_rate)
 
 
 def energy_objective(
@@ -218,7 +210,7 @@ def energy_objective(
     battery: BatteryParams,
 ) -> float:
     """Queue-weighted per-slot value of an energy action (lower is better)."""
-    return action.e * key1 + action.s_r * key2 + v * _entry_cost(action.q, action.s_r, action.d_rate, battery)
+    return action.e * key1 + action.s_r * key2 + v * entry_cost(action.q, action.s_r, action.d_rate, battery)
 
 
 def energy_control(
@@ -282,25 +274,25 @@ def energy_control(
 
 def update_queues(
     state: ControllerState,
-    decision: ControlDecision,
+    record: SlotRecord,
     d_avg_max: int,
     delta_u: float,
     horizon: int,
 ) -> ControllerState:
-    """Advance every queue and the battery by one slot.
+    """Advance every queue and the battery by the slot `record` describes.
 
     Re-asserts the shift identity between z and the battery level; a violation
     means a bug in the flow accounting, not bad input, so it raises
     StateConsistencyError.
     """
-    net_flow = decision.q + decision.s_r - decision.d_rate
+    net_flow = record.q + record.s_r - record.d_rate
     shift = delta_u / horizon
     nxt = replace(
         state,
-        x=max(state.x + decision.delay - d_avg_max, 0.0),
+        x=max(state.x + record.delay - d_avg_max, 0.0),
         z=state.z + net_flow - shift,
-        h_u=state.h_u + decision.gamma_u - decision.usage_amount,
-        h_d=state.h_d + decision.gamma_d - decision.delay,
+        h_u=state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
+        h_d=state.h_d + record.gamma_d - record.delay,
         b=state.b + net_flow,
         slot=state.slot + 1,
     )
@@ -339,7 +331,7 @@ def lyapunov(state: ControllerState, mu: float) -> float:
 
 def drift_upper_bound(
     state: ControllerState,
-    decision: ControlDecision,
+    record: SlotRecord,
     active_demand: float,
     g: float,
     weights: Weights,
@@ -353,11 +345,11 @@ def drift_upper_bound(
     """
     shift = weights.delta_u / horizon
     return (
-        state.z * (decision.e + decision.s_r + decision.s_w - active_demand - shift)
-        + state.h_u * decision.gamma_u
-        - state.h_u * (decision.e + decision.s_r)
-        + weights.mu * state.x * (decision.delay - weights.d_avg_max)
+        state.z * (record.e + record.s_r + record.s_w - active_demand - shift)
+        + state.h_u * record.gamma_u
+        - state.h_u * (record.e + record.s_r)
+        + weights.mu * state.x * (record.delay - weights.d_avg_max)
         + g
-        - abs(state.h_u) * (decision.s_w - active_demand)
-        + weights.mu * state.h_d * (decision.gamma_d - decision.delay)
+        - abs(state.h_u) * (record.s_w - active_demand)
+        + weights.mu * state.h_d * (record.gamma_d - record.delay)
     )

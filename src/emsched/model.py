@@ -120,9 +120,6 @@ class CostModel:
         _reject_negative(x)
         return self.usage.derivative(x)
 
-    def usage_cost_inverse_derivative(self, y: float) -> float:
-        return self.usage.inverse_derivative(y)
-
     def delay_cost(self, x: float) -> float:
         _reject_negative(x)
         return self.delay.value(x)
@@ -130,9 +127,6 @@ class CostModel:
     def delay_cost_derivative(self, x: float) -> float:
         _reject_negative(x)
         return self.delay.derivative(x)
-
-    def delay_cost_inverse_derivative(self, y: float) -> float:
-        return self.delay.inverse_derivative(y)
 
 
 def _reject_negative(x: float) -> None:

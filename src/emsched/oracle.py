@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import controller
-from .controller import ControlDecision, ControllerState, DriftBound
+from .controller import ControllerState, DriftBound, EnergyAction
 from .model import (
     BatteryParams,
     CostFunction,
@@ -59,9 +59,6 @@ class GridSpec:
     energy_step: float = 1e-3
     gamma_step: float = 1e-4
     max_nodes: float = 1e8
-
-    def halved(self) -> "GridSpec":
-        return GridSpec(self.energy_step / 2.0, self.gamma_step / 2.0, self.max_nodes)
 
 
 @dataclass(frozen=True)
@@ -111,26 +108,6 @@ class SlotContext:
     s_w: float
     renewable: float
     price: float
-
-
-class EnergyPoint(NamedTuple):
-    e: float
-    q: float
-    d_rate: float
-    s_r: float
-    regime: str
-
-
-@dataclass(frozen=True)
-class SubproblemArgmins:
-    delay: int
-    delay_value: float
-    gamma_u: float
-    gamma_u_value: float
-    gamma_d: float
-    gamma_d_value: float
-    energy: EnergyPoint
-    energy_value: float
 
 
 def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective_d_max: int) -> tuple[int, float]:
@@ -205,7 +182,7 @@ def oracle_energy(
     battery: BatteryParams,
     grid: GridParams,
     step: float = 1e-3,
-) -> tuple[EnergyPoint, float]:
+) -> tuple[EnergyAction, float]:
     """Grid-search the energy subproblem over (E, Q, D, S_r) with balance pinned.
 
     Scan order (idle, then charge, then discharge, each coordinate ascending)
@@ -217,11 +194,11 @@ def oracle_energy(
     key2 = state.z - state.h_u
     key1 = key2 + state.v * price
 
-    best: EnergyPoint | None = None
+    best: EnergyAction | None = None
     best_v = math.inf
 
     if residual <= grid.e_max + _FEAS_TOL:
-        best = EnergyPoint(residual, 0.0, 0.0, 0.0, "idle")
+        best = EnergyAction(residual, 0.0, 0.0, 0.0, "idle")
         best_v = residual * key1
 
     s_r_grid = _lattice(min(surplus, battery.r_max), step)
@@ -240,7 +217,7 @@ def oracle_energy(
         masked = np.where(ok, values, np.inf)
         i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
         if masked[i, j] < best_v:
-            best = EnergyPoint(residual + float(q_grid[j]), float(q_grid[j]), 0.0, float(s_r_grid[i]), "charge")
+            best = EnergyAction(residual + float(q_grid[j]), float(q_grid[j]), 0.0, float(s_r_grid[i]), "charge")
             best_v = float(masked[i, j])
 
     d_grid = _lattice(min(battery.d_max_rate, residual), step)
@@ -250,7 +227,7 @@ def oracle_energy(
         dis_values = np.where(ok_d, e_grid * key1 + state.v * battery.c_dc, np.inf)
         k = int(np.argmin(dis_values))
         if dis_values[k] < best_v:
-            best = EnergyPoint(float(e_grid[k]), 0.0, float(d_grid[k]), 0.0, "discharge")
+            best = EnergyAction(float(e_grid[k]), 0.0, float(d_grid[k]), 0.0, "discharge")
             best_v = float(dis_values[k])
 
     if best is None:
@@ -267,38 +244,6 @@ def _lattice(cap: float, step: float) -> np.ndarray:
     if cap - pts[-1] > 1e-12:
         pts = np.append(pts, cap)
     return pts
-
-
-def subproblem_oracles(
-    state: ControllerState,
-    inputs: SlotContext,
-    bundle: ModelBundle,
-    grid: GridSpec = GridSpec(),
-) -> SubproblemArgmins:
-    """Brute-force all four per-slot subproblems the controller solves in closed form."""
-    weights = bundle.weights
-    if inputs.task is not None:
-        delay, delay_value = oracle_schedule(state, inputs.task, weights.mu, inputs.task.max_delay)
-        gamma_d_cap = float(min(inputs.task.max_delay, weights.d_avg_max))
-    else:
-        delay, delay_value = 0, 0.0
-        gamma_d_cap = float(weights.d_avg_max)
-    gamma_u, gamma_u_value = oracle_aux(
-        state.h_u, state.v, 1.0, bundle.costs.usage, state.gamma_u_cap, grid.gamma_step
-    )
-    gamma_d, gamma_d_value = oracle_aux(
-        state.h_d, state.v, weights.alpha / weights.mu, bundle.costs.delay, gamma_d_cap, grid.gamma_step
-    )
-    energy, energy_value = oracle_energy(
-        state, inputs.demand_l, inputs.s_w, inputs.renewable, inputs.price,
-        bundle.battery, bundle.grid, grid.energy_step,
-    )
-    return SubproblemArgmins(
-        delay=delay, delay_value=delay_value,
-        gamma_u=gamma_u, gamma_u_value=gamma_u_value,
-        gamma_d=gamma_d, gamma_d_value=gamma_d_value,
-        energy=energy, energy_value=energy_value,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +595,8 @@ def recompute_frame_objective(sol: OracleSolution, bundle: ModelBundle) -> float
     usage = 0.0
     for dec in sol.decisions:
         purchase_entry += dec.e * dec.price
-        if dec.q + dec.s_r > 0.0:
-            purchase_entry += bundle.battery.c_rc
-        if dec.d_rate > 0.0:
-            purchase_entry += bundle.battery.c_dc
-        usage += abs(dec.q + dec.s_r - dec.d_rate)
+        purchase_entry += controller.entry_cost(dec.q, dec.s_r, dec.d_rate, bundle.battery)
+        usage += controller.usage_amount(dec.q, dec.s_r, dec.d_rate)
     return (
         purchase_entry / T
         + bundle.costs.usage_cost(usage / T)
@@ -878,14 +820,8 @@ def drift_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle, tol: float
     worst = -math.inf
     states = [_state_of_record(r, run.initial_state) for r in run.records] + [run.final_state]
     for r, state, nxt in zip(run.records, states, states[1:]):
-        decision = ControlDecision(
-            e=r.e, q=r.q, d_rate=r.d_rate, s_w=r.s_w, s_r=r.s_r, delay=r.delay,
-            gamma_u=r.gamma_u, gamma_d=r.gamma_d,
-            usage_amount=abs(r.q + r.s_r - r.d_rate),
-            entry_cost=0.0, regime=r.regime,
-        )
         drift = controller.lyapunov(nxt, mu) - controller.lyapunov(state, mu)
-        bound = controller.drift_upper_bound(state, decision, r.demand, g.g, weights, bundle.horizon)
+        bound = controller.drift_upper_bound(state, r, r.demand, g.g, weights, bundle.horizon)
         worst = max(worst, drift - bound)
     return CheckReport(
         (

@@ -52,10 +52,6 @@ class LoadTask:
         if self.max_delay < 0:
             raise ValueError(f"max_delay >= 0 required, got {self.max_delay}")
 
-    @property
-    def total_load(self) -> float:
-        return self.intensity * self.duration
-
 
 @dataclass(frozen=True)
 class SlotInput:

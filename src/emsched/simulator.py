@@ -16,11 +16,11 @@ sums, the summary also carries "inclusive" variants that fold drain costs in.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import controller
-from .controller import ControlDecision, ControllerState
+from .controller import ControllerState, EnergyAction
 from .model import InfeasibleSlot, ModelBundle, StateConsistencyError
 from .scenario import LoadTask, SlotInput, Trace
 
@@ -55,33 +55,6 @@ class ServiceLedger:
     def prune(self, t: int) -> None:
         """Drop windows fully served before slot t."""
         self._windows = [w for w in self._windows if w[1] > t]
-
-
-@dataclass
-class CostLedger:
-    """Running sums behind the objective; horizon sums freeze at the horizon."""
-
-    horizon: int
-    sum_purchase: float = 0.0
-    sum_entry: float = 0.0
-    sum_usage: float = 0.0
-    sum_delay: float = 0.0
-    sum_purchase_all: float = 0.0
-    sum_entry_all: float = 0.0
-    sum_usage_all: float = 0.0
-    slots_counted: int = 0
-
-    def record(self, slot: int, decision: ControlDecision, price: float) -> None:
-        purchase = decision.e * price
-        self.sum_purchase_all += purchase
-        self.sum_entry_all += decision.entry_cost
-        self.sum_usage_all += decision.usage_amount
-        if slot < self.horizon:
-            self.sum_purchase += purchase
-            self.sum_entry += decision.entry_cost
-            self.sum_usage += decision.usage_amount
-            self.sum_delay += decision.delay
-            self.slots_counted += 1
 
 
 @dataclass(frozen=True)
@@ -147,15 +120,17 @@ def _drain_input(trace: Trace, t: int) -> SlotInput:
 def step(
     state: ControllerState,
     ledger: ServiceLedger,
-    costs: CostLedger,
     slot_input: SlotInput,
     bundle: ModelBundle,
-    policy: str = "joint",
-) -> tuple[ControlDecision, ControllerState, SlotRecord]:
+    policy: str,
+) -> tuple[ControllerState, SlotRecord]:
     """Run one slot: schedule, split renewable, pick energy flows, update queues.
 
-    Under "storage_only" every arriving task is served at once: the
-    scheduling rule gets an effective delay cap of 0.
+    The baselines are this same sequence with stages pinned: under
+    "storage_only" and "no_storage" every arriving task is served at once
+    (the scheduling rule gets a delay cap of 0), and under "no_storage" the
+    battery also stays idle, so the grid buys whatever the renewable cannot
+    cover.
     """
     if slot_input.slot != state.slot:
         raise ValueError(f"slot input {slot_input.slot} does not match state slot {state.slot}")
@@ -166,7 +141,7 @@ def step(
     gamma_d_cap = float(weights.d_avg_max)
     if slot_input.task is not None:
         task = slot_input.task
-        d_cap = 0 if policy == "storage_only" else task.max_delay
+        d_cap = task.max_delay if policy == "joint" else 0
         delay = controller.schedule_load(state, task, weights.mu, d_cap)
         ledger.add(task, delay)
         gamma_d_cap = float(min(d_cap, weights.d_avg_max))
@@ -178,61 +153,53 @@ def step(
     s_w = controller.renewable_split(demand, slot_input.renewable)
 
     gamma_u = controller.aux_solution(state.h_u, state.v, 1.0, bundle.costs.usage, state.gamma_u_cap)
-    action = controller.energy_control(
-        state, demand, s_w, slot_input.renewable, slot_input.price, bundle.battery, bundle.grid
-    )
+    if policy == "no_storage":
+        action = EnergyAction(e=demand - s_w, q=0.0, d_rate=0.0, s_r=0.0, regime="idle")
+        if action.e > bundle.grid.e_max + 1e-12:
+            raise InfeasibleSlot(t, action.e, bundle.grid.e_max, "no-storage baseline")
+    else:
+        action = controller.energy_control(
+            state, demand, s_w, slot_input.renewable, slot_input.price, bundle.battery, bundle.grid
+        )
 
     balance = action.e - action.q + s_w + action.d_rate - demand
     if abs(balance) > _BALANCE_TOL:
         raise StateConsistencyError(f"slot {t}: supply-demand balance off by {balance:.3e}")
 
-    decision = ControlDecision(
+    record = SlotRecord(
+        slot=t,
+        price=slot_input.price,
+        renewable=slot_input.renewable,
+        demand=demand,
         e=action.e,
         q=action.q,
         d_rate=action.d_rate,
         s_w=s_w,
         s_r=action.s_r,
         delay=delay,
-        gamma_u=gamma_u,
-        gamma_d=gamma_d,
-        usage_amount=abs(action.q + action.s_r - action.d_rate),
-        entry_cost=(bundle.battery.c_rc if action.q + action.s_r > 0.0 else 0.0)
-        + (bundle.battery.c_dc if action.d_rate > 0.0 else 0.0),
-        regime=action.regime,
-    )
-    record = SlotRecord(
-        slot=t,
-        price=slot_input.price,
-        renewable=slot_input.renewable,
-        demand=demand,
-        e=decision.e,
-        q=decision.q,
-        d_rate=decision.d_rate,
-        s_w=decision.s_w,
-        s_r=decision.s_r,
-        delay=decision.delay,
         b=state.b,
         z=state.z,
         x=state.x,
         h_u=state.h_u,
         h_d=state.h_d,
-        regime=decision.regime,
-        gamma_u=decision.gamma_u,
-        gamma_d=decision.gamma_d,
+        regime=action.regime,
+        gamma_u=gamma_u,
+        gamma_d=gamma_d,
         in_horizon=t < bundle.horizon,
     )
-    costs.record(t, decision, slot_input.price)
-    next_state = controller.update_queues(state, decision, weights.d_avg_max, weights.delta_u, bundle.horizon)
+    next_state = controller.update_queues(state, record, weights.d_avg_max, weights.delta_u, bundle.horizon)
     ledger.prune(t + 1)
-    return decision, next_state, record
+    return next_state, record
 
 
 def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     """Simulate the whole trace plus the drain phase and assemble the summary.
 
-    `policy` names the summary; "storage_only" also serves every task on
-    arrival (see `step`).
+    `policy` is any name in POLICIES (see `step` for what each one pins);
+    anything else raises ValueError.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if trace.horizon != bundle.horizon:
         raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {bundle.horizon}")
     a_o, v_max = controller.design_params(
@@ -243,56 +210,66 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     initial_state = state
 
     ledger = ServiceLedger()
-    costs = CostLedger(horizon=bundle.horizon)
     records: list[SlotRecord] = []
-    net_flow_sum = 0.0
-
     state_at_horizon = state
     t = 0
     while t < bundle.horizon or ledger.pending_after(t - 1):
         slot_input = trace.slots[t] if t < bundle.horizon else _drain_input(trace, t)
-        decision, state, record = step(state, ledger, costs, slot_input, bundle, policy)
+        state, record = step(state, ledger, slot_input, bundle, policy)
         records.append(record)
-        if t < bundle.horizon:
-            net_flow_sum += decision.q + decision.s_r - decision.d_rate
         t += 1
         if t == bundle.horizon:
             state_at_horizon = state
         if t > bundle.horizon + trace.horizon + 10_000:
             raise StateConsistencyError("drain phase failed to terminate")
 
-    return _summarize(
-        policy, bundle, costs, records, net_flow_sum, initial_state, state_at_horizon, state,
-        drain_slots=max(t - bundle.horizon, 0),
-    )
+    return _summarize(policy, bundle, records, initial_state, state_at_horizon, state)
+
+
+# The CLI and the scripts call the loop by this name.
+run_policy = run
 
 
 def _summarize(
     policy: str,
     bundle: ModelBundle,
-    costs: CostLedger,
     records: list[SlotRecord],
-    net_flow_sum: float,
     initial_state: ControllerState,
     state_at_horizon: ControllerState,
     final_state: ControllerState,
-    drain_slots: int,
 ) -> RunSummary:
+    # Each sum runs in slot order from 0.0; the horizon sums stop at the
+    # horizon, the inclusive ones fold the drain slots in.
+    purchase = entry = usage = delay = net_flow = 0.0
+    purchase_all = entry_all = usage_all = 0.0
+    for r in records:
+        r_purchase = r.e * r.price
+        r_entry = controller.entry_cost(r.q, r.s_r, r.d_rate, bundle.battery)
+        r_usage = controller.usage_amount(r.q, r.s_r, r.d_rate)
+        purchase_all += r_purchase
+        entry_all += r_entry
+        usage_all += r_usage
+        if r.in_horizon:
+            purchase += r_purchase
+            entry += r_entry
+            usage += r_usage
+            delay += r.delay
+            net_flow += r.q + r.s_r - r.d_rate
+
     # An empty horizon has no slots to average over; every mean is zero.
     slots = max(bundle.horizon, 1)
-    j_bar = costs.sum_purchase / slots
-    entry_bar = costs.sum_entry / slots
-    usage_avg = costs.sum_usage / slots
-    delay_avg = costs.sum_delay / slots
+    j_bar = purchase / slots
+    entry_bar = entry / slots
+    usage_avg = usage / slots
+    delay_avg = delay / slots
     usage_cost = bundle.costs.usage_cost(usage_avg)
     delay_cost = bundle.weights.alpha * bundle.costs.delay_cost(delay_avg)
-    j_bar_inc = costs.sum_purchase_all / slots
-    entry_bar_inc = costs.sum_entry_all / slots
-    usage_avg_inc = costs.sum_usage_all / slots
-    horizon = bundle.horizon
+    j_bar_inc = purchase_all / slots
+    entry_bar_inc = entry_all / slots
+    usage_avg_inc = usage_all / slots
     return RunSummary(
         policy=policy,
-        horizon=horizon,
+        horizon=bundle.horizon,
         j_bar=j_bar,
         entry_bar=entry_bar,
         usage_avg=usage_avg,
@@ -304,74 +281,12 @@ def _summarize(
         entry_bar_inclusive=entry_bar_inc,
         usage_avg_inclusive=usage_avg_inc,
         total_inclusive=j_bar_inc + entry_bar_inc + bundle.costs.usage_cost(usage_avg_inc) + delay_cost,
-        epsilon_u=net_flow_sum - bundle.weights.delta_u,
-        drain_slots=drain_slots,
+        epsilon_u=net_flow - bundle.weights.delta_u,
+        drain_slots=max(len(records) - bundle.horizon, 0),
         records=tuple(records),
         initial_state=initial_state,
         state_at_horizon=state_at_horizon,
         final_state=final_state,
-    )
-
-
-def _zero_delay_bundle(bundle: ModelBundle) -> ModelBundle:
-    """Storage-only variant: the delay machinery is pinned to zero.
-
-    The delay-cost function is kept as-is; with every delay forced to 0 it is
-    only ever evaluated at 0, where any admissible cost is 0.
-    """
-    return replace(bundle, weights=replace(bundle.weights, d_avg_max=0))
-
-
-def baseline_storage_only(trace: Trace, bundle: ModelBundle) -> RunSummary:
-    """Storage control without scheduling: every load is served on arrival."""
-    return run(trace, _zero_delay_bundle(bundle), policy="storage_only")
-
-
-def baseline_no_storage(trace: Trace, bundle: ModelBundle) -> RunSummary:
-    """Neither storage nor scheduling: buy whatever the renewable cannot cover."""
-    ledger = ServiceLedger()
-    costs = CostLedger(horizon=bundle.horizon)
-    records: list[SlotRecord] = []
-    a_o, v_max = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
-    v = bundle.weights.v if bundle.weights.v is not None else v_max
-    state = controller.init_state(bundle.battery, a_o, v, bundle.gamma_u_cap, bundle.z0_mode)
-    initial_state = state
-    state_at_horizon = state
-
-    t = 0
-    while t < bundle.horizon or ledger.pending_after(t - 1):
-        slot_input = trace.slots[t] if t < bundle.horizon else _drain_input(trace, t)
-        if slot_input.task is not None:
-            ledger.add(slot_input.task, 0)
-        demand = ledger.active_demand(t)
-        s_w = controller.renewable_split(demand, slot_input.renewable)
-        e = demand - s_w
-        if e > bundle.grid.e_max + 1e-12:
-            raise InfeasibleSlot(t, e, bundle.grid.e_max, "no-storage baseline")
-        decision = ControlDecision(
-            e=e, q=0.0, d_rate=0.0, s_w=s_w, s_r=0.0, delay=0,
-            gamma_u=0.0, gamma_d=0.0, usage_amount=0.0, entry_cost=0.0, regime="idle",
-        )
-        records.append(
-            SlotRecord(
-                slot=t, price=slot_input.price, renewable=slot_input.renewable, demand=demand,
-                e=e, q=0.0, d_rate=0.0, s_w=s_w, s_r=0.0, delay=0,
-                b=state.b, z=state.z, x=state.x, h_u=state.h_u, h_d=state.h_d,
-                regime="idle", gamma_u=0.0, gamma_d=0.0, in_horizon=t < bundle.horizon,
-            )
-        )
-        costs.record(t, decision, slot_input.price)
-        state = controller.update_queues(state, decision, bundle.weights.d_avg_max, bundle.weights.delta_u, bundle.horizon)
-        ledger.prune(t + 1)
-        t += 1
-        if t == bundle.horizon:
-            state_at_horizon = state
-
-    return _summarize(
-        "no_storage", bundle, costs, records, 0.0, initial_state, state_at_horizon, state,
-        drain_slots=max(t - bundle.horizon, 0),
     )
 
 
@@ -401,13 +316,3 @@ def write_records(path, records: Iterable[SlotRecord]) -> None:
 
 def _fmt(x: float) -> str:
     return format(x, ".9g")
-
-
-def run_policy(trace: Trace, bundle: ModelBundle, policy: str) -> RunSummary:
-    if policy == "joint":
-        return run(trace, bundle, policy="joint")
-    if policy == "storage_only":
-        return baseline_storage_only(trace, bundle)
-    if policy == "no_storage":
-        return baseline_no_storage(trace, bundle)
-    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")

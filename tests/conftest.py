@@ -23,7 +23,7 @@ from emsched.model import (
     Weights,
 )
 from emsched.scenario import StageProfile, Trace, generate_trace
-from emsched.simulator import baseline_no_storage, baseline_storage_only, run
+from emsched.simulator import run, run_policy
 
 DAY_HORIZON = 288
 ACCEPT_COUNT = 100
@@ -127,16 +127,16 @@ def _ensemble_cells(seed: int) -> dict | None:
         for cap in DELAY_CAPS:
             bundle = day_bundle(alpha=0.005, d_avg_max=cap)
             cells[("monetary_deferral", cap)] = run(trace_long, bundle, "joint").monetary_cost
-        cells["monetary_never_defer"] = baseline_storage_only(
-            trace_long, day_bundle(alpha=0.005)
+        cells["monetary_never_defer"] = run_policy(
+            trace_long, day_bundle(alpha=0.005), "storage_only"
         ).monetary_cost
 
         # Policy comparison across battery sizes at the small delay weight.
         for b_max in B_MAXES:
             bundle = warm_bundle(day_bundle(alpha=0.001, b_max=b_max))
             joint = run(trace_long, bundle, "joint")
-            storage = baseline_storage_only(trace_long, bundle)
-            none = baseline_no_storage(trace_long, bundle)
+            storage = run_policy(trace_long, bundle, "storage_only")
+            none = run_policy(trace_long, bundle, "no_storage")
             for policy, summary in (("joint", joint), ("storage_only", storage), ("no_storage", none)):
                 cells[("policy_total", b_max, policy)] = summary.total
                 cells[("policy_monetary", b_max, policy)] = summary.monetary_cost

@@ -18,7 +18,6 @@ from emsched.oracle import (
     Frame,
     GridSpec,
     SearchSpaceError,
-    SlotContext,
     drift_checks,
     equivalence_battery,
     feasibility_checks,
@@ -30,7 +29,6 @@ from emsched.oracle import (
     oracle_energy,
     oracle_schedule,
     sample_slot_states,
-    subproblem_oracles,
     lookahead_bound_check,
 )
 from emsched.scenario import LoadTask, SlotInput, StageProfile, generate_trace
@@ -81,16 +79,6 @@ class TestSubproblemOracles:
         assert value == pytest.approx(-0.5313, abs=1e-6)
         assert point.regime == "charge"
         assert point.s_r == pytest.approx(0.05, abs=1e-3)
-
-    def test_bundled_argmins_cover_all_four_subproblems(self):
-        bundle = day_bundle()
-        state = make_state(z=-1.0, h_u=-0.2, h_d=-3.0, v=12.0)
-        ctx = SlotContext(task=task_with(), demand_l=0.1, s_w=0.0, renewable=0.0, price=0.1)
-        result = subproblem_oracles(state, ctx, bundle)
-        assert result.delay in {0, 1, 18}
-        assert 0.0 <= result.gamma_u <= bundle.gamma_u_cap + 1e-12
-        assert 0.0 <= result.gamma_d <= 18.0 + 1e-12
-        assert result.energy.regime in {"idle", "charge", "discharge"}
 
 
 class TestEquivalenceBattery:
@@ -195,13 +183,6 @@ class TestFrameOracle:
             lookahead_optimum(frame, bundle, GridSpec())
         assert err.value.suggested_step > GridSpec().energy_step
         assert "energy_step" in str(err.value)
-
-    def test_halved_grid_spec(self):
-        spec = GridSpec(energy_step=0.01, gamma_step=0.002)
-        half = spec.halved()
-        assert half.energy_step == 0.005
-        assert half.gamma_step == 0.001
-        assert half.max_nodes == spec.max_nodes
 
     def test_solutions_respect_slot_feasibility(self, small_instances):
         seed, trace, summary = small_instances[0]

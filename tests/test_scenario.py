@@ -3,8 +3,6 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from emsched.model import GridParams
 from emsched.scenario import (
@@ -95,15 +93,6 @@ class TestGeneration:
             generate_trace(StageProfile(duration_min=0), 24, seed=0)
         with pytest.raises(ValueError):
             generate_trace(StageProfile(price_low=0.2), 24, seed=0)  # low above high
-
-
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25, deadline=None)
-def test_intensity_times_duration_recovers_drawn_load(seed):
-    trace = generate_trace(StageProfile(), 48, seed=seed)
-    for s in trace.slots:
-        # intensity is stored rounded to 9 decimals, so the product is too
-        assert s.task.total_load == pytest.approx(s.task.intensity * s.task.duration, abs=1e-8)
 
 
 class TestTraceInvariants:

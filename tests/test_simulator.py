@@ -15,8 +15,6 @@ from emsched.scenario import LoadTask, SlotInput, StageProfile, Trace, generate_
 from emsched.simulator import (
     POLICIES,
     ServiceLedger,
-    baseline_no_storage,
-    baseline_storage_only,
     run,
     run_policy,
     write_records,
@@ -72,14 +70,14 @@ class TestNoStorageBaseline:
     def test_single_task_slot_cost(self):
         task = LoadTask(arrival_slot=0, intensity=0.1, duration=1, max_delay=0)
         trace = flat_trace(1, price=0.118, tasks={0: task})
-        summary = baseline_no_storage(trace, small_run_bundle(1))
+        summary = run_policy(trace, small_run_bundle(1), "no_storage")
         assert summary.total == pytest.approx(0.0118)
         assert summary.j_bar == pytest.approx(0.0118)
 
     def test_cost_independent_of_battery_capacity(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
         totals = {
-            b_max: baseline_no_storage(trace, day_bundle(b_max=b_max)).total
+            b_max: run_policy(trace, day_bundle(b_max=b_max), "no_storage").total
             for b_max in (1.5, 3.0, 6.0)
         }
         assert len(set(totals.values())) == 1
@@ -90,19 +88,20 @@ class TestNoStorageBaseline:
             SlotInput(slot=0, price=0.118, renewable=0.5, task=task),
             SlotInput(slot=1, price=0.118, renewable=0.5),
         )
-        summary = baseline_no_storage(Trace(slots=slots), small_run_bundle(2))
+        summary = run_policy(Trace(slots=slots), small_run_bundle(2), "no_storage")
         assert summary.j_bar == 0.0
         assert summary.total == 0.0
 
     def test_task_free_zero_solar_day_costs_nothing(self):
-        summary = baseline_no_storage(flat_trace(12), small_run_bundle(12))
+        summary = run_policy(flat_trace(12), small_run_bundle(12), "no_storage")
         assert summary.total == 0.0
 
     def test_demand_above_purchase_cap_aborts(self):
         task = LoadTask(arrival_slot=0, intensity=0.4, duration=1, max_delay=0)
         with pytest.raises(InfeasibleSlot) as err:
-            baseline_no_storage(flat_trace(1, tasks={0: task}), small_run_bundle(1))
+            run_policy(flat_trace(1, tasks={0: task}), small_run_bundle(1), "no_storage")
         assert "slot 0" in str(err.value)
+        assert "no-storage baseline" in str(err.value)
 
 
 class TestRun:
@@ -158,7 +157,7 @@ class TestRun:
         profile = replace(day_profile(), max_delay=0)
         trace = generate_trace(profile, DAY_HORIZON, seed=0)
         joint = run(trace, day_bundle(), policy="joint")
-        storage = baseline_storage_only(trace, day_bundle())
+        storage = run_policy(trace, day_bundle(), "storage_only")
         assert joint.delay_avg == 0.0
         assert joint.records == storage.records
         assert joint.total == pytest.approx(storage.total, abs=1e-15)
@@ -172,13 +171,47 @@ class TestRun:
 class TestStorageOnlyBaseline:
     def test_never_delays(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        summary = baseline_storage_only(trace, day_bundle())
+        summary = run_policy(trace, day_bundle(), "storage_only")
         assert summary.delay_avg == 0.0
         assert all(r.delay == 0 for r in summary.records)
 
     def test_policy_label(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        assert baseline_storage_only(trace, day_bundle()).policy == "storage_only"
+        assert run_policy(trace, day_bundle(), "storage_only").policy == "storage_only"
+
+
+class TestBaselinesShareTheSlotLoop:
+    """Both baselines are the joint slot loop with stages pinned: a delay cap
+    of 0 for both, and an idle battery for no_storage."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_storage_only_leaves_the_delay_machinery_at_zero(self, seed):
+        # every delay is 0, so the average-delay cap cannot reach the records
+        trace = generate_trace(day_profile(), DAY_HORIZON, seed)
+        tight = run_policy(trace, day_bundle(d_avg_max=6), "storage_only")
+        loose = run_policy(trace, day_bundle(d_avg_max=18), "storage_only")
+        assert tight.records == loose.records
+        for r in loose.records:
+            assert (r.delay, r.x, r.h_d, r.gamma_d) == (0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_storage_buys_what_the_renewable_cannot_cover(self, seed):
+        trace = generate_trace(day_profile(), DAY_HORIZON, seed)
+        bundle = day_bundle()
+        try:
+            summary = run_policy(trace, bundle, "no_storage")
+        except InfeasibleSlot as err:
+            # only a residual demand above the purchase cap may stop it
+            assert err.detail == "no-storage baseline"
+            assert err.required > bundle.grid.e_max
+            return
+        for r in summary.records:
+            assert (r.q, r.s_r, r.d_rate, r.regime) == (0.0, 0.0, 0.0, "idle")
+            assert (r.x, r.h_u, r.h_d, r.gamma_u, r.gamma_d) == (0.0, 0.0, 0.0, 0.0, 0.0)
+            assert r.e == r.demand - min(r.demand, r.renewable)
+        # loads are served on arrival, as under storage_only
+        storage = run_policy(trace, bundle, "storage_only")
+        assert [r.demand for r in summary.records] == [r.demand for r in storage.records]
 
 
 class TestSeededRegression:
@@ -197,8 +230,8 @@ class TestSeededRegression:
         bundle = warm_bundle(day_bundle(alpha=0.001))
         trace = generate_trace(day_profile(max_delay=216), DAY_HORIZON, seed=0)
         joint = run(trace, bundle, policy="joint")
-        storage = baseline_storage_only(trace, bundle)
-        none = baseline_no_storage(trace, bundle)
+        storage = run_policy(trace, bundle, "storage_only")
+        none = run_policy(trace, bundle, "no_storage")
         assert joint.total == pytest.approx(0.004078566062471808, rel=1e-9)
         assert storage.total == pytest.approx(0.0038512052340816706, rel=1e-9)
         assert none.total == pytest.approx(0.004262232955472221, rel=1e-9)
