@@ -43,7 +43,19 @@ def mean_costs(d_avg_max: int, max_delay: int, alpha: float, seeds: list[int]):
         monetary.append(s.monetary_cost)
         delays.append(s.delay_avg)
     n = len(totals)
-    return sum(totals) / n, sum(monetary) / n, sum(delays) / n, skipped
+    if n == 0:
+        return None, skipped
+    return (sum(totals) / n, sum(monetary) / n, sum(delays) / n), skipped
+
+
+def format_row(label, max_delay: int, means: tuple[float, float, float] | None, skipped: int) -> str:
+    """One table row; a point whose every replication aborted shows no means."""
+    if means is None:
+        cells = f"{'all skipped':>31s}"
+    else:
+        total, monetary, delay = means
+        cells = f"{total:10.6f} {monetary:10.6f} {delay:9.3f}"
+    return f"{label:>9} {max_delay:9d} {cells} {skipped:7d}"
 
 
 def main() -> None:
@@ -60,11 +72,8 @@ def main() -> None:
           f"{'avg delay':>9s} {'skipped':>7s}")
     for d_avg_max in (6, 12, 18, 24):
         max_delay = args.max_delay if args.max_delay is not None else d_avg_max
-        total, monetary, delay, skipped = mean_costs(d_avg_max, max_delay, args.alpha, seeds)
-        print(f"{d_avg_max:9d} {max_delay:9d} {total:10.6f} {monetary:10.6f} "
-              f"{delay:9.3f} {skipped:7d}")
-    total, monetary, delay, skipped = mean_costs(18, 0, args.alpha, seeds)
-    print(f"{'ref':>9s} {0:9d} {total:10.6f} {monetary:10.6f} {delay:9.3f} {skipped:7d}")
+        print(format_row(d_avg_max, max_delay, *mean_costs(d_avg_max, max_delay, args.alpha, seeds)))
+    print(format_row("ref", 0, *mean_costs(18, 0, args.alpha, seeds)))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import yaml
 
-from . import controller, oracle, simulator
+from . import controller, oracle
 from .model import (
     BatteryParams,
     ConfigurationError,

@@ -18,7 +18,6 @@ independent runs can execute concurrently without sharing anything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 

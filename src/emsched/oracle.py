@@ -293,8 +293,6 @@ class OracleSolution:
     decisions: tuple[OracleDecision, ...]
     delays: tuple[tuple[int, int], ...]  # (arrival slot, chosen delay)
     delay_sum: int
-    usage_sum: float
-    purchase_entry_sum: float
 
 
 def frames_from_run(trace: Trace, run: RunSummary, frame_length: int) -> list[Frame]:
@@ -338,6 +336,27 @@ def _demand_profile(frame: Frame, arrivals, combo) -> np.ndarray:
     return demand
 
 
+def _decode_flow(k: int, h: float, demand_p: float, slot: SlotInput) -> OracleDecision:
+    """The flows of lattice flow k in one slot.
+
+    Renewables serve the demand first and the grid buys the rest. k > 0
+    charges k*h, from the renewable surplus first; k < 0 discharges -k*h;
+    k = 0 idles.
+    """
+    s_w = min(demand_p, slot.renewable)
+    flow = k * h
+    s_r = q = d_rate = 0.0
+    if k > 0:
+        s_r = min(flow, slot.renewable - s_w)
+        q = flow - s_r
+    elif k < 0:
+        d_rate = -flow
+    return OracleDecision(
+        slot=slot.slot, price=slot.price, demand=float(demand_p),
+        e=demand_p - s_w + q - d_rate, q=q, d_rate=d_rate, s_w=s_w, s_r=s_r,
+    )
+
+
 def _slot_actions(
     demand_p: float,
     slot: SlotInput,
@@ -348,26 +367,21 @@ def _slot_actions(
     k_discharge: int,
 ) -> list[tuple[int, float]]:
     """Feasible lattice flows of one slot and their cost (purchase + entry)."""
-    s_w = min(demand_p, slot.renewable)
-    residual = demand_p - s_w
-    surplus = slot.renewable - s_w
+    residual = _decode_flow(0, h, demand_p, slot).e
     feasible: list[tuple[int, float]] = []
     if residual <= grid_params.e_max + _FEAS_TOL:
         feasible.append((0, residual * slot.price))
     for k in range(1, k_charge + 1):
-        flow = k * h
-        if flow > battery.r_max + _FEAS_TOL:
+        if k * h > battery.r_max + _FEAS_TOL:
             break
-        q = max(flow - surplus, 0.0)
-        e = residual + q
+        e = _decode_flow(k, h, demand_p, slot).e
         if e > grid_params.e_max + _FEAS_TOL:
             break
         feasible.append((k, e * slot.price + battery.c_rc))
     for k in range(1, k_discharge + 1):
-        d = k * h
-        if d > min(battery.d_max_rate, residual) + _FEAS_TOL:
+        if k * h > min(battery.d_max_rate, residual) + _FEAS_TOL:
             break
-        e = residual - d
+        e = _decode_flow(-k, h, demand_p, slot).e
         if e > grid_params.e_max + _FEAS_TOL:
             continue
         feasible.append((-k, e * slot.price + battery.c_dc))
@@ -442,8 +456,7 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     usage_floor = float(usage_penalty.min())
 
     best_value = math.inf
-    best: tuple[np.ndarray, int, tuple[int, ...], list[list[tuple[int, float]]]] | None = None
-    best_usage_idx = -1
+    best = None  # demand, delay_sum, combo, actions, DP layers and usage index of the best plan
     # A slot's flows depend only on its own demand, which many profiles share,
     # so each (slot, demand) pair is enumerated once per call and kept with
     # its cheapest cost (None when the slot has no feasible flow).
@@ -466,22 +479,23 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
             floor += c
         if floor / T + usage_floor + delay_term >= best_value:
             continue
-        cost = _dp_forward(actions, n_off, n_use, o_lo)
-        terminal = cost[o_target - o_lo]
+        layers = _dp_forward(actions, n_off, n_use, o_lo)
+        terminal = layers[-1][o_target - o_lo]
         if not np.isfinite(terminal).any():
             continue
         totals = terminal / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best = (demand, delay_sum, combo, actions)
-            best_usage_idx = idx
+            best = (demand, delay_sum, combo, actions, layers, idx)
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    demand, delay_sum, combo, actions = best
-    flows = _dp_backtrack(actions, n_off, n_use, o_lo, o_target, best_usage_idx)
-    decisions = _build_decisions(frame, demand, flows, h)
+    demand, delay_sum, combo, actions, layers, usage_idx = best
+    flows = _walk_back(layers, actions, o_lo, o_target, usage_idx)
+    decisions = tuple(
+        _decode_flow(k, h, demand[p], slot) for p, (slot, k) in enumerate(zip(frame.slots, flows))
+    )
     _assert_frame_feasible(frame, decisions, bundle)
 
     return OracleSolution(
@@ -492,17 +506,18 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         decisions=decisions,
         delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
         delay_sum=delay_sum,
-        usage_sum=sum(abs(k) for k in flows) * h,
-        purchase_entry_sum=sum(
-            cost for feas, k in zip(actions, flows) for kk, cost in feas if kk == k
-        ),
     )
 
 
-def _dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> np.ndarray:
-    """Min purchase+entry cost over (battery offset, cumulative usage) states."""
+def _dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarray]:
+    """Min purchase+entry cost over (battery offset, cumulative usage) states.
+
+    Returns one layer per slot boundary: layers[0] is the start state and
+    layers[p + 1] the cost after slot p, so the last layer is the terminal one.
+    """
     cost = np.full((n_off, n_use), np.inf)
     cost[-o_lo, 0] = 0.0
+    layers = [cost]
     for feasible in actions:
         new = np.full_like(cost, np.inf)
         for k, c in feasible:
@@ -511,64 +526,36 @@ def _dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> np.ndarray:
             dst = new[max(0, k) : n_off - max(0, -k), a:]
             np.minimum(dst, src + c, out=dst)
         cost = new
-    return cost
+        layers.append(cost)
+    return layers
 
 
-def _dp_backtrack(actions, n_off: int, n_use: int, o_lo: int, o_target: int, u_target: int) -> list[int]:
-    """Re-run the DP keeping argmins, then recover the per-slot flow sequence."""
-    cost = np.full((n_off, n_use), np.inf)
-    cost[-o_lo, 0] = 0.0
-    parents: list[np.ndarray] = []
-    for feasible in actions:
-        new = np.full_like(cost, np.inf)
-        par = np.full(cost.shape, -(10**6), dtype=np.int32)
-        for k, c in feasible:
-            a = abs(k)
-            src = cost[max(0, -k) : n_off - max(0, k), : n_use - a] + c
-            dst_rows = slice(max(0, k), n_off - max(0, -k))
-            better = src < new[dst_rows, a:]
-            new[dst_rows, a:] = np.where(better, src, new[dst_rows, a:])
-            par[dst_rows, a:] = np.where(better, k, par[dst_rows, a:])
-        cost = new
-        parents.append(par)
+def _walk_back(layers: Sequence[np.ndarray], actions, o_lo: int, o_target: int, u_target: int) -> list[int]:
+    """The per-slot flows of the plan ending in state (o_target, u_target).
+
+    Walking the forward DP's layers back from that state, each slot takes the
+    first flow, in `actions` order, whose predecessor cost plus flow cost
+    equals the layer's value. The forward pass computed that value as exactly
+    that sum, so this is the first flow to reach the minimum: ties resolve as
+    a strict-< argmin table would resolve them.
+    """
     i, j = o_target - o_lo, u_target
+    if not np.isfinite(layers[-1][i, j]):
+        raise ValueError(f"no plan ends in state ({o_target}, {u_target})")
     flows: list[int] = []
-    for par in reversed(parents):
-        k = int(par[i, j])
-        if k <= -(10**6):
+    for p in range(len(actions) - 1, -1, -1):
+        prev, value = layers[p], layers[p + 1][i, j]
+        for k, c in actions[p]:
+            a = abs(k)
+            if 0 <= i - k < prev.shape[0] and j >= a and prev[i - k, j - a] + c == value:
+                break
+        else:
             raise RuntimeError("backtrack fell off the DP table")  # bug trap
         flows.append(k)
         i -= k
-        j -= abs(k)
+        j -= a
     flows.reverse()
     return flows
-
-
-def _build_decisions(frame: Frame, demand: np.ndarray, flows: Sequence[int], h: float) -> tuple[OracleDecision, ...]:
-    out = []
-    for p, (slot, k) in enumerate(zip(frame.slots, flows)):
-        s_w = min(demand[p], slot.renewable)
-        residual = demand[p] - s_w
-        surplus = slot.renewable - s_w
-        flow = k * h
-        if k > 0:
-            s_r = min(flow, surplus)
-            q = flow - s_r
-            e, d_rate = residual + q, 0.0
-        elif k < 0:
-            s_r = q = 0.0
-            d_rate = -flow
-            e = residual - d_rate
-        else:
-            s_r = q = d_rate = 0.0
-            e = residual
-        out.append(
-            OracleDecision(
-                slot=slot.slot, price=slot.price, demand=float(demand[p]),
-                e=e, q=q, d_rate=d_rate, s_w=s_w, s_r=s_r,
-            )
-        )
-    return tuple(out)
 
 
 def _assert_frame_feasible(frame: Frame, decisions: tuple[OracleDecision, ...], bundle: ModelBundle) -> None:
@@ -909,16 +896,13 @@ def equivalence_battery(
     n_states: int,
     seed: int,
     grid: GridSpec = GridSpec(),
-    corrupt: str | None = None,
 ) -> CheckReport:
     """Closed-form rules vs grid search over randomized states.
 
     The scheduling rule must match exactly; the auxiliary argmins must land
     within one gamma step (their objectives are strictly convex); the energy
     rule must dominate every lattice point and sit within the lattice's
-    one-step value slack. `corrupt` is a test hook: "negate_omega" flips the
-    sign of the immediate-service weight before calling the closed form, which
-    a sound comparison must detect.
+    one-step value slack.
     """
     a_o, v_max = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
@@ -935,10 +919,7 @@ def equivalence_battery(
     schedule_bad = aux_bad = dominance_bad = slack_bad = 0
     for state, ctx in samples:
         if ctx.task is not None:
-            closed_state = state
-            if corrupt == "negate_omega":
-                closed_state = replace(state, z=-(state.z - abs(state.h_u)), h_u=0.0)
-            closed_d = controller.schedule_load(closed_state, ctx.task, weights.mu, ctx.task.max_delay)
+            closed_d = controller.schedule_load(state, ctx.task, weights.mu, ctx.task.max_delay)
             oracle_d, _ = oracle_schedule(state, ctx.task, weights.mu, ctx.task.max_delay)
             if closed_d != oracle_d:
                 schedule_bad += 1

@@ -16,9 +16,8 @@ trace to CSV and reading it back reproduces it exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 

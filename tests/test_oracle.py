@@ -86,9 +86,17 @@ class TestEquivalenceBattery:
         report = equivalence_battery(day_bundle(), n_states=200, seed=2024)
         assert report.passed, [c for c in report if not c.passed]
 
-    def test_corrupted_schedule_rule_is_caught(self):
-        report = equivalence_battery(day_bundle(), n_states=200, seed=2024,
-                                     corrupt="negate_omega")
+    def test_corrupted_schedule_rule_is_caught(self, monkeypatch):
+        # The closed form fed a state whose immediate-service weight has the
+        # wrong sign must disagree with the enumeration somewhere.
+        exact = controller.schedule_load
+
+        def negated_omega(state, task, mu, effective_d_max):
+            flipped = replace(state, z=-(state.z - abs(state.h_u)), h_u=0.0)
+            return exact(flipped, task, mu, effective_d_max)
+
+        monkeypatch.setattr(controller, "schedule_load", negated_omega)
+        report = equivalence_battery(day_bundle(), n_states=200, seed=2024)
         bad = report["schedule_equivalence"]
         assert not bad.passed
         assert bad.achieved >= 1.0
@@ -234,26 +242,27 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         ]
         if not all(actions):
             continue
-        terminal = oracle._dp_forward(actions, n_off, n_use, o_lo)[o_target - o_lo]
-        totals = terminal / T + usage_penalty + weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
+        delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
-            best, best_value = (demand, delay_sum, combo, actions, idx), float(totals[idx])
+            best, best_value = (demand, delay_sum, combo, actions, layers, idx), float(totals[idx])
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
 
-    demand, delay_sum, combo, actions, idx = best
-    flows = oracle._dp_backtrack(actions, n_off, n_use, o_lo, o_target, idx)
+    demand, delay_sum, combo, actions, layers, idx = best
+    flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
     return oracle.OracleSolution(
         frame_start=frame.start,
         frame_length=T,
         u_opt=best_value,
         energy_step=h,
-        decisions=oracle._build_decisions(frame, demand, flows, h),
+        decisions=tuple(
+            oracle._decode_flow(k, h, demand[p], slot) for p, (slot, k) in enumerate(zip(frame.slots, flows))
+        ),
         delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
         delay_sum=delay_sum,
-        usage_sum=sum(abs(k) for k in flows) * h,
-        purchase_entry_sum=sum(c for feas, k in zip(actions, flows) for kk, c in feas if kk == k),
     )
 
 
@@ -323,6 +332,52 @@ class TestCostFloorSkip:
         _, trace, summary = small_instances[0]
         for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH)[:3]:
             assert lookahead_optimum(frame, bundle, grid) == unpruned_lookahead(frame, bundle, grid)
+
+
+class TestWalkBack:
+    """The plan read back from the forward DP's layers, ties included."""
+
+    # Every slot offers idle at 1.0 or one step either way at 0.5, so states
+    # reachable both ways (net offset 0 at usage 2, say) tie exactly.
+    TWO_SLOTS = [[(0, 1.0), (1, 0.5), (-1, 0.5)]] * 2
+    # The flows an argmin table kept while the DP ran (strict <, so the first
+    # flow in each slot's order to reach the minimum) on every reachable
+    # (offset, usage) end state.
+    TWO_SLOT_PLANS = {
+        (-2, 2): [-1, -1], (-1, 1): [-1, 0], (0, 0): [0, 0],
+        (0, 2): [-1, 1], (1, 1): [1, 0], (2, 2): [1, 1],
+    }
+    THREE_SLOTS = [[(0, 1.0), (1, 0.5), (-1, 0.5), (2, 1.0), (-2, 0.0)]] * 3
+    THREE_SLOT_PLANS = {
+        (-4, 4): [-2, -2, 0], (-3, 3): [-2, -1, 0], (-3, 5): [-2, -2, 1], (-2, 2): [-2, 0, 0],
+        (-2, 4): [-2, -1, 1], (-2, 6): [-2, -2, 2], (-1, 1): [-1, 0, 0], (-1, 3): [-2, 1, 0],
+        (-1, 5): [-2, 2, -1], (0, 0): [0, 0, 0], (0, 2): [-1, 1, 0], (0, 4): [-2, 1, 1],
+        (1, 1): [1, 0, 0], (1, 3): [-1, 1, 1], (1, 5): [-2, 2, 1], (2, 2): [1, 1, 0],
+        (2, 4): [2, -1, 1], (2, 6): [-2, 2, 2], (3, 3): [1, 1, 1], (3, 5): [2, 2, -1],
+        (4, 4): [2, 1, 1],
+    }
+
+    @pytest.mark.parametrize("actions, n_off, n_use, o_lo, plans", [
+        (TWO_SLOTS, 5, 3, -2, TWO_SLOT_PLANS),
+        (THREE_SLOTS, 9, 7, -4, THREE_SLOT_PLANS),
+    ], ids=["two_slots", "three_slots"])
+    def test_exact_ties_take_the_first_flow_in_slot_order(self, actions, n_off, n_use, o_lo, plans):
+        layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
+        reachable = {
+            (i + o_lo, j) for i, j in zip(*np.nonzero(np.isfinite(layers[-1])))
+        }
+        assert reachable == set(plans)
+        for (o_target, u_target), flows in plans.items():
+            assert oracle._walk_back(layers, actions, o_lo, o_target, u_target) == flows
+            # the plan costs what the DP says it costs
+            cost = sum(dict(slot)[k] for slot, k in zip(actions, flows))
+            assert cost == layers[-1][o_target - o_lo, u_target]
+
+    def test_unreachable_end_state_is_refused(self):
+        # inf + c == inf, so a walk from an unreachable state would "match"
+        layers = oracle._dp_forward(self.TWO_SLOTS, 5, 3, -2)
+        with pytest.raises(ValueError, match="no plan ends"):
+            oracle._walk_back(layers, self.TWO_SLOTS, -2, 0, 1)
 
 
 @pytest.fixture(scope="module")

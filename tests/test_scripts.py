@@ -18,6 +18,8 @@ PACKAGE_ROOT = Path(emsched.__file__).resolve().parent.parent
     [
         ["scripts/day_demo.py", "--horizon", "48"],
         ["scripts/delay_sweep.py", "--reps", "1"],
+        # every replication of the first point aborts: printed as all-skipped
+        ["scripts/delay_sweep.py", "--reps", "1", "--max-delay", "36"],
     ],
 )
 def test_script_exits_zero(argv):
