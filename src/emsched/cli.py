@@ -1,22 +1,27 @@
 """Command-line front end: single runs, parameter sweeps, checks, traces.
 
 Configuration is a YAML file with sections ``scenario``, ``battery``, ``grid``,
-``costs``, ``weights`` and ``experiment``; unknown keys are rejected so typos
-fail loudly instead of silently using defaults. ``--seed``, ``--out`` and
-``--workers`` override the config (and ``EMSCHED_OUT`` the output directory,
-with the flag winning over the environment).
+``costs``, ``weights`` and ``experiment`` (`ConfigFile`). Each section is read
+into its dataclass with every value checked against its field's declared type,
+and unknown keys are rejected so typos fail loudly instead of silently using
+defaults. ``--seed``, ``--out`` and ``--workers`` override the config (and
+``EMSCHED_OUT`` the output directory, with the flag winning over the
+environment).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import MISSING, dataclass, fields as dataclass_fields, is_dataclass, replace
+from itertools import product, repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -42,14 +47,24 @@ from .scenario import (
 )
 from .simulator import POLICIES, RunSummary, run_policy, write_records
 
-_CONFIG_SECTIONS = ("scenario", "battery", "grid", "costs", "weights", "experiment")
-
 _SWEEP_COLUMNS = (
     "d_avg_max", "max_delay", "b_max", "alpha", "mu",
     "policy", "replication",
     "J", "entry", "usage_cost", "delay_cost", "total", "avg_delay",
     "monetary", "error",
 )
+
+# PyYAML's C loader when it was built with libyaml; same dicts, ~10x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# How each leaf type of the config schema reads in an error message. The only
+# pairs in the schema are the profile's hour windows.
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    tuple[float, float]: "a list of [start, end] hour pairs",
+}
 
 
 class SweepPoint(NamedTuple):
@@ -76,14 +91,69 @@ class SweepAxes:
                 raise ConfigurationError(f"sweep axis {f.name!r} must not be empty")
 
     def points(self) -> list[SweepPoint]:
-        return [
-            SweepPoint(d, m, b, a, u)
-            for d in self.d_avg_max
-            for m in self.max_delay
-            for b in self.b_max
-            for a in self.alpha
-            for u in self.mu
-        ]
+        axes = (self.d_avg_max, self.max_delay, self.b_max, self.alpha, self.mu)
+        return [SweepPoint(*values) for values in product(*axes)]
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The `scenario` section: horizon, optional trace file, generator profile."""
+
+    horizon: int
+    profile: StageProfile
+    trace: str | None = None
+
+
+@dataclass(frozen=True)
+class CostsConfig:
+    """The `costs` section; k_d None means 1 / d_avg_max**2."""
+
+    k_u: float = 0.2
+    k_d: float | None = None
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The `experiment` section: what the commands run and where they write."""
+
+    sweep: SweepAxes
+    policies: tuple[str, ...] = ("joint",)
+    replications: int = 1
+    seed_base: int = 0
+    out_dir: str = "out"
+    workers: int = 1
+    frame_length: int = 4
+    oracle_energy_step: float = 0.015
+    equivalence_states: int = 300
+    z0_mode: str = "shifted"
+
+    def __post_init__(self) -> None:
+        for policy in self.policies:
+            if policy not in POLICIES:
+                raise ConfigurationError(
+                    f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}"
+                )
+        if not self.policies:
+            raise ConfigurationError("experiment.policies must not be empty")
+        if self.replications < 1:
+            raise ConfigurationError("experiment.replications must be >= 1")
+        if self.z0_mode not in controller.Z0_MODES:
+            raise ConfigurationError(
+                f"unknown experiment.z0_mode {self.z0_mode!r}; "
+                f"expected one of {', '.join(controller.Z0_MODES)}"
+            )
+
+
+@dataclass(frozen=True)
+class ConfigFile:
+    """A whole config file: one field per top-level section."""
+
+    scenario: ScenarioConfig
+    battery: BatteryParams
+    grid: GridParams
+    costs: CostsConfig
+    weights: Weights
+    experiment: ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -106,133 +176,75 @@ class ExperimentSpec:
     sweep: SweepAxes
 
 
-def _as_mapping(data: object, where: str) -> dict:
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config section {where!r} must be a mapping")
-    return data
+_field_types = functools.cache(get_type_hints)
 
 
-def _strict_keys(data: dict, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigurationError(f"unknown config key: {where}.{unknown[0]}")
+def _read(tp, value: object, key: str):
+    """`value` from the YAML file read as the declared type `tp`, at dotted path `key`.
 
-
-def _build(cls, data: dict, where: str):
-    _strict_keys(data, [f.name for f in dataclass_fields(cls)], where)
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {where!r} section: {exc}") from exc
-
-
-def _hour_windows(raw: object, where: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigurationError(f"{where} must be a list of [start, end] hour pairs")
-    windows = []
-    for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigurationError(f"{where} must be a list of [start, end] hour pairs")
-        windows.append((float(item[0]), float(item[1])))
-    return tuple(windows)
+    A dataclass is read field by field from a mapping (empty when absent or
+    null), rejecting unknown keys. A `tuple[X, ...]` takes a list or a single
+    X, an int takes only integral numbers, and a bool is not a number.
+    """
+    if is_dataclass(tp):
+        data = {} if value is None else value
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config section {key!r} must be a mapping")
+        fields, types = dataclass_fields(tp), _field_types(tp)
+        unknown = sorted(set(data) - {f.name for f in fields})
+        if unknown:
+            raise ConfigurationError(f"unknown config key: {key or 'config'}.{unknown[0]}")
+        kwargs = {}
+        for f in fields:
+            child = f"{key}.{f.name}" if key else f.name
+            if f.name in data or is_dataclass(types[f.name]):
+                kwargs[f.name] = _read(types[f.name], data.get(f.name), child)
+            elif f.default is MISSING:
+                raise ConfigurationError(f"missing required key: {child}")
+        return tp(**kwargs)
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        items = value if isinstance(value, list) else [value]
+        if args[-1] is Ellipsis:
+            return tuple(_read(args[0], item, key) for item in items)
+        if len(items) == len(args):
+            return tuple(map(_read, args, items, [key] * len(args)))
+    elif args:  # X | None
+        return None if value is None else _read(args[0], value, key)
+    elif not isinstance(value, bool) and isinstance(value, str if tp is str else (int, float)):
+        if not (tp is int and isinstance(value, float) and not value.is_integer()):
+            with contextlib.suppress(OverflowError):  # an int beyond float range
+                return tp(value)
+    raise ConfigurationError(f"{key} must be {_TYPE_NAMES[tp]}")
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Parse and validate a YAML experiment config."""
-    raw = yaml.safe_load(Path(path).read_text())
+    raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
-    _strict_keys(raw, _CONFIG_SECTIONS, "config")
-
-    scenario = _as_mapping(raw.get("scenario"), "scenario")
-    if "horizon" not in scenario:
-        raise ConfigurationError("missing required key: scenario.horizon")
-    _strict_keys(scenario, ("horizon", "trace", "profile"), "scenario")
-    horizon = int(scenario["horizon"])
-
-    profile_data = dict(_as_mapping(scenario.get("profile"), "scenario.profile"))
-    for key in ("high_hours", "mid_hours"):
-        if key in profile_data:
-            profile_data[key] = _hour_windows(profile_data[key], f"scenario.profile.{key}")
-    profile = _build(StageProfile, profile_data, "scenario.profile")
-    profile.validate()
-    trace_path = scenario.get("trace")
-
-    battery = _build(BatteryParams, _as_mapping(raw.get("battery"), "battery"), "battery")
-    grid = _build(GridParams, _as_mapping(raw.get("grid"), "grid"), "grid")
-    weights = _build(Weights, _as_mapping(raw.get("weights"), "weights"), "weights")
-
-    costs_data = _as_mapping(raw.get("costs"), "costs")
-    _strict_keys(costs_data, ("k_u", "k_d"), "costs")
-    k_u = float(costs_data.get("k_u", 0.2))
-    k_d = costs_data.get("k_d")
-    if k_d is not None:
-        k_d = float(k_d)
-    costs = CostModel.quadratic(k_u, k_d, d_avg_max=weights.d_avg_max)
-
-    exp = _as_mapping(raw.get("experiment"), "experiment")
-    _strict_keys(
-        exp,
-        (
-            "policies", "replications", "seed_base", "out_dir", "workers",
-            "frame_length", "oracle_energy_step", "equivalence_states",
-            "z0_mode", "sweep",
-        ),
-        "experiment",
-    )
-    policies = tuple(exp.get("policies", ["joint"]))
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}"
-            )
-    if not policies:
-        raise ConfigurationError("experiment.policies must not be empty")
-    replications = int(exp.get("replications", 1))
-    if replications < 1:
-        raise ConfigurationError("experiment.replications must be >= 1")
-
-    sweep_data = _as_mapping(exp.get("sweep"), "experiment.sweep")
-    _strict_keys(sweep_data, [f.name for f in dataclass_fields(SweepAxes)], "experiment.sweep")
-    sweep_kwargs = {}
-    for f in dataclass_fields(SweepAxes):
-        if f.name in sweep_data:
-            values = sweep_data[f.name]
-            if not isinstance(values, (list, tuple)):
-                values = [values]
-            cast = int if f.name in ("d_avg_max", "max_delay") else float
-            sweep_kwargs[f.name] = tuple(cast(v) for v in values)
-    sweep = SweepAxes(**sweep_kwargs)
-
-    bundle = ModelBundle(
-        battery=battery,
-        grid=grid,
-        costs=costs,
-        weights=weights,
-        horizon=horizon,
-        z0_mode=str(exp.get("z0_mode", "shifted")),
-    )
-    problems = validate_config(battery, grid, costs, weights, horizon)
+    config = _read(ConfigFile, raw, "")
+    scenario, exp = config.scenario, config.experiment
+    try:
+        scenario.profile.validate()
+    except ValueError as exc:
+        raise ConfigurationError(f"scenario.profile: {exc}") from exc
+    costs = CostModel.quadratic(config.costs.k_u, config.costs.k_d, d_avg_max=config.weights.d_avg_max)
+    problems = validate_config(config.battery, config.grid, costs, config.weights, scenario.horizon)
     if problems:
         raise ConfigurationError("; ".join(problems))
-
+    bundle = ModelBundle(
+        battery=config.battery, grid=config.grid, costs=costs, weights=config.weights,
+        horizon=scenario.horizon, z0_mode=exp.z0_mode,
+    )
+    # Every experiment key but z0_mode, which the bundle carries, is a spec field.
     return ExperimentSpec(
-        profile=profile,
-        trace_path=str(trace_path) if trace_path is not None else None,
+        profile=scenario.profile,
+        trace_path=scenario.trace,
         bundle=bundle,
-        k_u=k_u,
-        k_d=k_d,
-        policies=policies,
-        replications=replications,
-        seed_base=int(exp.get("seed_base", 0)),
-        out_dir=str(exp.get("out_dir", "out")),
-        workers=int(exp.get("workers", 1)),
-        frame_length=int(exp.get("frame_length", 4)),
-        oracle_energy_step=float(exp.get("oracle_energy_step", 0.015)),
-        equivalence_states=int(exp.get("equivalence_states", 300)),
-        sweep=sweep,
+        k_u=config.costs.k_u,
+        k_d=config.costs.k_d,
+        **{f.name: getattr(exp, f.name) for f in dataclass_fields(exp) if f.name != "z0_mode"},
     )
 
 
@@ -248,8 +260,7 @@ def _resolve_seed(args: argparse.Namespace, spec: ExperimentSpec) -> int:
 
 
 def _resolve_workers(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    workers = args.workers if args.workers is not None else spec.workers
-    return max(1, workers)
+    return args.workers if args.workers is not None else spec.workers
 
 
 def _load_or_generate(spec: ExperimentSpec, seed: int) -> Trace:
@@ -376,30 +387,32 @@ def _trace_for_point(spec: ExperimentSpec, point: SweepPoint, seed: int) -> Trac
 
 
 def _sweep_row(
-    point: SweepPoint,
-    policy: str,
-    replication: int,
-    summary: RunSummary | None,
-    error: str = "",
+    point: SweepPoint, policy: str, replication: int, outcome: RunSummary | Exception
 ) -> dict:
-    row = dict(zip(SweepPoint._fields, point))
-    row.update(policy=policy, replication=replication, error=error)
-    if summary is None:
-        row.update(
-            J=None, entry=None, usage_cost=None, delay_cost=None,
-            total=None, avg_delay=None, monetary=None,
-        )
-    else:
-        row.update(
-            J=summary.j_bar,
-            entry=summary.entry_bar,
-            usage_cost=summary.usage_cost,
-            delay_cost=summary.delay_cost,
-            total=summary.total,
-            avg_delay=summary.delay_avg,
-            monetary=summary.monetary_cost,
-        )
+    """One sweep.csv row: the run's costs, or empty costs and the error that stopped it."""
+    row = dict(zip(SweepPoint._fields, point), policy=policy, replication=replication)
+    if isinstance(outcome, Exception):
+        error = f"{type(outcome).__name__}: {outcome}"
+        return {**dict.fromkeys(_SWEEP_COLUMNS), **row, "error": error}
+    row.update(
+        J=outcome.j_bar,
+        entry=outcome.entry_bar,
+        usage_cost=outcome.usage_cost,
+        delay_cost=outcome.delay_cost,
+        total=outcome.total,
+        avg_delay=outcome.delay_avg,
+        monetary=outcome.monetary_cost,
+        error="",
+    )
     return row
+
+
+def _pool_map(func, workers: int, *iterables) -> list:
+    """`list(map(func, *iterables))`, run in a pool of `workers` processes when more than one."""
+    if workers <= 1:
+        return list(map(func, *iterables))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, *iterables))
 
 
 def _sweep_job(job: tuple[ExperimentSpec, SweepPoint, int]) -> list[dict]:
@@ -416,20 +429,14 @@ def _sweep_job(job: tuple[ExperimentSpec, SweepPoint, int]) -> list[dict]:
         if problems:
             raise ConfigurationError("; ".join(problems))
     except (ValueError, RuntimeError) as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        return [
-            _sweep_row(point, policy, replication, None, error=message)
-            for policy in spec.policies
-        ]
+        return [_sweep_row(point, policy, replication, exc) for policy in spec.policies]
     rows = []
     for policy in spec.policies:
         try:
-            summary = run_policy(trace, bundle, policy)
-            rows.append(_sweep_row(point, policy, replication, summary))
+            outcome = run_policy(trace, bundle, policy)
         except (ValueError, RuntimeError) as exc:
-            rows.append(
-                _sweep_row(point, policy, replication, None, error=f"{type(exc).__name__}: {exc}")
-            )
+            outcome = exc
+        rows.append(_sweep_row(point, policy, replication, outcome))
     return rows
 
 
@@ -440,12 +447,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
         for point in spec.sweep.points()
         for replication in range(spec.replications)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_job, jobs))
-    else:
-        chunks = [_sweep_job(job) for job in jobs]
-    return [row for chunk in chunks for row in chunk]
+    return [row for chunk in _pool_map(_sweep_job, workers, jobs) for row in chunk]
 
 
 def write_sweep(path: Path, rows: list[dict]) -> None:
@@ -469,11 +471,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     note = f" ({failed} rows errored)" if failed else ""
     print(f"wrote {len(rows)} sweep rows{note} -> {path}")
     return 0
-
-
-def _frame_job(job: tuple[oracle.Frame, ModelBundle, oracle.GridSpec]) -> oracle.OracleSolution:
-    frame, bundle, grid = job
-    return oracle.lookahead_optimum(frame, bundle, grid)
 
 
 def run_checks(
@@ -502,12 +499,7 @@ def run_checks(
 
     frames = oracle.frames_from_run(trace, run, spec.frame_length)
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
-    jobs = [(frame, bundle, grid) for frame in frames]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(_frame_job, jobs))
-    else:
-        solutions = [_frame_job(job) for job in jobs]
+    solutions = _pool_map(oracle.lookahead_optimum, workers, frames, repeat(bundle), repeat(grid))
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
     return oracle.CheckReport(tuple(checks)), run
 

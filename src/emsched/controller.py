@@ -112,6 +112,10 @@ def design_params(
     return a_o, v_max
 
 
+# The battery-queue origins init_state accepts.
+Z0_MODES = ("shifted", "zero")
+
+
 def init_state(
     battery: BatteryParams,
     a_o: float,
@@ -126,12 +130,9 @@ def init_state(
     starts z at 0, leaving a constant offset that the shift identity carries
     for the rest of the run.
     """
-    if z0_mode == "shifted":
-        z0 = battery.b_init - a_o
-    elif z0_mode == "zero":
-        z0 = 0.0
-    else:
+    if z0_mode not in Z0_MODES:
         raise ValueError(f"z0_mode must be 'shifted' or 'zero', got {z0_mode!r}")
+    z0 = battery.b_init - a_o if z0_mode == "shifted" else 0.0
     return ControllerState(
         z=z0,
         x=0.0,

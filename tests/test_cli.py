@@ -2,17 +2,19 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from emsched.cli import _SWEEP_COLUMNS, SweepAxes, load_experiment, main
+from emsched.cli import _SWEEP_COLUMNS, ExperimentSpec, SweepAxes, load_experiment, main
 from emsched.model import ConfigurationError
 from emsched.scenario import generate_trace, load_trace
 
 REPO = Path(__file__).resolve().parent.parent
 SMALL = REPO / "configs" / "small.yaml"
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.yaml")) + sorted(REPO.glob("bench/configs/*.yaml"))
 
 
 def small_config(tmp_path, **overrides):
@@ -115,6 +117,62 @@ class TestLoadExperiment:
     def test_z0_mode_reaches_the_bundle(self, tmp_path):
         path = small_config(tmp_path, **{"experiment.z0_mode": "zero"})
         assert load_experiment(path).bundle.z0_mode == "zero"
+
+
+# (override of small.yaml, value, the dotted key the error must name)
+MALFORMED = [
+    ("scenario.horizon", "abc", "scenario.horizon"),
+    ("battery.b_max", "big", "battery.b_max"),
+    ("grid.e_max", [1], "grid.e_max"),
+    ("costs.k_d", "x", "costs.k_d"),
+    ("weights.d_avg_max", 6.5, "weights.d_avg_max"),
+    ("experiment.replications", "x", "experiment.replications"),
+    ("experiment.z0_mode", "bogus", "experiment.z0_mode"),
+    ("experiment.sweep", {"d_avg_max": [4.7]}, "experiment.sweep.d_avg_max"),
+    ("scenario.profile", {"price_high": 0.05}, "scenario.profile"),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(("override", "value", "key"), MALFORMED,
+                             ids=[case[2] for case in MALFORMED])
+    def test_is_a_config_error_naming_the_key(self, tmp_path, capsys, override, value, key):
+        path = small_config(tmp_path, **{override: value})
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            load_experiment(path)
+        for command in ("run", "sweep", "verify"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_scalar_policy_is_one_policy(self, tmp_path):
+        path = small_config(tmp_path, **{"experiment.policies": "joint"})
+        assert load_experiment(path).policies == ("joint",)
+
+    def test_integral_numbers_fill_int_fields(self, tmp_path):
+        path = small_config(tmp_path, **{"scenario.horizon": 24.0})
+        horizon = load_experiment(path).bundle.horizon
+        assert horizon == 24 and type(horizon) is int
+
+
+def readme_config_example() -> str:
+    """The ```yaml block under the README's "Configuration" heading."""
+    section = (REPO / "README.md").read_text().split("\n## Configuration\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return section.split("```yaml\n", 1)[1].split("\n```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "source", [*SHIPPED_CONFIGS, "README.md"],
+    ids=lambda s: s if isinstance(s, str) else str(s.relative_to(REPO)),
+)
+def test_shipped_and_documented_configs_load(source, tmp_path):
+    """The config schema has not drifted from the files and docs that use it."""
+    if source == "README.md":
+        source = tmp_path / "readme.yaml"
+        source.write_text(readme_config_example())
+    assert isinstance(load_experiment(source), ExperimentSpec)
 
 
 class TestMainExitCodes:
