@@ -45,13 +45,17 @@ from .scenario import (
     save_trace,
     validate_trace,
 )
-from .simulator import POLICIES, RunSummary, run_policy, write_records
+from .simulator import POLICIES, POLICY_AXES, RunSummary, run_policy, write_records
 
+# The sweep.csv columns a run fills; the row's point and policy come first.
+_RUN_COLUMNS = (
+    "J", "entry", "usage_cost", "delay_cost", "total", "avg_delay",
+    "monetary", "error",
+)
 _SWEEP_COLUMNS = (
     "d_avg_max", "max_delay", "b_max", "alpha", "mu",
     "policy", "replication",
-    "J", "entry", "usage_cost", "delay_cost", "total", "avg_delay",
-    "monetary", "error",
+    *_RUN_COLUMNS,
 )
 
 # PyYAML's C loader when it was built with libyaml; same dicts, ~10x faster.
@@ -379,22 +383,12 @@ def _with_max_delay(trace: Trace, max_delay: int) -> Trace:
     return Trace(slots=slots, slot_minutes=trace.slot_minutes)
 
 
-def _trace_for_point(spec: ExperimentSpec, point: SweepPoint, seed: int) -> Trace:
-    if spec.trace_path is not None:
-        return _with_max_delay(_load_or_generate(spec, seed), point.max_delay)
-    profile = replace(spec.profile, max_delay=point.max_delay)
-    return generate_trace(profile, spec.bundle.horizon, seed)
-
-
-def _sweep_row(
-    point: SweepPoint, policy: str, replication: int, outcome: RunSummary | Exception
-) -> dict:
-    """One sweep.csv row: the run's costs, or empty costs and the error that stopped it."""
-    row = dict(zip(SweepPoint._fields, point), policy=policy, replication=replication)
+def _run_columns(outcome: RunSummary | Exception) -> dict:
+    """A run's sweep.csv columns: its costs, or empty costs and the error that stopped it."""
     if isinstance(outcome, Exception):
         error = f"{type(outcome).__name__}: {outcome}"
-        return {**dict.fromkeys(_SWEEP_COLUMNS), **row, "error": error}
-    row.update(
+        return {**dict.fromkeys(_RUN_COLUMNS), "error": error}
+    return dict(
         J=outcome.j_bar,
         entry=outcome.entry_bar,
         usage_cost=outcome.usage_cost,
@@ -404,7 +398,6 @@ def _sweep_row(
         monetary=outcome.monetary_cost,
         error="",
     )
-    return row
 
 
 def _pool_map(func, workers: int, *iterables) -> list:
@@ -415,39 +408,67 @@ def _pool_map(func, workers: int, *iterables) -> list:
         return list(pool.map(func, *iterables))
 
 
-def _sweep_job(job: tuple[ExperimentSpec, SweepPoint, int]) -> list[dict]:
-    """One (sweep point, replication): all policies on a shared trace."""
-    spec, point, replication = job
-    seed = spec.seed_base + replication
+def _run_job(job: tuple[Trace, ModelBundle, str]) -> dict:
+    """One distinct sweep run, reduced to its columns where it ran, so
+    neither its records nor an error's traceback outlive it."""
+    trace, bundle, policy = job
     try:
-        bundle = _bundle_for_point(spec, point)
-        trace = _trace_for_point(spec, point, seed)
-        problems = validate_config(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights,
-            bundle.horizon, max_task_delay=trace.max_task_delay(),
-        )
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+        return _run_columns(run_policy(trace, bundle, policy))
     except (ValueError, RuntimeError) as exc:
-        return [_sweep_row(point, policy, replication, exc) for policy in spec.policies]
-    rows = []
-    for policy in spec.policies:
-        try:
-            outcome = run_policy(trace, bundle, policy)
-        except (ValueError, RuntimeError) as exc:
-            outcome = exc
-        rows.append(_sweep_row(point, policy, replication, outcome))
-    return rows
+        return _run_columns(exc)
+
+
+def _run_key(policy: str, point: SweepPoint, replication: int) -> tuple:
+    """What a policy's sweep run depends on: the axes it reads and the replication."""
+    return policy, tuple(getattr(point, axis) for axis in POLICY_AXES[policy]), replication
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """All sweep rows in deterministic (point, replication, policy) order."""
-    jobs = [
-        (spec, point, replication)
-        for point in spec.sweep.points()
+    """All sweep rows in deterministic (point, replication, policy) order.
+
+    Every (point, replication) is validated on its own, and one that fails
+    gives error rows for all policies. Each distinct run (`_run_key`) is
+    simulated once, under the first valid point with its key, and its columns
+    fill the row of every point that shares the key: a baseline's run is
+    shared by all points with the same b_max. Each trace is made once per
+    (max_delay, replication), from the trace file when there is one.
+    """
+    points = spec.sweep.points()
+    loaded = functools.cache(lambda seed: _load_or_generate(spec, seed))
+
+    @functools.cache
+    def trace_for(max_delay: int, seed: int) -> Trace:
+        if spec.trace_path is None:
+            return generate_trace(replace(spec.profile, max_delay=max_delay), spec.bundle.horizon, seed)
+        return _with_max_delay(loaded(seed), max_delay)
+
+    errors: dict[tuple[int, int], dict] = {}  # (point index, replication) -> error columns
+    jobs: dict[tuple, tuple[Trace, ModelBundle, str]] = {}  # run key -> its run
+    for (i, point), replication in product(enumerate(points), range(spec.replications)):
+        try:
+            bundle = _bundle_for_point(spec, point)
+            trace = trace_for(point.max_delay, spec.seed_base + replication)
+            problems = validate_config(
+                bundle.battery, bundle.grid, bundle.costs, bundle.weights,
+                bundle.horizon, max_task_delay=trace.max_task_delay(),
+            )
+            if problems:
+                raise ConfigurationError("; ".join(problems))
+        except (ValueError, RuntimeError) as exc:
+            errors[i, replication] = _run_columns(exc)
+            continue
+        for policy in spec.policies:
+            jobs.setdefault(_run_key(policy, point, replication), (trace, bundle, policy))
+    columns = dict(zip(jobs, _pool_map(_run_job, workers, jobs.values())))
+    return [
+        {
+            **point._asdict(), "policy": policy, "replication": replication,
+            **(errors.get((i, replication)) or columns[_run_key(policy, point, replication)]),
+        }
+        for i, point in enumerate(points)
         for replication in range(spec.replications)
+        for policy in spec.policies
     ]
-    return [row for chunk in _pool_map(_sweep_job, workers, jobs) for row in chunk]
 
 
 def write_sweep(path: Path, rows: list[dict]) -> None:

@@ -18,7 +18,7 @@ independent runs can execute concurrently without sharing anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
@@ -232,8 +232,9 @@ def energy_control(
     taken only if it beats staying idle strictly; ties stay idle.
 
     Raises InfeasibleSlot when the chosen action needs a grid purchase above
-    e_max — the candidates never need more grid energy than idling does, so
-    this means no admissible action exists for the slot.
+    e_max. The regime is picked before that limit is checked, so a raise does
+    not mean that no admissible action exists: a forced discharge may still
+    cover the excess (ROADMAP item 1).
     """
     residual = demand_l - s_w
     surplus = renewable - s_w
@@ -287,14 +288,17 @@ def update_queues(
     """
     net_flow = record.q + record.s_r - record.d_rate
     shift = delta_u / horizon
-    nxt = replace(
-        state,
-        x=max(state.x + record.delay - d_avg_max, 0.0),
+    nxt = ControllerState(
         z=state.z + net_flow - shift,
+        x=max(state.x + record.delay - d_avg_max, 0.0),
         h_u=state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
         h_d=state.h_d + record.gamma_d - record.delay,
         b=state.b + net_flow,
+        a_o=state.a_o,
+        v=state.v,
+        gamma_u_cap=state.gamma_u_cap,
         slot=state.slot + 1,
+        z_offset=state.z_offset,
     )
     drift = nxt.z - (nxt.b - (nxt.a_o + shift * nxt.slot)) - nxt.z_offset
     if abs(drift) > _IDENTITY_TOL:

@@ -86,7 +86,8 @@ class StageProfile:
     """Three-stage daily pattern for price, solar, and load generation.
 
     Means are per-slot energies (kWh). Hour windows are half-open [start, end)
-    hour-of-day intervals; slots outside the high and mid windows are low.
+    hour-of-day intervals with 0 <= start < end <= 24; slots outside the high
+    and mid windows are low.
     """
 
     price_high: float = 0.118
@@ -123,6 +124,10 @@ class StageProfile:
             raise ValueError("max_delay must be >= 0")
         if self.slot_minutes < 1:
             raise ValueError("slot_minutes must be >= 1")
+        for name in ("high_hours", "mid_hours"):
+            for start, end in getattr(self, name):
+                if not (0.0 <= start < end <= 24.0):
+                    raise ValueError(f"{name} window [{start}, {end}] must satisfy 0 <= start < end <= 24")
         for mean in (
             self.solar_mean_high, self.solar_mean_mid, self.solar_mean_low,
             self.load_mean_high, self.load_mean_mid, self.load_mean_low,

@@ -28,33 +28,47 @@ _BALANCE_TOL = 1e-12
 
 POLICIES = ("joint", "storage_only", "no_storage")
 
+# The sweep axes (`cli.SweepPoint` fields) each policy's run reads. The
+# baselines pin every delay to 0, so the delay queues, the delay stand-in and
+# the delay cost stay exactly 0 whatever d_avg_max, max_delay, alpha and mu
+# are: their runs differ only with the battery.
+POLICY_AXES = {
+    "joint": ("d_avg_max", "max_delay", "b_max", "alpha", "mu"),
+    "storage_only": ("b_max",),
+    "no_storage": ("b_max",),
+}
+
 
 class ServiceLedger:
-    """Open service windows of scheduled loads.
+    """Per-slot demand of the scheduled loads.
 
     Each scheduled task occupies the window [arrival + delay, arrival + delay
-    + duration); its intensity contributes to the demand of every slot inside.
+    + duration); its intensity is added to the demand of every slot inside, in
+    the order the tasks are added.
     """
 
     def __init__(self):
-        self._windows: list[tuple[int, int, float]] = []  # (start, end, intensity)
+        # slot -> demand, up to the latest window end; a slot no window covers
+        # holds the int 0, the value of an empty sum
+        self._demand: list[float] = []
 
     def add(self, task: LoadTask, delay: int) -> None:
         if delay < 0 or delay > task.max_delay:
             raise ValueError(f"delay {delay} outside [0, {task.max_delay}] for task at {task.arrival_slot}")
         start = task.arrival_slot + delay
-        self._windows.append((start, start + task.duration, task.intensity))
+        end = start + task.duration
+        demand = self._demand
+        if end > len(demand):
+            demand.extend([0] * (end - len(demand)))
+        for t in range(start, end):
+            demand[t] += task.intensity
 
     def active_demand(self, t: int) -> float:
-        return sum(rho for start, end, rho in self._windows if start <= t < end)
+        return self._demand[t] if t < len(self._demand) else 0
 
     def pending_after(self, t: int) -> bool:
         """True while some window still extends past slot t."""
-        return any(end > t + 1 for _, end, _ in self._windows)
-
-    def prune(self, t: int) -> None:
-        """Drop windows fully served before slot t."""
-        self._windows = [w for w in self._windows if w[1] > t]
+        return len(self._demand) > t + 1
 
 
 @dataclass(frozen=True)
@@ -188,7 +202,6 @@ def step(
         in_horizon=t < bundle.horizon,
     )
     next_state = controller.update_queues(state, record, weights.d_avg_max, weights.delta_u, bundle.horizon)
-    ledger.prune(t + 1)
     return next_state, record
 
 

@@ -3,14 +3,17 @@
 import csv
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from emsched.cli import _SWEEP_COLUMNS, ExperimentSpec, SweepAxes, load_experiment, main
-from emsched.model import ConfigurationError
+from emsched import cli
+from emsched.cli import _SWEEP_COLUMNS, ExperimentSpec, SweepAxes, load_experiment, main, run_sweep
+from emsched.model import ConfigurationError, CostModel, validate_config
 from emsched.scenario import generate_trace, load_trace
+from emsched.simulator import run_policy
 
 REPO = Path(__file__).resolve().parent.parent
 SMALL = REPO / "configs" / "small.yaml"
@@ -131,11 +134,20 @@ MALFORMED = [
     ("experiment.sweep", {"d_avg_max": [4.7]}, "experiment.sweep.d_avg_max"),
     ("scenario.profile", {"price_high": 0.05}, "scenario.profile"),
 ]
+MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
+    # hour windows must satisfy 0 <= start < end <= 24
+    pytest.param("scenario.profile", {name: windows}, "scenario.profile", id=f"scenario.profile.{name}-{why}")
+    for name, windows, why in [
+        ("high_hours", [[20, 16]], "reversed"),
+        ("high_hours", [[11, 11]], "empty"),
+        ("mid_hours", [[-1, 7]], "before-midnight"),
+        ("mid_hours", [[7, 11], [17, 25]], "past-midnight"),
+    ]
+]
 
 
 class TestMalformedValues:
-    @pytest.mark.parametrize(("override", "value", "key"), MALFORMED,
-                             ids=[case[2] for case in MALFORMED])
+    @pytest.mark.parametrize(("override", "value", "key"), MALFORMED_CASES)
     def test_is_a_config_error_naming_the_key(self, tmp_path, capsys, override, value, key):
         path = small_config(tmp_path, **{override: value})
         with pytest.raises(ConfigurationError, match=re.escape(key)):
@@ -383,6 +395,87 @@ class TestSweepCommand:
         rows2 = list(csv.DictReader(open(out2 / "sweep.csv")))
         assert [r["replication"] for r in rows1] == [r["replication"] for r in rows2]
         assert [r["total"] for r in rows1] != [r["total"] for r in rows2]
+
+
+def naive_sweep_rows(spec: ExperimentSpec) -> list[dict]:
+    """The sweep with nothing shared: its own trace, validation and
+    `run_policy` call for every (point, replication, policy)."""
+    base = spec.bundle
+    rows = []
+    for point in spec.sweep.points():
+        for replication in range(spec.replications):
+            for policy in spec.policies:
+                bundle = replace(
+                    base,
+                    battery=replace(base.battery, b_max=point.b_max),
+                    weights=replace(base.weights, d_avg_max=point.d_avg_max, alpha=point.alpha, mu=point.mu),
+                    costs=CostModel.quadratic(spec.k_u, spec.k_d, d_avg_max=point.d_avg_max),
+                )
+                profile = replace(spec.profile, max_delay=point.max_delay)
+                trace = generate_trace(profile, base.horizon, spec.seed_base + replication)
+                row = dict.fromkeys(_SWEEP_COLUMNS)
+                row.update(point._asdict(), policy=policy, replication=replication)
+                try:
+                    problems = validate_config(
+                        bundle.battery, bundle.grid, bundle.costs, bundle.weights,
+                        base.horizon, max_task_delay=trace.max_task_delay(),
+                    )
+                    if problems:
+                        raise ConfigurationError("; ".join(problems))
+                    run = run_policy(trace, bundle, policy)
+                except (ValueError, RuntimeError) as exc:
+                    row["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    row.update(J=run.j_bar, entry=run.entry_bar, usage_cost=run.usage_cost,
+                               delay_cost=run.delay_cost, total=run.total, avg_delay=run.delay_avg,
+                               monetary=run.monetary_cost, error="")
+                rows.append(row)
+    return rows
+
+
+class TestSweepPlan:
+    """`run_sweep` simulates each distinct run once and shares its row."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        # Two values on every axis. d_avg_max 6 above max_delay 4 fails
+        # validation, and it comes first, so the shared baselines run under a
+        # later point. Seed 77 aborts no_storage; b_max moves storage_only.
+        return small_config(tmp_path_factory.mktemp("plan"), **{
+            "experiment.sweep": {
+                "d_avg_max": [6, 2], "max_delay": [4, 8], "b_max": [3.0, 6.0],
+                "alpha": [1.0, 0.5], "mu": [1.0, 2.0],
+            },
+            "experiment.replications": 2,
+            "experiment.seed_base": 76,
+        })
+
+    def test_rows_equal_the_naive_reference(self, config, monkeypatch):
+        spec = load_experiment(config)
+        calls = []
+
+        def counted(trace, bundle, policy):
+            calls.append(policy)
+            return run_policy(trace, bundle, policy)
+
+        monkeypatch.setattr(cli, "run_policy", counted)
+        rows = run_sweep(spec)
+        expected = naive_sweep_rows(spec)
+        assert rows == expected
+        errors = [r["error"] for r in expected]
+        assert any(e.startswith("ConfigurationError:") and "cannot bind" in e for e in errors)
+        assert any(e.startswith("InfeasibleSlot:") for e in errors)
+        # more than one storage_only total per replication: b_max moves it
+        assert len({r["total"] for r in expected if r["policy"] == "storage_only"}) > 2
+        # joint once per valid (point, replication), each baseline once per (b_max, replication)
+        assert calls.count("joint") == 24 * 2
+        assert calls.count("storage_only") == calls.count("no_storage") == 2 * 2
+
+    def test_worker_count_does_not_change_the_output(self, config, tmp_path):
+        for workers in ("1", "2"):
+            argv = ["sweep", "--config", str(config), "--out", str(tmp_path / workers), "--workers", workers]
+            assert main(argv) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
 class TestVerifyCommand:

@@ -1,5 +1,7 @@
 """The example scripts run end to end on small inputs."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,9 +25,14 @@ PACKAGE_ROOT = Path(emsched.__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stderr
+
+
+def run_script(argv):
     # the scripts import the same emsched the tests do
     path = os.pathsep.join(p for p in (str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, *argv],
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": path},
@@ -33,4 +40,50 @@ def test_script_exits_zero(argv):
         text=True,
         timeout=300,
     )
+
+
+def test_bench_record_writes_runs_and_machine(tmp_path):
+    # the shortest run bench/run.py takes
+    out = tmp_path / "BENCH_smoke.json"
+    result = run_script(["scripts/bench_record.py", "--label", "smoke", "--workloads", "day-run",
+                         "--seeds", "0", "--seconds", "0.01", "--out", str(out)])
     assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    assert record["label"] == "smoke"
+    assert set(record["machine"]) == {"cpu_count", "cpu_model", "python"}
+    assert set(record["checkouts"]) == {"change"}
+    assert [(r["side"], r["workload"], r["seed"]) for r in record["runs"]] == [("change", "day-run", 0)]
+    assert record["runs"][0]["result"]["correct"]
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", REPO / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+def test_bench_record_alternates_the_first_side_for_each_workload():
+    runs = load_bench_record().schedule([0, 1, 2], ["a", "b"], ["change", "baseline"])
+    for workload in ("a", "b"):
+        mine = [(side, seed) for side, w, seed in runs if w == workload]
+        assert mine == [("baseline", 0), ("change", 0), ("change", 1), ("baseline", 1),
+                        ("baseline", 2), ("change", 2)]
+
+
+def test_bench_record_summary_counts_pairs_won_in_each_direction():
+    bench_record = load_bench_record()
+
+    def run(side, seed, rate, ms):
+        metrics = {"rate": {"value": rate}, "ms": {"value": ms}}
+        return {"side": side, "workload": "w", "seed": seed, "result": {"metrics": metrics}}
+
+    runs = [run("baseline", 0, 10.0, 5.0), run("change", 0, 20.0, 6.0),
+            run("change", 1, 30.0, 4.0), run("baseline", 1, 10.0, 5.0),
+            run("change", 2, 10.0, 5.0), run("baseline", 2, 10.0, 5.0),
+            run("change", 3, 99.0, 1.0)]  # no baseline run: not a pair
+    summary = bench_record.summarize(runs, {"rate": "higher", "ms": "lower"})["w"]
+    assert summary["rate"]["pairs"] == summary["ms"]["pairs"] == 3
+    assert summary["rate"]["change_wins"] == 2 and summary["ms"]["change_wins"] == 1  # ties win nothing
+    assert summary["rate"]["change"] == {"median": 20.0, "q1": 15.0, "q3": 25.0}
+    assert summary["rate"]["change_over_baseline"] == 2.0

@@ -185,14 +185,34 @@ class TestBaselinesShareTheSlotLoop:
     of 0 for both, and an idle battery for no_storage."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_storage_only_leaves_the_delay_machinery_at_zero(self, seed):
-        # every delay is 0, so the average-delay cap cannot reach the records
-        trace = generate_trace(day_profile(), DAY_HORIZON, seed)
-        tight = run_policy(trace, day_bundle(d_avg_max=6), "storage_only")
-        loose = run_policy(trace, day_bundle(d_avg_max=18), "storage_only")
-        assert tight.records == loose.records
-        for r in loose.records:
-            assert (r.delay, r.x, r.h_d, r.gamma_d) == (0, 0.0, 0.0, 0.0)
+    def test_baselines_read_no_delay_axis(self, seed):
+        # every delay is 0, so neither the delay caps nor the delay weights
+        # can reach a baseline's records, summary or abort: a sweep runs each
+        # baseline once per b_max and shares it across the other axes
+        settings = [  # (d_avg_max, max_delay, alpha, mu)
+            (18, 18, 1.0, 1.0),
+            (6, 18, 1.0, 1.0),
+            (18, 216, 1.0, 1.0),
+            (18, 18, 0.25, 1.0),
+            (18, 18, 1.0, 4.0),
+            (12, 216, 3.0, 0.5),
+        ]
+        for policy in ("storage_only", "no_storage"):
+            outcomes = []
+            for d_avg_max, max_delay, alpha, mu in settings:
+                trace = generate_trace(day_profile(max_delay=max_delay), DAY_HORIZON, seed)
+                bundle = day_bundle(d_avg_max=d_avg_max, alpha=alpha, mu=mu)
+                try:
+                    summary = run_policy(trace, bundle, policy)
+                except InfeasibleSlot as err:
+                    if policy != "no_storage":  # storage_only has to complete
+                        raise
+                    outcomes.append(f"{type(err).__name__}: {err}")
+                    continue
+                for r in summary.records:
+                    assert (r.delay, r.x, r.h_d, r.gamma_d) == (0, 0.0, 0.0, 0.0)
+                outcomes.append(summary)
+            assert all(outcome == outcomes[0] for outcome in outcomes), policy
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_storage_buys_what_the_renewable_cannot_cover(self, seed):
