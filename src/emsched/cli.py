@@ -268,9 +268,18 @@ def _resolve_workers(args: argparse.Namespace, spec: ExperimentSpec) -> int:
 
 
 def _load_or_generate(spec: ExperimentSpec, seed: int) -> Trace:
+    """The configured trace file, or one generated from `seed`; ConfigurationError
+    unless it has `scenario.horizon` rows and passes `validate_trace`."""
     if spec.trace_path is not None:
-        return load_trace(spec.trace_path, slot_minutes=spec.profile.slot_minutes)
-    return generate_trace(spec.profile, spec.bundle.horizon, seed)
+        trace = load_trace(spec.trace_path, slot_minutes=spec.profile.slot_minutes)
+    else:
+        trace = generate_trace(spec.profile, spec.bundle.horizon, seed)
+    if trace.horizon != spec.bundle.horizon:
+        raise ConfigurationError(f"trace has {trace.horizon} slots but scenario.horizon is {spec.bundle.horizon}")
+    problems = validate_trace(trace, spec.bundle.grid)
+    if problems:
+        raise ConfigurationError("trace problem: " + "; ".join(problems))
+    return trace
 
 
 def _fmt_value(value: object) -> str:
@@ -332,11 +341,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = _resolve_out(args, spec)
     bundle = spec.bundle
     trace = _load_or_generate(spec, seed)
-    problems = validate_trace(trace, bundle.grid)
-    if problems:
-        for problem in problems:
-            print(f"trace problem: {problem}", file=sys.stderr)
-        return 2
     a_o, v_max = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
@@ -439,7 +443,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     @functools.cache
     def trace_for(max_delay: int, seed: int) -> Trace:
         if spec.trace_path is None:
-            return generate_trace(replace(spec.profile, max_delay=max_delay), spec.bundle.horizon, seed)
+            return _load_or_generate(replace(spec, profile=replace(spec.profile, max_delay=max_delay)), seed)
         return _with_max_delay(loaded(seed), max_delay)
 
     errors: dict[tuple[int, int], dict] = {}  # (point index, replication) -> error columns

@@ -13,6 +13,10 @@ Three layers of independent verification live here:
 The look-ahead optimizer is deliberately a lattice search, not an LP/QP: at
 desk scale it is exact within one grid step per energy coordinate and needs
 no solver to trust.
+
+Both energy searches, `oracle_energy` and the frame optimizer, price one
+table of lattice flows per slot (`_slot_flows`), whose charges take the
+renewable surplus before the grid; v >= 0 and prices >= 0 make that exact.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,6 +177,64 @@ class _AuxLattice:
         return float(self.grid[i]), float(h * self.grid[i] + vb * self.cost_values[i])
 
 
+class _SlotFlows(NamedTuple):
+    """A slot's lattice energy flows, one array entry per flow (`_slot_flows`)."""
+
+    k: np.ndarray  # signed lattice index: k > 0 charges k*step, k < 0 discharges -k*step
+    e: np.ndarray
+    q: np.ndarray
+    d_rate: np.ndarray
+    s_r: np.ndarray
+    entry: np.ndarray
+    ok: np.ndarray  # the flow is feasible
+
+
+def _slot_flows(
+    residual: float,
+    surplus: float,
+    battery: BatteryParams,
+    grid: GridParams,
+    step: float,
+    k_charge: int,
+    k_discharge: int,
+) -> _SlotFlows:
+    """Every lattice energy flow of one slot: the one enumeration both oracles price.
+
+    The order is fixed: idle, then charges of k*step for k = 1..k_charge,
+    then discharges of k*step for k = 1..k_discharge, so a first minimum
+    prefers idle and smaller flows. A charge takes the surplus (>= 0) first:
+    s_r = min(flow, surplus), q = flow - s_r, e = residual + q - d_rate. A
+    flow is feasible when, within _FEAS_TOL, e <= e_max, a charge <= r_max
+    and a discharge <= min(d_max_rate, residual).
+
+    One surplus-first flow per charge amount is exact. Moving s of a fixed
+    charge from the grid to the surplus lowers e by s and no battery limit
+    moves, so the per-slot bound changes by s*key2 - s*key1 = -s*v*price and
+    the frame cost by -s*price, both <= 0 as validate_config enforces v >= 0
+    and p_min >= 0. The (s_r, q) plane needs no search.
+    """
+    k = np.concatenate((np.arange(k_charge + 1), -np.arange(1, k_discharge + 1)))
+    flow = k * step
+    charge = np.maximum(flow, 0.0)
+    d_rate = charge - flow  # exact, and +0.0 where the flow is not a discharge
+    s_r = np.minimum(charge, surplus)
+    q = charge - s_r
+    e = residual + q - d_rate
+    entry = np.where(k > 0, battery.c_rc, battery.c_dc)
+    entry[0] = 0.0  # idle
+    ok = (
+        (e <= grid.e_max + _FEAS_TOL)
+        & (charge <= battery.r_max + _FEAS_TOL)
+        & (d_rate <= min(battery.d_max_rate, residual) + _FEAS_TOL)
+    )
+    return _SlotFlows(k, e, q, d_rate, s_r, entry, ok)
+
+
+def _flow_counts(battery: BatteryParams, step: float) -> tuple[int, int]:
+    """Lattice steps in the largest charge (r_max) and the largest discharge (d_max_rate)."""
+    return math.floor(battery.r_max / step + _FEAS_TOL), math.floor(battery.d_max_rate / step + _FEAS_TOL)
+
+
 def oracle_energy(
     state: ControllerState,
     demand_l: float,
@@ -183,67 +245,22 @@ def oracle_energy(
     grid: GridParams,
     step: float = 1e-3,
 ) -> tuple[EnergyAction, float]:
-    """Grid-search the energy subproblem over (E, Q, D, S_r) with balance pinned.
+    """Grid-search the energy subproblem over the slot's lattice flows.
 
-    Scan order (idle, then charge, then discharge, each coordinate ascending)
-    makes ties resolve toward idle and toward smaller flows, matching the
-    closed-form rule's tie-breaking.
+    Each flow of `_slot_flows` is priced by the per-slot bound
+    e*key1 + s_r*key2 + v*entry, and the first minimum wins, so ties resolve
+    toward idle and toward smaller flows as in the closed-form rule.
     """
-    residual = demand_l - s_w
-    surplus = renewable - s_w
     key2 = state.z - state.h_u
     key1 = key2 + state.v * price
-
-    best: EnergyAction | None = None
-    best_v = math.inf
-
-    if residual <= grid.e_max + _FEAS_TOL:
-        best = EnergyAction(residual, 0.0, 0.0, 0.0, "idle")
-        best_v = residual * key1
-
-    s_r_grid = _lattice(min(surplus, battery.r_max), step)
-    q_grid = _lattice(min(battery.r_max, grid.e_max - residual), step)
-    values = (
-        (residual + q_grid[None, :]) * key1
-        + s_r_grid[:, None] * key2
-        + state.v * battery.c_rc
-    )
-    ok = (q_grid[None, :] <= battery.r_max - s_r_grid[:, None] + _FEAS_TOL) & (
-        s_r_grid[:, None] + q_grid[None, :] > 0.0
-    )
-    if residual > grid.e_max + _FEAS_TOL:
-        ok[:] = False  # even the idle purchase is over the cap; charging buys more
-    if ok.any():
-        masked = np.where(ok, values, np.inf)
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        if masked[i, j] < best_v:
-            best = EnergyAction(residual + float(q_grid[j]), float(q_grid[j]), 0.0, float(s_r_grid[i]), "charge")
-            best_v = float(masked[i, j])
-
-    d_grid = _lattice(min(battery.d_max_rate, residual), step)
-    e_grid = residual - d_grid
-    ok_d = (d_grid > 0.0) & (e_grid <= grid.e_max + _FEAS_TOL)
-    if ok_d.any():
-        dis_values = np.where(ok_d, e_grid * key1 + state.v * battery.c_dc, np.inf)
-        k = int(np.argmin(dis_values))
-        if dis_values[k] < best_v:
-            best = EnergyAction(float(e_grid[k]), 0.0, float(d_grid[k]), 0.0, "discharge")
-            best_v = float(dis_values[k])
-
-    if best is None:
-        raise InfeasibleSlot(state.slot, residual, grid.e_max, "grid oracle found no feasible point")
-    return best, best_v
-
-
-def _lattice(cap: float, step: float) -> np.ndarray:
-    """0, step, 2*step, ... up to cap, plus the cap itself when it is off-grid."""
-    if cap <= 0.0:
-        return np.zeros(1)
-    n = int(math.floor(cap / step + 1e-12))
-    pts = np.arange(n + 1) * step
-    if cap - pts[-1] > 1e-12:
-        pts = np.append(pts, cap)
-    return pts
+    flows = _slot_flows(demand_l - s_w, renewable - s_w, battery, grid, step, *_flow_counts(battery, step))
+    values = np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + state.v * flows.entry, np.inf)
+    i = int(np.argmin(values))
+    if not flows.ok[i]:
+        raise InfeasibleSlot(state.slot, demand_l - s_w, grid.e_max, "grid oracle found no feasible point")
+    regime = "idle" if i == 0 else "charge" if flows.k[i] > 0 else "discharge"
+    action = EnergyAction(float(flows.e[i]), float(flows.q[i]), float(flows.d_rate[i]), float(flows.s_r[i]), regime)
+    return action, float(values[i])
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +353,7 @@ def _demand_profile(frame: Frame, arrivals, combo) -> np.ndarray:
     return demand
 
 
-def _decode_flow(k: int, h: float, demand_p: float, slot: SlotInput) -> OracleDecision:
-    """The flows of lattice flow k in one slot.
-
-    Renewables serve the demand first and the grid buys the rest. k > 0
-    charges k*h, from the renewable surplus first; k < 0 discharges -k*h;
-    k = 0 idles.
-    """
-    s_w = min(demand_p, slot.renewable)
-    flow = k * h
-    s_r = q = d_rate = 0.0
-    if k > 0:
-        s_r = min(flow, slot.renewable - s_w)
-        q = flow - s_r
-    elif k < 0:
-        d_rate = -flow
-    return OracleDecision(
-        slot=slot.slot, price=slot.price, demand=float(demand_p),
-        e=demand_p - s_w + q - d_rate, q=q, d_rate=d_rate, s_w=s_w, s_r=s_r,
-    )
-
-
-def _slot_actions(
+def _frame_slot(
     demand_p: float,
     slot: SlotInput,
     battery: BatteryParams,
@@ -365,27 +361,22 @@ def _slot_actions(
     h: float,
     k_charge: int,
     k_discharge: int,
-) -> list[tuple[int, float]]:
-    """Feasible lattice flows of one slot and their cost (purchase + entry)."""
-    residual = _decode_flow(0, h, demand_p, slot).e
-    feasible: list[tuple[int, float]] = []
-    if residual <= grid_params.e_max + _FEAS_TOL:
-        feasible.append((0, residual * slot.price))
-    for k in range(1, k_charge + 1):
-        if k * h > battery.r_max + _FEAS_TOL:
-            break
-        e = _decode_flow(k, h, demand_p, slot).e
-        if e > grid_params.e_max + _FEAS_TOL:
-            break
-        feasible.append((k, e * slot.price + battery.c_rc))
-    for k in range(1, k_discharge + 1):
-        if k * h > min(battery.d_max_rate, residual) + _FEAS_TOL:
-            break
-        e = _decode_flow(-k, h, demand_p, slot).e
-        if e > grid_params.e_max + _FEAS_TOL:
-            continue
-        feasible.append((-k, e * slot.price + battery.c_dc))
-    return feasible
+) -> tuple[list[tuple[int, float]], Callable[[int], OracleDecision]]:
+    """A frame slot's feasible flows as (k, purchase + entry cost), in `_slot_flows`
+    order, and a function from a flow k to its plan decision. Renewables
+    serve the demand first."""
+    s_w = min(demand_p, slot.renewable)
+    flows = _slot_flows(demand_p - s_w, slot.renewable - s_w, battery, grid_params, h, k_charge, k_discharge)
+    cost = flows.e * slot.price + flows.entry
+
+    def decision(k: int) -> OracleDecision:
+        i = int(np.flatnonzero(flows.k == k)[0])
+        return OracleDecision(
+            slot=slot.slot, price=slot.price, demand=demand_p, e=float(flows.e[i]), q=float(flows.q[i]),
+            d_rate=float(flows.d_rate[i]), s_w=s_w, s_r=float(flows.s_r[i]),
+        )
+
+    return list(zip(flows.k[flows.ok].tolist(), cost[flows.ok].tolist())), decision
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -413,8 +404,7 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     h = grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
 
-    k_charge = int(math.floor(battery.r_max / h + _FEAS_TOL))
-    k_discharge = int(math.floor(battery.d_max_rate / h + _FEAS_TOL))
+    k_charge, k_discharge = _flow_counts(battery, h)
     k_flow = max(k_charge, k_discharge)
 
     arrivals, choices = _delay_choices(frame)
@@ -456,21 +446,22 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     usage_floor = float(usage_penalty.min())
 
     best_value = math.inf
-    best = None  # demand, delay_sum, combo, actions, DP layers and usage index of the best plan
+    best = None  # delay_sum, combo, actions, deciders, DP layers and usage index of the best plan
     # A slot's flows depend only on its own demand, which many profiles share,
     # so each (slot, demand) pair is enumerated once per call and kept with
     # its cheapest cost (None when the slot has no feasible flow).
-    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None]] = {}
+    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None, Callable]] = {}
     for demand, delay_sum, combo in profiles.values():
-        actions, cheapest = [], []
+        actions, cheapest, deciders = [], [], []
         for p, slot in enumerate(frame.slots):
             key = (p, float(demand[p]))
             if key not in slot_options:
-                feasible = _slot_actions(demand[p], slot, battery, grid_params, h, k_charge, k_discharge)
-                slot_options[key] = (feasible, min((c for _, c in feasible), default=None))
-            feasible, cheap = slot_options[key]
+                feasible, decision = _frame_slot(key[1], slot, battery, grid_params, h, k_charge, k_discharge)
+                slot_options[key] = (feasible, min((c for _, c in feasible), default=None), decision)
+            feasible, cheap, decision = slot_options[key]
             actions.append(feasible)
             cheapest.append(cheap)
+            deciders.append(decision)
         if None in cheapest:
             continue
         delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
@@ -487,15 +478,13 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best = (demand, delay_sum, combo, actions, layers, idx)
+            best = (delay_sum, combo, actions, deciders, layers, idx)
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    demand, delay_sum, combo, actions, layers, usage_idx = best
+    delay_sum, combo, actions, deciders, layers, usage_idx = best
     flows = _walk_back(layers, actions, o_lo, o_target, usage_idx)
-    decisions = tuple(
-        _decode_flow(k, h, demand[p], slot) for p, (slot, k) in enumerate(zip(frame.slots, flows))
-    )
+    decisions = tuple(decision(k) for decision, k in zip(deciders, flows))
     _assert_frame_feasible(frame, decisions, bundle)
 
     return OracleSolution(

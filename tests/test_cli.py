@@ -12,7 +12,7 @@ import yaml
 from emsched import cli
 from emsched.cli import _SWEEP_COLUMNS, ExperimentSpec, SweepAxes, load_experiment, main, run_sweep
 from emsched.model import ConfigurationError, CostModel, validate_config
-from emsched.scenario import generate_trace, load_trace
+from emsched.scenario import Trace, generate_trace, load_trace, save_trace
 from emsched.simulator import run_policy
 
 REPO = Path(__file__).resolve().parent.parent
@@ -215,6 +215,52 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["explode", "--config", str(SMALL)])
         assert err.value.code == 2
+
+
+def four_slot_trace_config(tmp_path):
+    """The small config pointed at a trace file of 4 rows, not the 24 it declares."""
+    spec = load_experiment(SMALL)
+    trace = generate_trace(spec.profile, spec.bundle.horizon, 0)
+    save_trace(Trace(slots=trace.slots[:4], slot_minutes=trace.slot_minutes), tmp_path / "short.csv")
+    return small_config(tmp_path, **{"scenario.trace": str(tmp_path / "short.csv")})
+
+
+def overpriced_trace_config(tmp_path):
+    """The small config with a high-tariff price above grid.p_max (0.118)."""
+    cfg = yaml.safe_load(SMALL.read_text())
+    cfg["scenario"]["profile"]["price_high"] = 0.2
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+class TestTraceCheck:
+    """Every command rejects a trace that does not fit the config the same way."""
+
+    CASES = [
+        (four_slot_trace_config, "trace has 4 slots but scenario.horizon is 24"),
+        (overpriced_trace_config, "trace problem: slot 11: price 0.2 outside [0.063, 0.118]"),
+    ]
+
+    @pytest.mark.parametrize(("make_config", "problem"), CASES, ids=["four_rows", "price_above_p_max"])
+    def test_run_and_verify_exit_2_naming_the_problem(self, tmp_path, capsys, make_config, problem):
+        path = make_config(tmp_path)
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and problem in err
+            assert not list((tmp_path / command).iterdir())
+
+    @pytest.mark.parametrize(("make_config", "problem"), CASES, ids=["four_rows", "price_above_p_max"])
+    def test_sweep_writes_error_rows(self, tmp_path, capsys, make_config, problem):
+        path = make_config(tmp_path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "(45 rows errored)" in capsys.readouterr().out
+        rows = list(csv.DictReader(open(tmp_path / "out" / "sweep.csv")))
+        assert len(rows) == 45
+        for r in rows:
+            assert r["error"].startswith(f"ConfigurationError: {problem}")
+            assert r["total"] == ""
 
 
 @pytest.fixture(scope="module")

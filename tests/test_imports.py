@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,55 @@ def test_the_scan_sees_an_unused_import():
         "    pass\n"
     )
     assert unused_imports(source) == ["Iterable (line 2)", "math (line 1)"]
+
+
+def unused_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions, classes and constants that no module references.
+
+    `sources` maps module names to their source. A name counts as referenced
+    when any module loads it as an identifier, reads it as an attribute
+    (`oracle._FEAS_TOL`) or imports it by name. Dunder names are exempt.
+    """
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in used]
+
+
+def test_no_unused_private_names():
+    assert unused_privates({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_the_scan_sees_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_SPARE = 4\n"
+            "def _used(): return _LIMIT\n"
+            "def _lattice(): pass\n"
+            "class _Table: pass\n"
+            "def _called_from_b(): pass\n"
+            "def __getattr__(name): pass\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _used\na._called_from_b()\n",
+    }
+    assert unused_privates(sources) == ["_SPARE (a.py:2)", "_Table (a.py:5)", "_lattice (a.py:4)"]

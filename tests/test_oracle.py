@@ -81,6 +81,18 @@ class TestSubproblemOracles:
         assert point.s_r == pytest.approx(0.05, abs=1e-3)
 
 
+def grid_before_surplus(action, residual, grid):
+    """The same charge, bought from the grid as far as e_max allows."""
+    charge = action.q + action.s_r
+    q = min(charge, max(grid.e_max - residual, 0.0))
+    return action._replace(e=residual + q, q=q, s_r=charge - q)
+
+
+def half_discharge(action, residual, grid):
+    """Half the discharge the rule chose."""
+    return action._replace(e=action.e + action.d_rate / 2, d_rate=action.d_rate / 2)
+
+
 class TestEquivalenceBattery:
     def test_small_sample_all_checks_pass(self):
         report = equivalence_battery(day_bundle(), n_states=200, seed=2024)
@@ -122,6 +134,21 @@ class TestEquivalenceBattery:
         assert report["aux_equivalence"].achieved == 5.0
         assert report["schedule_equivalence"].passed
 
+    @pytest.mark.parametrize("mutate", [grid_before_surplus, half_discharge], ids=lambda f: f.__name__)
+    def test_corrupted_energy_rule_is_caught(self, monkeypatch, mutate):
+        # A closed form that leaves value on the table must be beaten by a
+        # lattice flow, and the energy checks must count it.
+        exact = controller.energy_control
+
+        def mutant(state, demand_l, s_w, renewable, price, battery, grid):
+            return mutate(exact(state, demand_l, s_w, renewable, price, battery, grid), demand_l - s_w, grid)
+
+        monkeypatch.setattr(controller, "energy_control", mutant)
+        report = equivalence_battery(day_bundle(), n_states=200, seed=2024)
+        assert report["energy_dominance"].achieved >= 1.0
+        assert not report.passed
+        assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
+
     def test_sampled_states_admit_feasible_actions(self):
         bundle = day_bundle()
         a_o, v_max = controller.design_params(
@@ -155,6 +182,77 @@ def test_aux_closed_form_tracks_grid_search(params):
     closed = controller.aux_solution(h, v, beta, cost, 0.165)
     grid, _ = oracle_aux(h, v, beta, cost, 0.165, step=1e-4)
     assert abs(closed - grid) <= 1e-4 + 1e-9
+
+
+def explicit_energy_grid_min(residual, surplus, key1, key2, v, battery, grid, step):
+    """The per-slot energy bound minimised over idle, every (s_r, q) charge and
+    every discharge whose amounts are multiples of `step`."""
+    tol = oracle._FEAS_TOL
+    n_charge = math.floor(battery.r_max / step + tol)
+    best = residual * key1 if residual <= grid.e_max + tol else math.inf
+    for i in range(n_charge + 1):
+        s_r = i * step
+        if s_r > surplus:
+            break
+        for j in range(n_charge + 1 - i):
+            e = residual + j * step
+            if i + j > 0 and e <= grid.e_max + tol:
+                best = min(best, e * key1 + s_r * key2 + v * battery.c_rc)
+    for m in range(1, math.floor(battery.d_max_rate / step + tol) + 1):
+        e = residual - m * step
+        if m * step <= min(battery.d_max_rate, residual) + tol and e <= grid.e_max + tol:
+            best = min(best, e * key1 + v * battery.c_dc)
+    return best
+
+
+@st.composite
+def energy_slots(draw):
+    grid = day_bundle().grid
+    return (
+        draw(st.floats(-5.0, 5.0)),  # z
+        draw(st.floats(-2.0, 2.0)),  # h_u
+        draw(st.floats(0.0, 50.0)),  # v
+        draw(st.floats(0.0, grid.e_max + 0.2)),  # residual demand
+        draw(st.floats(0.0, 0.4)),  # renewable surplus
+        draw(st.floats(grid.p_min, grid.p_max)),  # price
+        draw(st.sampled_from([0.005, 0.015, 0.04])),  # lattice step
+    )
+
+
+@given(energy_slots())
+@example((-2.0, 0.0, 10.0, 0.0, 0.1, 0.1, 0.015))  # charging from the surplus pays
+@settings(max_examples=150, deadline=None)
+def test_surplus_first_flows_lose_nothing_to_the_full_charge_grid(params):
+    """One surplus-first flow per charge amount is as good as the whole
+    (s_r, q) plane: the shared flow table's minimum is never above it."""
+    z, h_u, v, residual, surplus, price, step = params
+    bundle = day_bundle()
+    state = make_state(z=z, h_u=h_u, v=v)
+    try:
+        _, table_min = oracle_energy(state, residual, 0.0, surplus, price, bundle.battery, bundle.grid, step)
+    except InfeasibleSlot:
+        table_min = math.inf
+    key2 = z - h_u
+    key1 = key2 + v * price
+    grid_min = explicit_energy_grid_min(residual, surplus, key1, key2, v, bundle.battery, bundle.grid, step)
+    if math.isinf(grid_min):
+        assert math.isinf(table_min)
+    else:
+        assert table_min <= grid_min + 1e-12 * max(1.0, abs(grid_min))
+
+
+def test_a_grid_first_flow_table_fails_the_surplus_first_property(monkeypatch):
+    exact = oracle._slot_flows
+
+    def grid_first(residual, surplus, battery, grid, step, k_charge, k_discharge):
+        flows = exact(residual, surplus, battery, grid, step, k_charge, k_discharge)
+        charge = flows.q + flows.s_r
+        q = np.minimum(charge, max(grid.e_max - residual, 0.0))
+        return flows._replace(q=q, s_r=charge - q, e=residual + q - flows.d_rate)
+
+    monkeypatch.setattr(oracle, "_slot_flows", grid_first)
+    with pytest.raises(AssertionError):
+        test_surplus_first_flows_lose_nothing_to_the_full_charge_grid()
 
 
 class TestFrameOracle:
@@ -217,8 +315,7 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
-    k_charge = int(math.floor(battery.r_max / h + tol))
-    k_discharge = int(math.floor(battery.d_max_rate / h + tol))
+    k_charge, k_discharge = oracle._flow_counts(battery, h)
     arrivals, choices = oracle._delay_choices(frame)
     profiles = {}
     for combo in itertools.product(*choices):
@@ -236,10 +333,11 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
 
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
-        actions = [
-            oracle._slot_actions(demand[p], slot, battery, grid_params, h, k_charge, k_discharge)
+        slots = [
+            oracle._frame_slot(float(demand[p]), slot, battery, grid_params, h, k_charge, k_discharge)
             for p, slot in enumerate(frame.slots)
         ]
+        actions = [feasible for feasible, _ in slots]
         if not all(actions):
             continue
         layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
@@ -247,20 +345,18 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
-            best, best_value = (demand, delay_sum, combo, actions, layers, idx), float(totals[idx])
+            best, best_value = (slots, delay_sum, combo, actions, layers, idx), float(totals[idx])
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
 
-    demand, delay_sum, combo, actions, layers, idx = best
+    slots, delay_sum, combo, actions, layers, idx = best
     flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
     return oracle.OracleSolution(
         frame_start=frame.start,
         frame_length=T,
         u_opt=best_value,
         energy_step=h,
-        decisions=tuple(
-            oracle._decode_flow(k, h, demand[p], slot) for p, (slot, k) in enumerate(zip(frame.slots, flows))
-        ),
+        decisions=tuple(decision(k) for (_, decision), k in zip(slots, flows)),
         delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
         delay_sum=delay_sum,
     )
