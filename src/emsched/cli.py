@@ -253,6 +253,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
 
 def _resolve_out(args: argparse.Namespace, spec: ExperimentSpec) -> Path:
+    """The output directory, created; call it once there is something to write."""
     out = args.out or os.environ.get("EMSCHED_OUT") or spec.out_dir
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -338,7 +339,6 @@ def write_summary(
 def cmd_run(args: argparse.Namespace) -> int:
     spec = load_experiment(args.config)
     seed = _resolve_seed(args, spec)
-    out = _resolve_out(args, spec)
     bundle = spec.bundle
     trace = _load_or_generate(spec, seed)
     a_o, v_max = controller.design_params(
@@ -347,6 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     v = bundle.weights.v if bundle.weights.v is not None else v_max
     policy = spec.policies[0]
     summary = run_policy(trace, bundle, policy)
+    out = _resolve_out(args, spec)
     write_records(out / "records.csv", summary.records)
     write_summary(out / "summary.txt", summary, seed=seed, a_o=a_o, v=v, v_max=v_max)
     print(
@@ -544,9 +545,9 @@ def write_check_report(path: Path, report: oracle.CheckReport, seed: int) -> Non
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_experiment(args.config)
     seed = _resolve_seed(args, spec)
-    out = _resolve_out(args, spec)
     workers = _resolve_workers(args, spec)
     report, _run = run_checks(spec, seed, workers)
+    out = _resolve_out(args, spec)
     write_check_report(out / "verify_report.txt", report, seed)
     for check in report:
         status = "PASS" if check.passed else "FAIL"

@@ -12,8 +12,9 @@ The per-slot problem separates, and every piece has a closed-form solution:
 * energy_control picks the grid/battery energy flows by comparing one
   candidate action per battery regime against staying idle.
 
-Queue state is a value: every operation is state-in/state-out and pure, so
-independent runs can execute concurrently without sharing anything.
+Queue state is a value: `ControllerState` is an immutable NamedTuple, and
+every operation is state-in/state-out and pure, so independent runs can
+execute concurrently without sharing anything.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ if TYPE_CHECKING:
 _IDENTITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Virtual queues, battery level, and the designed constants in force.
 
     z tracks the battery level minus a time-dependent shift (so it ranges over
@@ -203,14 +203,21 @@ def usage_amount(q: float, s_r: float, d_rate: float) -> float:
 
 
 def energy_objective(
-    action: EnergyAction,
+    e: float,
+    q: float,
+    d_rate: float,
+    s_r: float,
     key1: float,
     key2: float,
     v: float,
     battery: BatteryParams,
 ) -> float:
-    """Queue-weighted per-slot value of an energy action (lower is better)."""
-    return action.e * key1 + action.s_r * key2 + v * entry_cost(action.q, action.s_r, action.d_rate, battery)
+    """Queue-weighted per-slot value of the energy flows (lower is better).
+
+    The flows come first in `EnergyAction`'s order, so an action `a` is
+    priced as `energy_objective(*a[:4], key1, key2, v, battery)`.
+    """
+    return e * key1 + s_r * key2 + v * entry_cost(q, s_r, d_rate, battery)
 
 
 def energy_control(
@@ -229,7 +236,8 @@ def energy_control(
     discharging, and the mixed band considers both directions at once (at most
     one of them is actually available, because the renewable surplus and the
     residual demand cannot both be positive). The regime's candidate action is
-    taken only if it beats staying idle strictly; ties stay idle.
+    taken only if it moves some energy and beats staying idle strictly; ties
+    stay idle.
 
     Raises InfeasibleSlot when the chosen action needs a grid purchase above
     e_max. The regime is picked before that limit is checked, so a raise does
@@ -238,39 +246,35 @@ def energy_control(
     """
     residual = demand_l - s_w
     surplus = renewable - s_w
+    v = state.v
     key2 = state.z - state.h_u
-    key1 = key2 + state.v * price
-    idle = EnergyAction(e=residual, q=0.0, d_rate=0.0, s_r=0.0, regime="idle")
-    idle_value = energy_objective(idle, key1, key2, state.v, battery)
+    key1 = key2 + v * price
 
     if key1 <= 0.0:
         s_r = min(surplus, battery.r_max)
         q = min(battery.r_max - s_r, grid.e_max - residual)
         if q < 0.0:
             q = 0.0  # no grid headroom left; charge from the surplus alone
-        candidate = EnergyAction(e=residual + q, q=q, d_rate=0.0, s_r=s_r, regime="charge")
+        e, d_rate, regime = residual + q, 0.0, "charge"
     elif key2 < 0.0:
         d_rate = min(residual, battery.d_max_rate)
         s_r = min(surplus, battery.r_max)
+        e, q = residual - d_rate, 0.0
         regime = "charge" if s_r > 0.0 else "discharge"
-        candidate = EnergyAction(e=residual - d_rate, q=0.0, d_rate=d_rate, s_r=s_r, regime=regime)
     else:
         d_rate = min(residual, battery.d_max_rate)
-        candidate = EnergyAction(e=residual - d_rate, q=0.0, d_rate=d_rate, s_r=0.0, regime="discharge")
+        e, q, s_r, regime = residual - d_rate, 0.0, 0.0, "discharge"
 
-    chosen = idle
-    if energy_objective(candidate, key1, key2, state.v, battery) < idle_value:
-        if candidate.q > 0.0 or candidate.s_r > 0.0 or candidate.d_rate > 0.0:
-            chosen = candidate
+    idle_value = energy_objective(residual, 0.0, 0.0, 0.0, key1, key2, v, battery)
+    if not (
+        energy_objective(e, q, d_rate, s_r, key1, key2, v, battery) < idle_value
+        and (q > 0.0 or s_r > 0.0 or d_rate > 0.0)
+    ):
+        e, q, d_rate, s_r, regime = residual, 0.0, 0.0, 0.0, "idle"
 
-    if chosen.e > grid.e_max + 1e-12:
-        raise InfeasibleSlot(
-            state.slot,
-            chosen.e,
-            grid.e_max,
-            f"regime={chosen.regime}, residual demand {residual:.6f}",
-        )
-    return chosen
+    if e > grid.e_max + 1e-12:
+        raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
+    return EnergyAction(e, q, d_rate, s_r, regime)
 
 
 def update_queues(
@@ -288,24 +292,22 @@ def update_queues(
     """
     net_flow = record.q + record.s_r - record.d_rate
     shift = delta_u / horizon
-    nxt = ControllerState(
-        z=state.z + net_flow - shift,
-        x=max(state.x + record.delay - d_avg_max, 0.0),
-        h_u=state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
-        h_d=state.h_d + record.gamma_d - record.delay,
-        b=state.b + net_flow,
-        a_o=state.a_o,
-        v=state.v,
-        gamma_u_cap=state.gamma_u_cap,
-        slot=state.slot + 1,
-        z_offset=state.z_offset,
-    )
-    drift = nxt.z - (nxt.b - (nxt.a_o + shift * nxt.slot)) - nxt.z_offset
+    z = state.z + net_flow - shift
+    b = state.b + net_flow
+    slot = state.slot + 1
+    drift = z - (b - (state.a_o + shift * slot)) - state.z_offset
     if abs(drift) > _IDENTITY_TOL:
         raise StateConsistencyError(
-            f"slot {nxt.slot}: battery-queue shift identity drifted by {drift:.3e}"
+            f"slot {slot}: battery-queue shift identity drifted by {drift:.3e}"
         )
-    return nxt
+    # Positional, in field order: z, x, h_u, h_d, b, a_o, v, gamma_u_cap, slot, z_offset.
+    return ControllerState(
+        z,
+        max(state.x + record.delay - d_avg_max, 0.0),
+        state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
+        state.h_d + record.gamma_d - record.delay,
+        b, state.a_o, state.v, state.gamma_u_cap, slot, state.z_offset,
+    )
 
 
 def drift_bound_G(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -786,7 +786,7 @@ def feasibility_checks(run: RunSummary, bundle: ModelBundle) -> CheckReport:
 
 
 def _state_of_record(r: SlotRecord, template: ControllerState) -> ControllerState:
-    return replace(template, z=r.z, x=r.x, h_u=r.h_u, h_d=r.h_d, b=r.b, slot=r.slot)
+    return template._replace(z=r.z, x=r.x, h_u=r.h_u, h_d=r.h_d, b=r.b, slot=r.slot)
 
 
 def drift_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle, tol: float = 1e-9) -> CheckReport:
@@ -924,7 +924,7 @@ def equivalence_battery(
         )
         key2 = state.z - state.h_u
         key1 = key2 + state.v * ctx.price
-        closed_v = controller.energy_objective(action, key1, key2, state.v, bundle.battery)
+        closed_v = controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery)
         _, grid_v = oracle_energy(
             state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price,
             bundle.battery, bundle.grid, grid.energy_step,

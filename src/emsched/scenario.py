@@ -183,7 +183,7 @@ def generate_trace(profile: StageProfile, horizon: int, seed: int) -> Trace:
     slots = tuple(
         SlotInput(
             slot=t,
-            price=price[t],
+            price=float(price[t]),
             renewable=float(solar[t]),
             task=LoadTask(
                 arrival_slot=t,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import controller
 from .controller import ControllerState, EnergyAction
@@ -71,8 +71,7 @@ class ServiceLedger:
         return len(self._demand) > t + 1
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     """State entering the slot, the slot's inputs, and the chosen decision."""
 
     slot: int
@@ -168,38 +167,25 @@ def step(
 
     gamma_u = controller.aux_solution(state.h_u, state.v, 1.0, bundle.costs.usage, state.gamma_u_cap)
     if policy == "no_storage":
-        action = EnergyAction(e=demand - s_w, q=0.0, d_rate=0.0, s_r=0.0, regime="idle")
+        action = EnergyAction(demand - s_w, 0.0, 0.0, 0.0, "idle")
         if action.e > bundle.grid.e_max + 1e-12:
             raise InfeasibleSlot(t, action.e, bundle.grid.e_max, "no-storage baseline")
     else:
         action = controller.energy_control(
             state, demand, s_w, slot_input.renewable, slot_input.price, bundle.battery, bundle.grid
         )
+    e, q, d_rate, s_r, regime = action
 
-    balance = action.e - action.q + s_w + action.d_rate - demand
+    balance = e - q + s_w + d_rate - demand
     if abs(balance) > _BALANCE_TOL:
         raise StateConsistencyError(f"slot {t}: supply-demand balance off by {balance:.3e}")
 
+    # Positional, in SlotRecord's field order: keyword arguments triple its cost.
     record = SlotRecord(
-        slot=t,
-        price=slot_input.price,
-        renewable=slot_input.renewable,
-        demand=demand,
-        e=action.e,
-        q=action.q,
-        d_rate=action.d_rate,
-        s_w=s_w,
-        s_r=action.s_r,
-        delay=delay,
-        b=state.b,
-        z=state.z,
-        x=state.x,
-        h_u=state.h_u,
-        h_d=state.h_d,
-        regime=action.regime,
-        gamma_u=gamma_u,
-        gamma_d=gamma_d,
-        in_horizon=t < bundle.horizon,
+        t, slot_input.price, slot_input.renewable, demand,
+        e, q, d_rate, s_w, s_r, delay,
+        state.b, state.z, state.x, state.h_u, state.h_d,
+        regime, gamma_u, gamma_d, t < bundle.horizon,
     )
     next_state = controller.update_queues(state, record, weights.d_avg_max, weights.delta_u, bundle.horizon)
     return next_state, record
@@ -224,16 +210,16 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
 
     ledger = ServiceLedger()
     records: list[SlotRecord] = []
-    state_at_horizon = state
-    t = 0
-    while t < bundle.horizon or ledger.pending_after(t - 1):
-        slot_input = trace.slots[t] if t < bundle.horizon else _drain_input(trace, t)
+    for slot_input in trace.slots:
         state, record = step(state, ledger, slot_input, bundle, policy)
         records.append(record)
+    state_at_horizon = state
+    t = trace.horizon
+    while ledger.pending_after(t - 1):
+        state, record = step(state, ledger, _drain_input(trace, t), bundle, policy)
+        records.append(record)
         t += 1
-        if t == bundle.horizon:
-            state_at_horizon = state
-        if t > bundle.horizon + trace.horizon + 10_000:
+        if t > 2 * trace.horizon + 10_000:
             raise StateConsistencyError("drain phase failed to terminate")
 
     return _summarize(policy, bundle, records, initial_state, state_at_horizon, state)

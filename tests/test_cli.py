@@ -206,10 +206,12 @@ class TestMainExitCodes:
 
     def test_infeasible_seed_exits_3(self, tmp_path, capsys):
         # seed 8 spikes demand above e_max on the desk-scale profile
-        rc = main(["run", "--config", str(SMALL), "--seed", "8",
-                   "--out", str(tmp_path)])
-        assert rc == 3
-        assert "infeasible run" in capsys.readouterr().err
+        for command in ("run", "verify"):
+            rc = main([command, "--config", str(SMALL), "--seed", "8",
+                       "--out", str(tmp_path / command)])
+            assert rc == 3
+            assert "infeasible run" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
     def test_unknown_subcommand_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as err:
@@ -249,7 +251,7 @@ class TestTraceCheck:
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and problem in err
-            assert not list((tmp_path / command).iterdir())
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize(("make_config", "problem"), CASES, ids=["four_rows", "price_above_p_max"])
     def test_sweep_writes_error_rows(self, tmp_path, capsys, make_config, problem):

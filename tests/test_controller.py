@@ -205,7 +205,7 @@ class TestEnergyControl:
         assert action.e == pytest.approx(0.215)
         key2 = state.z - state.h_u
         key1 = key2 + state.v * 0.118
-        assert energy_objective(action, key1, key2, state.v, self.BATTERY) == pytest.approx(-0.5313, abs=1e-9)
+        assert energy_objective(*action[:4], key1, key2, state.v, self.BATTERY) == pytest.approx(-0.5313, abs=1e-9)
 
     def test_no_residual_no_surplus_idles(self):
         state = make_state(z=1.0)
@@ -295,7 +295,7 @@ def test_decisions_invariant_under_price_cost_rescaling(situation, scale):
     state, demand_l, s_w, renewable, price = situation
     battery, grid = BatteryParams(), GridParams()
     scaled_battery = replace(battery, c_rc=battery.c_rc * scale, c_dc=battery.c_dc * scale)
-    scaled_state = replace(state, v=state.v / scale)
+    scaled_state = state._replace(v=state.v / scale)
 
     base = energy_control(state, demand_l, s_w, renewable, price, battery, grid)
     scaled = energy_control(scaled_state, demand_l, s_w, renewable, price * scale,
@@ -314,7 +314,7 @@ class TestUpdateQueues:
 
     def fresh(self, **overrides):
         state = init_state(self.BATTERY, a_o=2.67, v=10.0, gamma_u_cap=0.165)
-        return replace(state, **overrides) if overrides else state
+        return state._replace(**overrides) if overrides else state
 
     @staticmethod
     def decision(**overrides) -> SlotRecord:
@@ -361,7 +361,7 @@ class TestUpdateQueues:
         assert nxt.h_d == pytest.approx(-1.0 + 2.0 - 5)
 
     def test_corrupted_state_trips_the_identity_trap(self):
-        state = replace(self.fresh(), z=1.0)  # identity no longer matches b
+        state = self.fresh()._replace(z=1.0)  # identity no longer matches b
         with pytest.raises(StateConsistencyError, match="identity"):
             update_queues(state, self.decision(), d_avg_max=18, delta_u=0.0, horizon=288)
 

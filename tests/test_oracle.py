@@ -104,7 +104,7 @@ class TestEquivalenceBattery:
         exact = controller.schedule_load
 
         def negated_omega(state, task, mu, effective_d_max):
-            flipped = replace(state, z=-(state.z - abs(state.h_u)), h_u=0.0)
+            flipped = state._replace(z=-(state.z - abs(state.h_u)), h_u=0.0)
             return exact(flipped, task, mu, effective_d_max)
 
         monkeypatch.setattr(controller, "schedule_load", negated_omega)
@@ -527,7 +527,7 @@ class TestRunCheckers:
     def test_feasibility_checks_catch_a_tampered_purchase(self, checked_run):
         bundle, summary, _ = checked_run
         records = list(summary.records)
-        records[5] = replace(records[5], e=records[5].e + 0.01)
+        records[5] = records[5]._replace(e=records[5].e + 0.01)
         tampered = replace(summary, records=tuple(records))
         report = feasibility_checks(tampered, bundle)
         assert not report["balance"].passed
@@ -535,10 +535,10 @@ class TestRunCheckers:
     def test_feasibility_checks_catch_an_overfull_battery(self, checked_run):
         bundle, summary, _ = checked_run
         records = list(summary.records)
-        records[5] = replace(records[5], q=records[5].q + 10.0, e=records[5].e + 10.0)
+        records[5] = records[5]._replace(q=records[5].q + 10.0, e=records[5].e + 10.0)
         # keep the battery trajectory contiguous after the spike
         for i in range(6, len(records)):
-            records[i] = replace(records[i], b=records[i].b + 10.0)
+            records[i] = records[i]._replace(b=records[i].b + 10.0)
         tampered = replace(summary, records=tuple(records))
         report = feasibility_checks(tampered, bundle)
         assert not report["battery_bounds"].passed
@@ -552,7 +552,7 @@ class TestRunCheckers:
     def test_drift_checks_catch_a_tampered_queue(self, checked_run):
         bundle, summary, g = checked_run
         records = list(summary.records)
-        records[1] = replace(records[1], x=records[1].x + 100.0)
+        records[1] = records[1]._replace(x=records[1].x + 100.0)
         tampered = replace(summary, records=tuple(records))
         report = drift_checks(tampered, g, bundle)
         assert not report.passed

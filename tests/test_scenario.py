@@ -139,6 +139,24 @@ class TestTraceFiles:
         save_trace(trace, path)
         assert load_trace(path) == trace
 
+    def test_generated_values_are_python_floats_like_a_loaded_trace(self, tmp_path):
+        """A generated trace holds the types a loaded one does, so it equals
+        its saved-and-loaded copy value for value and type for type."""
+        trace = generate_trace(StageProfile(), SLOTS_PER_DAY, seed=13)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        for generated, read in zip(trace.slots, loaded.slots, strict=True):
+            assert type(generated.price) is float
+            assert type(generated.renewable) is float
+            assert type(generated.task.intensity) is float
+            for name in ("slot", "price", "renewable"):
+                a, b = getattr(generated, name), getattr(read, name)
+                assert a == b and type(a) is type(b), name
+            for f in dataclasses.fields(LoadTask):
+                a, b = getattr(generated.task, f.name), getattr(read.task, f.name)
+                assert a == b and type(a) is type(b), f.name
+
     def test_header_is_the_documented_schema(self, tmp_path):
         trace = generate_trace(StageProfile(), 4, seed=0)
         path = tmp_path / "trace.csv"

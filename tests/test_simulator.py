@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from emsched import controller
 from emsched.model import (
     BatteryParams,
     CostModel,
@@ -309,3 +310,47 @@ class TestRecordFiles:
         write_records(path, summary.records)
         lines = path.read_text().splitlines()
         assert len(lines) == len(summary.records) + 1
+
+
+class TestSlotLoopHooks:
+    """`step` reaches each per-slot rule through its module or class attribute,
+    so a wrapper patched there (a tracer, a fault classifier) sees every call."""
+
+    HOOKS = (
+        (controller, "schedule_load"),
+        (controller, "aux_solution"),
+        (controller, "energy_control"),
+        (controller, "update_queues"),
+        (ServiceLedger, "active_demand"),
+    )
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_hook_is_called_through_its_attribute(self, monkeypatch, policy):
+        calls = {name: [] for _, name in self.HOOKS}
+        for owner, name in self.HOOKS:
+            def recorder(*args, _original=getattr(owner, name), _calls=calls[name], **kwargs):
+                _calls.append((args, kwargs))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorder)
+        trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
+        summary = run(trace, day_bundle(), policy=policy)
+
+        slots = len(summary.records)
+        assert slots > DAY_HORIZON  # the drain slots go through the same hooks
+        assert len(calls["schedule_load"]) == sum(s.task is not None for s in trace.slots)
+        assert len(calls["aux_solution"]) == 2 * slots
+        assert len(calls["active_demand"]) == slots
+        assert len(calls["update_queues"]) == slots
+        # The no-storage baseline keeps the battery idle without asking the rule.
+        assert len(calls["energy_control"]) == (0 if policy == "no_storage" else slots)
+        for args, kwargs in calls["energy_control"]:
+            assert len(args) == 7 and not kwargs
+
+    def test_records_and_states_are_immutable(self):
+        trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
+        summary = run(trace, day_bundle(), policy="joint")
+        with pytest.raises(AttributeError):
+            summary.records[0].e = 1.0
+        with pytest.raises(AttributeError):
+            summary.final_state.z = 1.0
