@@ -18,11 +18,11 @@ PACKAGE_ROOT = Path(emsched.__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scripts/day_demo.py", "--horizon", "48"],
         ["scripts/delay_sweep.py", "--reps", "1"],
         # every replication of the first point aborts: printed as all-skipped
         ["scripts/delay_sweep.py", "--reps", "1", "--max-delay", "36"],
     ],
+    ids=["delay_sweep", "delay_sweep-all-skipped"],
 )
 def test_script_exits_zero(argv):
     result = run_script(argv)
