@@ -6,7 +6,7 @@ into its dataclass with every value checked against its field's declared type,
 and unknown keys are rejected so typos fail loudly instead of silently using
 defaults. ``--seed``, ``--out`` and ``--workers`` override the config (and
 ``EMSCHED_OUT`` the output directory, with the flag winning over the
-environment).
+environment); `_load` applies them as the config is loaded.
 """
 
 from __future__ import annotations
@@ -160,24 +160,16 @@ class ConfigFile:
     experiment: ExperimentConfig
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything a command needs, resolved from one config file."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(ExperimentConfig):
+    """Everything a command needs, resolved from one config file: the
+    `experiment` section plus the model and trace source it runs on."""
 
     profile: StageProfile
     trace_path: str | None
     bundle: ModelBundle
     k_u: float
     k_d: float | None
-    policies: tuple[str, ...]
-    replications: int
-    seed_base: int
-    out_dir: str
-    workers: int
-    frame_length: int
-    oracle_energy_step: float
-    equivalence_states: int
-    sweep: SweepAxes
 
 
 _field_types = functools.cache(get_type_hints)
@@ -241,31 +233,32 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         battery=config.battery, grid=config.grid, costs=costs, weights=config.weights,
         horizon=scenario.horizon, z0_mode=exp.z0_mode,
     )
-    # Every experiment key but z0_mode, which the bundle carries, is a spec field.
     return ExperimentSpec(
         profile=scenario.profile,
         trace_path=scenario.trace,
         bundle=bundle,
         k_u=config.costs.k_u,
         k_d=config.costs.k_d,
-        **{f.name: getattr(exp, f.name) for f in dataclass_fields(exp) if f.name != "z0_mode"},
+        **{f.name: getattr(exp, f.name) for f in dataclass_fields(exp)},
     )
 
 
-def _resolve_out(args: argparse.Namespace, spec: ExperimentSpec) -> Path:
+def _load(args: argparse.Namespace) -> ExperimentSpec:
+    """The command's config with its flags applied: --seed replaces seed_base,
+    --workers workers, and --out, else EMSCHED_OUT, out_dir."""
+    flags = {
+        "seed_base": args.seed,
+        "workers": args.workers,
+        "out_dir": args.out or os.environ.get("EMSCHED_OUT") or None,
+    }
+    return replace(load_experiment(args.config), **{k: v for k, v in flags.items() if v is not None})
+
+
+def _resolve_out(spec: ExperimentSpec) -> Path:
     """The output directory, created; call it once there is something to write."""
-    out = args.out or os.environ.get("EMSCHED_OUT") or spec.out_dir
-    path = Path(out)
+    path = Path(spec.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _resolve_seed(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    return args.seed if args.seed is not None else spec.seed_base
-
-
-def _resolve_workers(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    return args.workers if args.workers is not None else spec.workers
 
 
 def _load_or_generate(spec: ExperimentSpec, seed: int) -> Trace:
@@ -337,17 +330,16 @@ def write_summary(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = load_experiment(args.config)
-    seed = _resolve_seed(args, spec)
+    spec = _load(args)
+    seed = spec.seed_base
     bundle = spec.bundle
     trace = _load_or_generate(spec, seed)
-    a_o, v_max = controller.design_params(
+    a_o, v_max, v = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
-    v = bundle.weights.v if bundle.weights.v is not None else v_max
     policy = spec.policies[0]
     summary = run_policy(trace, bundle, policy)
-    out = _resolve_out(args, spec)
+    out = _resolve_out(spec)
     write_records(out / "records.csv", summary.records)
     write_summary(out / "summary.txt", summary, seed=seed, a_o=a_o, v=v, v_max=v_max)
     print(
@@ -358,9 +350,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
-    spec = load_experiment(args.config)
-    seed = _resolve_seed(args, spec)
-    out = _resolve_out(args, spec)
+    spec = _load(args)
+    seed = spec.seed_base
+    out = _resolve_out(spec)
     trace = generate_trace(spec.profile, spec.bundle.horizon, seed)
     path = out / f"trace_seed{seed}.csv"
     save_trace(trace, path)
@@ -428,8 +420,9 @@ def _run_key(policy: str, point: SweepPoint, replication: int) -> tuple:
     return policy, tuple(getattr(point, axis) for axis in POLICY_AXES[policy]), replication
 
 
-def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """All sweep rows in deterministic (point, replication, policy) order.
+def run_sweep(spec: ExperimentSpec) -> list[dict]:
+    """All sweep rows in deterministic (point, replication, policy) order,
+    with the runs spread over `spec.workers` processes.
 
     Every (point, replication) is validated on its own, and one that fails
     gives error rows for all policies. Each distinct run (`_run_key`) is
@@ -464,7 +457,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
             continue
         for policy in spec.policies:
             jobs.setdefault(_run_key(policy, point, replication), (trace, bundle, policy))
-    columns = dict(zip(jobs, _pool_map(_run_job, workers, jobs.values())))
+    columns = dict(zip(jobs, _pool_map(_run_job, spec.workers, jobs.values())))
     return [
         {
             **point._asdict(), "policy": policy, "replication": replication,
@@ -485,12 +478,9 @@ def write_sweep(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = load_experiment(args.config)
-    if args.seed is not None:
-        spec = replace(spec, seed_base=args.seed)
-    out = _resolve_out(args, spec)
-    workers = _resolve_workers(args, spec)
-    rows = run_sweep(spec, workers)
+    spec = _load(args)
+    out = _resolve_out(spec)
+    rows = run_sweep(spec)
     path = out / "sweep.csv"
     write_sweep(path, rows)
     failed = sum(1 for row in rows if row["error"])
@@ -499,12 +489,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_checks(
-    spec: ExperimentSpec,
-    seed: int,
-    workers: int = 1,
-) -> tuple[oracle.CheckReport, RunSummary]:
-    """Full verification battery on one seeded run of the joint policy."""
+def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
+    """Full verification battery on the joint policy's run at `spec.seed_base`,
+    with the frame searches spread over `spec.workers` processes."""
+    seed = spec.seed_base
     bundle = spec.bundle
     if bundle.horizon % spec.frame_length != 0:
         raise ConfigurationError(
@@ -525,7 +513,7 @@ def run_checks(
 
     frames = oracle.frames_from_run(trace, run, spec.frame_length)
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
-    solutions = _pool_map(oracle.lookahead_optimum, workers, frames, repeat(bundle), repeat(grid))
+    solutions = _pool_map(oracle.lookahead_optimum, spec.workers, frames, repeat(bundle), repeat(grid))
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
     return oracle.CheckReport(tuple(checks)), run
 
@@ -543,12 +531,10 @@ def write_check_report(path: Path, report: oracle.CheckReport, seed: int) -> Non
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = load_experiment(args.config)
-    seed = _resolve_seed(args, spec)
-    workers = _resolve_workers(args, spec)
-    report, _run = run_checks(spec, seed, workers)
-    out = _resolve_out(args, spec)
-    write_check_report(out / "verify_report.txt", report, seed)
+    spec = _load(args)
+    report, _run = run_checks(spec)
+    out = _resolve_out(spec)
+    write_check_report(out / "verify_report.txt", report, spec.seed_base)
     for check in report:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} (margin={check.margin:.3e})")

@@ -31,6 +31,7 @@ from .model import (
     InfeasibleSlot,
     StateConsistencyError,
     Weights,
+    battery_headroom,
 )
 from .scenario import LoadTask
 
@@ -83,20 +84,17 @@ def design_params(
     costs: CostModel,
     weights: Weights,
     horizon: int,
-) -> tuple[float, float]:
-    """Compute the shift constant a_o and the largest admissible weight v_max.
+) -> tuple[float, float, float]:
+    """Compute the shift constant a_o, the largest admissible weight v_max and
+    the weight v in use.
 
     a_o places the battery-level queue so that any v in [0, v_max] keeps the
-    battery inside [b_min, b_max] at every slot. Returns (a_o, v_max), with
-    a_o evaluated at the v actually in use (weights.v, defaulting to v_max).
+    battery inside [b_min, b_max] at every slot. Returns (a_o, v_max, v), where
+    v is weights.v, defaulting to v_max, and a_o is evaluated at that v.
     """
     gamma_u = max(battery.r_max, battery.d_max_rate)
     marginal = costs.usage_cost_derivative(gamma_u)
-    headroom = (
-        battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate
-        - 2.0 * gamma_u - abs(weights.delta_u)
-    )
-    v_max = headroom / (grid.p_max + marginal)
+    v_max = battery_headroom(battery, weights.delta_u) / (grid.p_max + marginal)
     if v_max <= 0.0:
         raise ConfigurationError(
             f"battery window too small for any feasible weight: v_max = {v_max:.6g} <= 0"
@@ -109,7 +107,7 @@ def design_params(
     )
     if weights.delta_u < 0.0:
         a_o -= weights.delta_u
-    return a_o, v_max
+    return a_o, v_max, v
 
 
 # The battery-queue origins init_state accepts.

@@ -197,6 +197,13 @@ class ModelBundle:
         return self.weights.delta_u / self.horizon
 
 
+def battery_headroom(battery: BatteryParams, delta_u: float) -> float:
+    """Battery window left once the rate limits, the usage stand-in cap and the
+    net shift are set aside; v_max is positive exactly when this is."""
+    gamma_u = max(battery.r_max, battery.d_max_rate)
+    return battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate - 2.0 * gamma_u - abs(delta_u)
+
+
 def validate_config(
     battery: BatteryParams,
     grid: GridParams,
@@ -275,8 +282,7 @@ def validate_config(
         except Exception as exc:
             problems.append(f"delay-cost derivative failed at {weights.d_avg_max}: {exc}")
 
-    headroom = battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate - 2.0 * gamma_u - abs(weights.delta_u)
-    if headroom <= 0.0:
+    if battery_headroom(battery, weights.delta_u) <= 0.0:
         problems.append(
             "V_max <= 0: battery window b_max - b_min = "
             f"{battery.b_max - battery.b_min} does not exceed "

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -288,26 +288,22 @@ class Frame:
         return len(self.slots)
 
 
-class OracleDecision(NamedTuple):
-    slot: int
-    price: float
-    demand: float
-    e: float
-    q: float
-    d_rate: float
-    s_w: float
-    s_r: float
-
-
 @dataclass(frozen=True)
 class OracleSolution:
-    """Optimal frame plan found by the lattice search."""
+    """Optimal frame plan found by the lattice search.
+
+    `decisions` holds one `SlotRecord` per frame slot, as a run does: the
+    slot's inputs, demand and flows, `b` the battery level entering the slot
+    (chaining from the frame's boundary level), `delay` the delay of the task
+    arriving in the slot (0 when none), and `regime` the flow's direction. A
+    plan has no queues, so z, x, h_u, h_d, gamma_u and gamma_d are 0.0.
+    """
 
     frame_start: int
     frame_length: int
     u_opt: float
     energy_step: float
-    decisions: tuple[OracleDecision, ...]
+    decisions: tuple[SlotRecord, ...]
     delays: tuple[tuple[int, int], ...]  # (arrival slot, chosen delay)
     delay_sum: int
 
@@ -361,22 +357,13 @@ def _frame_slot(
     h: float,
     k_charge: int,
     k_discharge: int,
-) -> tuple[list[tuple[int, float]], Callable[[int], OracleDecision]]:
-    """A frame slot's feasible flows as (k, purchase + entry cost), in `_slot_flows`
-    order, and a function from a flow k to its plan decision. Renewables
-    serve the demand first."""
-    s_w = min(demand_p, slot.renewable)
+) -> tuple[float, _SlotFlows, list[tuple[int, float]]]:
+    """A frame slot's renewable serving the demand, its lattice flows, and the
+    feasible ones as (k, purchase + entry cost) in `_slot_flows` order."""
+    s_w = controller.renewable_split(demand_p, slot.renewable)
     flows = _slot_flows(demand_p - s_w, slot.renewable - s_w, battery, grid_params, h, k_charge, k_discharge)
     cost = flows.e * slot.price + flows.entry
-
-    def decision(k: int) -> OracleDecision:
-        i = int(np.flatnonzero(flows.k == k)[0])
-        return OracleDecision(
-            slot=slot.slot, price=slot.price, demand=demand_p, e=float(flows.e[i]), q=float(flows.q[i]),
-            d_rate=float(flows.d_rate[i]), s_w=s_w, s_r=float(flows.s_r[i]),
-        )
-
-    return list(zip(flows.k[flows.ok].tolist(), cost[flows.ok].tolist())), decision
+    return s_w, flows, list(zip(flows.k[flows.ok].tolist(), cost[flows.ok].tolist()))
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -446,22 +433,21 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     usage_floor = float(usage_penalty.min())
 
     best_value = math.inf
-    best = None  # delay_sum, combo, actions, deciders, DP layers and usage index of the best plan
+    best = None  # demand, combo, actions, DP layers and usage index of the best plan
     # A slot's flows depend only on its own demand, which many profiles share,
     # so each (slot, demand) pair is enumerated once per call and kept with
     # its cheapest cost (None when the slot has no feasible flow).
-    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None, Callable]] = {}
+    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None]] = {}
     for demand, delay_sum, combo in profiles.values():
-        actions, cheapest, deciders = [], [], []
+        actions, cheapest = [], []
         for p, slot in enumerate(frame.slots):
             key = (p, float(demand[p]))
             if key not in slot_options:
-                feasible, decision = _frame_slot(key[1], slot, battery, grid_params, h, k_charge, k_discharge)
-                slot_options[key] = (feasible, min((c for _, c in feasible), default=None), decision)
-            feasible, cheap, decision = slot_options[key]
+                _, _, feasible = _frame_slot(key[1], slot, battery, grid_params, h, k_charge, k_discharge)
+                slot_options[key] = (feasible, min((c for _, c in feasible), default=None))
+            feasible, cheap = slot_options[key]
             actions.append(feasible)
             cheapest.append(cheap)
-            deciders.append(decision)
         if None in cheapest:
             continue
         delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
@@ -478,24 +464,13 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best = (delay_sum, combo, actions, deciders, layers, idx)
+            best = (demand, combo, actions, layers, idx)
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    delay_sum, combo, actions, deciders, layers, usage_idx = best
+    demand, combo, actions, layers, usage_idx = best
     flows = _walk_back(layers, actions, o_lo, o_target, usage_idx)
-    decisions = tuple(decision(k) for decision, k in zip(deciders, flows))
-    _assert_frame_feasible(frame, decisions, bundle)
-
-    return OracleSolution(
-        frame_start=frame.start,
-        frame_length=T,
-        u_opt=best_value,
-        energy_step=h,
-        decisions=decisions,
-        delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
-        delay_sum=delay_sum,
-    )
+    return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand, flows)
 
 
 def _dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarray]:
@@ -547,21 +522,35 @@ def _walk_back(layers: Sequence[np.ndarray], actions, o_lo: int, o_target: int, 
     return flows
 
 
-def _assert_frame_feasible(frame: Frame, decisions: tuple[OracleDecision, ...], bundle: ModelBundle) -> None:
-    """Bug trap: the reconstructed plan must satisfy every per-slot validator."""
+def _frame_solution(
+    frame: Frame, bundle: ModelBundle, h: float, u_opt: float, arrivals, combo: Sequence[int], demand, flows: list[int]
+) -> OracleSolution:
+    """The solution taking flows[p] at frame slot p under the arrivals' delays `combo`,
+    which induce `demand`; its plan must pass the run audit (`_audit_flows`)."""
+    battery = bundle.battery
+    k_charge, k_discharge = _flow_counts(battery, h)
+    delay_at = {p: d for (p, _), d in zip(arrivals, combo)}
     b = frame.boundary_b
-    battery, grid_params = bundle.battery, bundle.grid
-    for dec in decisions:
-        balance = dec.e - dec.q + dec.s_w + dec.d_rate - dec.demand
-        if abs(balance) > 1e-9:
-            raise RuntimeError(f"oracle slot {dec.slot}: balance off by {balance:.3e}")
-        if dec.e < -1e-12 or dec.e > grid_params.e_max + 1e-9:
-            raise RuntimeError(f"oracle slot {dec.slot}: purchase {dec.e} outside [0, E_max]")
-        if (dec.q + dec.s_r > 0.0) and (dec.d_rate > 0.0):
-            raise RuntimeError(f"oracle slot {dec.slot}: simultaneous charge and discharge")
-        b += dec.q + dec.s_r - dec.d_rate
-        if b < battery.b_min - 1e-9 or b > battery.b_max + 1e-9:
-            raise RuntimeError(f"oracle slot {dec.slot}: battery level {b} outside bounds")
+    plan = []
+    for p, (slot, k) in enumerate(zip(frame.slots, flows)):
+        s_w, table, _ = _frame_slot(float(demand[p]), slot, battery, bundle.grid, h, k_charge, k_discharge)
+        i = k if k >= 0 else k_charge - k  # the flow's row in `_slot_flows` order
+        e, q, d_rate, s_r = (float(column[i]) for column in (table.e, table.q, table.d_rate, table.s_r))
+        regime = "idle" if k == 0 else "charge" if k > 0 else "discharge"
+        plan.append(SlotRecord(
+            slot.slot, slot.price, slot.renewable, float(demand[p]), e, q, d_rate, s_w, s_r, delay_at.get(p, 0),
+            b, 0.0, 0.0, 0.0, 0.0, regime, 0.0, 0.0, slot.slot < bundle.horizon,
+        ))
+        b += q + s_r - d_rate
+    excursion, balance_err, overlaps = _audit_flows(plan, frame.boundary_b, battery)
+    if excursion > 1e-9 or balance_err > 1e-9 or overlaps or any(
+        r.e < -1e-12 or r.e > bundle.grid.e_max + 1e-9 for r in plan
+    ):
+        raise RuntimeError(f"frame {frame.start}: infeasible plan {plan}")  # bug trap
+    return OracleSolution(
+        frame.start, frame.length, u_opt, h, tuple(plan),
+        delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)), delay_sum=sum(combo),
+    )
 
 
 def recompute_frame_objective(sol: OracleSolution, bundle: ModelBundle) -> float:
@@ -601,22 +590,18 @@ def lookahead_grid_slack(bundle: ModelBundle, energy_step: float, frame_length: 
     )
 
 
-def _frames_gamma_d_cap(frames: Sequence[OracleSolution], bundle: ModelBundle, trace: Trace | None) -> float:
-    if trace is not None:
-        task_cap = trace.max_task_delay()
-    else:
-        task_cap = max((d for sol in frames for _, d in sol.delays), default=0)
-    return float(min(max(task_cap, 0), bundle.weights.d_avg_max))
-
-
 def lookahead_bound_check(
     run: RunSummary,
     frames: Sequence[OracleSolution],
     g: DriftBound,
     bundle: ModelBundle,
-    trace: Trace | None = None,
+    trace: Trace,
 ) -> CheckReport:
-    """Compare the run's average cost against the mean frame optimum plus the bound."""
+    """Compare the run's average cost against the mean frame optimum plus the bound.
+
+    `trace` is the run's trace; its largest per-load delay cap (at most
+    d_avg_max) is where the delay cost's slope enters the bound.
+    """
     if not frames:
         raise ValueError("no frame solutions supplied")
     total_len = sum(sol.frame_length for sol in frames)
@@ -649,7 +634,7 @@ def lookahead_bound_check(
     l0 = controller.lyapunov(run.initial_state, mu)
     l_end = controller.lyapunov(run.state_at_horizon, mu)
     gamma_u_cap = bundle.gamma_u_cap
-    gamma_d_cap = _frames_gamma_d_cap(frames, bundle, trace)
+    gamma_d_cap = float(min(max(trace.max_task_delay(), 0), bundle.weights.d_avg_max))
     cu_prime = bundle.costs.usage_cost_derivative(gamma_u_cap)
     cd_prime = bundle.costs.delay_cost_derivative(gamma_d_cap)
     rhs = (
@@ -728,28 +713,16 @@ def feasibility_checks(run: RunSummary, bundle: ModelBundle) -> CheckReport:
     Everything is recomputed from the run's records (drain slots included),
     independent of the in-run assertions.
     """
-    battery = bundle.battery
     shift = bundle.delta_per_slot
     a_o = run.initial_state.a_o
     z_offset = run.initial_state.z_offset
 
-    bound_violation = 0.0
-    balance_err = 0.0
-    exclusive = 0
+    bound_violation, balance_err, exclusive = _audit_flows(run.records, run.initial_state.b, bundle.battery)
     identity_err = 0.0
-    b = run.initial_state.b
     for r in run.records:
-        if abs(r.b - b) > 1e-9:
-            raise ValueError(f"records are not a contiguous run: battery jumps at slot {r.slot}")
-        b_next = r.b + r.q + r.s_r - r.d_rate
-        bound_violation = max(bound_violation, battery.b_min - b_next, b_next - battery.b_max)
-        balance_err = max(balance_err, abs(r.e - r.q + r.s_w + r.d_rate - r.demand))
-        if (r.q + r.s_r > 0.0) and (r.d_rate > 0.0):
-            exclusive += 1
         z_next = r.z + (r.q + r.s_r - r.d_rate) - shift
-        ideal = b_next - (a_o + shift * (r.slot + 1)) + z_offset
+        ideal = r.b + r.q + r.s_r - r.d_rate - (a_o + shift * (r.slot + 1)) + z_offset
         identity_err = max(identity_err, abs(z_next - ideal))
-        b = b_next
 
     return CheckReport(
         (
@@ -783,6 +756,22 @@ def feasibility_checks(run: RunSummary, bundle: ModelBundle) -> CheckReport:
             ),
         )
     )
+
+
+def _audit_flows(records: Sequence[SlotRecord], b: float, battery: BatteryParams) -> tuple[float, float, int]:
+    """Worst excursion beyond [b_min, b_max], worst |E - Q + S_w + D - demand|, and
+    slots charging and discharging at once, over records whose b chains from `b`."""
+    excursion = balance_err = 0.0
+    overlaps = 0
+    for r in records:
+        if abs(r.b - b) > 1e-9:
+            raise ValueError(f"records are not a contiguous run: battery jumps at slot {r.slot}")
+        b = r.b + r.q + r.s_r - r.d_rate
+        excursion = max(excursion, battery.b_min - b, b - battery.b_max)
+        balance_err = max(balance_err, abs(r.e - r.q + r.s_w + r.d_rate - r.demand))
+        if (r.q + r.s_r > 0.0) and (r.d_rate > 0.0):
+            overlaps += 1
+    return excursion, balance_err, overlaps
 
 
 def _state_of_record(r: SlotRecord, template: ControllerState) -> ControllerState:
@@ -893,10 +882,9 @@ def equivalence_battery(
     rule must dominate every lattice point and sit within the lattice's
     one-step value slack.
     """
-    a_o, v_max = controller.design_params(
+    a_o, _, v = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
-    v = bundle.weights.v if bundle.weights.v is not None else v_max
     weights = bundle.weights
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 

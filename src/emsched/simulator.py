@@ -201,10 +201,9 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if trace.horizon != bundle.horizon:
         raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {bundle.horizon}")
-    a_o, v_max = controller.design_params(
+    a_o, _, v = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
-    v = bundle.weights.v if bundle.weights.v is not None else v_max
     state = controller.init_state(bundle.battery, a_o, v, bundle.gamma_u_cap, bundle.z0_mode)
     initial_state = state
 

@@ -68,10 +68,9 @@ def warm_bundle(bundle: ModelBundle) -> ModelBundle:
     """Start the battery at the level the controller holds at the cheapest
     price tier, so one-day comparisons are not tilted by the stranded charge a
     cold start leaves in the battery at the end of the day."""
-    a_o, v_max = controller.design_params(
+    a_o, _, v = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
-    v = bundle.weights.v if bundle.weights.v is not None else v_max
     level = min(bundle.battery.b_max, max(bundle.battery.b_min, a_o - v * bundle.grid.p_min))
     return replace(bundle, battery=replace(bundle.battery, b_init=level))
 

@@ -156,7 +156,7 @@ class TestCostShapes:
 
 class TestDesignConstants:
     def test_default_day_design_point(self):
-        a_o, v_max = design_params(
+        a_o, v_max, _ = design_params(
             BatteryParams(),
             GridParams(),
             CostModel.quadratic(0.2, None, d_avg_max=18),

@@ -51,14 +51,16 @@ def task_with(intensity=0.1, duration=1, max_delay=18) -> LoadTask:
 
 class TestDesignParams:
     def test_default_constants(self):
-        a_o, v_max = design_params(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(), 288)
+        a_o, v_max, v = design_params(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(), 288)
         assert v_max == pytest.approx(12.717391304347826, abs=1e-12)
+        assert v == v_max  # weights.v None means the designed V_max
         assert a_o == pytest.approx(2.67, abs=1e-12)
 
     def test_zero_weight_strips_price_terms(self):
-        a_o, _ = design_params(
+        a_o, _, v = design_params(
             BatteryParams(), GridParams(), CostModel.quadratic(), Weights(v=0.0), 288
         )
+        assert v == 0.0
         assert a_o == pytest.approx(0.0 + 0.165 + 0.165)
 
     def test_no_headroom_is_a_configuration_error(self):
@@ -68,9 +70,9 @@ class TestDesignParams:
             )
 
     def test_negative_level_change_widens_the_shift(self):
-        base, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
+        base, _, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
                                 Weights(v=0.0), 288)
-        shifted, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
+        shifted, _, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
                                    Weights(v=0.0, delta_u=-1.0), 288)
         # a_o gains |delta_u| (minus the one-slot share already counted)
         assert shifted == pytest.approx(base - 1.0 / 288 + 1.0)

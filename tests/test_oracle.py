@@ -32,7 +32,7 @@ from emsched.oracle import (
     lookahead_bound_check,
 )
 from emsched.scenario import LoadTask, SlotInput, StageProfile, generate_trace
-from emsched.simulator import run
+from emsched.simulator import SlotRecord, run
 
 from conftest import SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, day_bundle, small_bundle
 from test_controller import make_state, task_with
@@ -118,7 +118,7 @@ class TestEquivalenceBattery:
         # usage and two delay backlogs) must be counted exactly five times,
         # however the comparisons are grouped.
         bundle = day_bundle()
-        a_o, v_max = controller.design_params(
+        a_o, v_max, _ = controller.design_params(
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
         samples = sample_slot_states(bundle, 200, seed=2024, a_o=a_o, v=v_max)
@@ -151,7 +151,7 @@ class TestEquivalenceBattery:
 
     def test_sampled_states_admit_feasible_actions(self):
         bundle = day_bundle()
-        a_o, v_max = controller.design_params(
+        a_o, v_max, _ = controller.design_params(
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
         samples = sample_slot_states(bundle, 200, seed=7, a_o=a_o, v=v_max)
@@ -303,6 +303,30 @@ class TestFrameOracle:
             b += d.q + d.s_r - d.d_rate
             assert bundle.battery.b_min - 1e-9 <= b <= bundle.battery.b_max + 1e-9
 
+    def test_plan_is_one_slot_record_per_slot(self, small_instances):
+        # a frame that defers its load, then every frame of a desk seed
+        frame, bundle = two_slot_frame(alpha=0.001)
+        cases = [(frame, bundle, GridSpec(energy_step=0.005))]
+        _, trace, summary = small_instances[0]
+        grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
+        cases += [(f, small_bundle(), grid) for f in frames_from_run(trace, summary, SMALL_FRAME_LENGTH)]
+        delay_sums = []
+        for frame, bundle, grid in cases:
+            sol = lookahead_optimum(frame, bundle, grid)
+            delay_sums.append(sol.delay_sum)
+            assert len(sol.decisions) == frame.length
+            b = frame.boundary_b
+            for slot, r in zip(frame.slots, sol.decisions):
+                assert type(r) is SlotRecord
+                assert (r.slot, r.price, r.renewable, r.in_horizon) == (slot.slot, slot.price, slot.renewable, True)
+                assert r.b == b
+                b += r.q + r.s_r - r.d_rate
+                assert r.regime == ("charge" if r.q + r.s_r > 0.0 else "discharge" if r.d_rate > 0.0 else "idle")
+                assert (r.z, r.x, r.h_u, r.h_d, r.gamma_u, r.gamma_d) == (0.0,) * 6
+            assert sum(r.delay for r in sol.decisions) == sol.delay_sum
+            assert [(r.slot, r.delay) for r, s in zip(sol.decisions, frame.slots) if s.task] == list(sol.delays)
+        assert delay_sums[0] == 1  # the deferred load's delay sits in its arrival slot's record
+
     def test_frame_partition_requires_divisible_horizon(self, small_instances):
         seed, trace, summary = small_instances[0]
         with pytest.raises(ValueError, match="divide"):
@@ -333,11 +357,10 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
 
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
-        slots = [
-            oracle._frame_slot(float(demand[p]), slot, battery, grid_params, h, k_charge, k_discharge)
+        actions = [
+            oracle._frame_slot(float(demand[p]), slot, battery, grid_params, h, k_charge, k_discharge)[2]
             for p, slot in enumerate(frame.slots)
         ]
-        actions = [feasible for feasible, _ in slots]
         if not all(actions):
             continue
         layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
@@ -345,21 +368,13 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
-            best, best_value = (slots, delay_sum, combo, actions, layers, idx), float(totals[idx])
+            best, best_value = (demand, combo, actions, layers, idx), float(totals[idx])
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
 
-    slots, delay_sum, combo, actions, layers, idx = best
+    demand, combo, actions, layers, idx = best
     flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
-    return oracle.OracleSolution(
-        frame_start=frame.start,
-        frame_length=T,
-        u_opt=best_value,
-        energy_step=h,
-        decisions=tuple(decision(k) for (_, decision), k in zip(slots, flows)),
-        delays=tuple((frame.start + p, d) for (p, _), d in zip(arrivals, combo)),
-        delay_sum=delay_sum,
-    )
+    return oracle._frame_solution(frame, bundle, h, best_value, arrivals, combo, demand, flows)
 
 
 def overloaded_first_slot_frame(intensity: float) -> tuple[Frame, ModelBundle]:
