@@ -110,10 +110,17 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CostsConfig:
-    """The `costs` section; k_d None means 1 / d_avg_max**2."""
+    """The `costs` section; k_d None means 1 / d_avg_max**2. A negative
+    coefficient would make the cost concave, so both must be >= 0."""
 
     k_u: float = 0.2
     k_d: float | None = None
+
+    def __post_init__(self) -> None:
+        for key in ("k_u", "k_d"):
+            value = getattr(self, key)
+            if value is not None and value < 0.0:
+                raise ConfigurationError(f"costs.{key} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,11 @@ class ExperimentConfig:
                 )
         if not self.policies:
             raise ConfigurationError("experiment.policies must not be empty")
-        if self.replications < 1:
-            raise ConfigurationError("experiment.replications must be >= 1")
+        for key, least in (("replications", 1), ("frame_length", 1), ("equivalence_states", 1)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(f"experiment.{key} must be >= {least}")
+        if not self.oracle_energy_step > 0.0:
+            raise ConfigurationError("experiment.oracle_energy_step must be > 0")
         if self.z0_mode not in controller.Z0_MODES:
             raise ConfigurationError(
                 f"unknown experiment.z0_mode {self.z0_mode!r}; "
@@ -513,7 +523,10 @@ def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
 
     frames = oracle.frames_from_run(trace, run, spec.frame_length)
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
-    solutions = _pool_map(oracle.lookahead_optimum, spec.workers, frames, repeat(bundle), repeat(grid))
+    try:
+        solutions = _pool_map(oracle.lookahead_optimum, spec.workers, frames, repeat(bundle), repeat(grid))
+    except oracle.SearchSpaceError as exc:
+        raise ConfigurationError(f"experiment.oracle_energy_step={spec.oracle_energy_step}: {exc}") from exc
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
     return oracle.CheckReport(tuple(checks)), run
 

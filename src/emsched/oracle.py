@@ -55,6 +55,10 @@ class SearchSpaceError(RuntimeError):
             f"try energy_step >= {suggested_step:.4g}"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so it crosses a process pool intact.
+        return SearchSpaceError, (self.nodes, self.limit, self.suggested_step)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -205,7 +209,8 @@ def _slot_flows(
     prefers idle and smaller flows. A charge takes the surplus (>= 0) first:
     s_r = min(flow, surplus), q = flow - s_r, e = residual + q - d_rate. A
     flow is feasible when, within _FEAS_TOL, e <= e_max, a charge <= r_max
-    and a discharge <= min(d_max_rate, residual).
+    and a discharge <= d_max_rate, and a discharge <= residual to float
+    rounding (1e-12), so no feasible flow buys a negative amount.
 
     One surplus-first flow per charge amount is exact. Moving s of a fixed
     charge from the grid to the surplus lowers e by s and no battery limit
@@ -225,7 +230,8 @@ def _slot_flows(
     ok = (
         (e <= grid.e_max + _FEAS_TOL)
         & (charge <= battery.r_max + _FEAS_TOL)
-        & (d_rate <= min(battery.d_max_rate, residual) + _FEAS_TOL)
+        & (d_rate <= battery.d_max_rate + _FEAS_TOL)
+        & (d_rate <= residual + 1e-12)
     )
     return _SlotFlows(k, e, q, d_rate, s_r, entry, ok)
 

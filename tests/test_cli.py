@@ -143,6 +143,16 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("mid_hours", [[-1, 7]], "before-midnight"),
         ("mid_hours", [[7, 11], [17, 25]], "past-midnight"),
     ]
+] + [
+    # well-typed values outside their range
+    pytest.param(key, value, key, id=f"{key}={value}")
+    for key, value in [
+        ("experiment.frame_length", 0),
+        ("experiment.oracle_energy_step", 0),
+        ("experiment.equivalence_states", -5),
+        ("costs.k_u", -0.2),  # a concave usage cost
+        ("costs.k_d", -1.0),  # a concave delay cost
+    ]
 ]
 
 
@@ -545,6 +555,23 @@ class TestVerifyCommand:
         assert rc == 1
         assert "FAILED checks: battery_bounds" in captured.err
         assert "FAIL battery_bounds" in (tmp_path / "verify_report.txt").read_text()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_too_fine_oracle_step_is_a_config_error(self, tmp_path, capsys, workers):
+        path = small_config(tmp_path, **{"experiment.oracle_energy_step": 0.0005})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.oracle_energy_step=0.0005: search space")
+        assert "try energy_step >= 0.008845" in err
+        assert not out.exists()
+
+    def test_residual_just_below_a_lattice_discharge_passes(self, tmp_path):
+        # sampled state 168 once failed energy_dominance on a lattice
+        # discharge that bought -3.6e-10 kWh
+        argv = ["verify", "--config", str(REPO / "bench" / "configs" / "desk.yaml"),
+                "--seed", "200500003", "--out", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_frame_length_must_divide_the_horizon(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"experiment.frame_length": 5})

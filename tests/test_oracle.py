@@ -255,6 +255,16 @@ def test_a_grid_first_flow_table_fails_the_surplus_first_property(monkeypatch):
         test_surplus_first_flows_lose_nothing_to_the_full_charge_grid()
 
 
+def test_no_feasible_flow_buys_a_negative_amount():
+    # Desk seed 200500003, sampled state 168: a residual 3.6e-10 kWh below the
+    # lattice discharge 0.128 once admitted that discharge, buying -3.6e-10.
+    battery, grid, step = ModelBundle().battery, ModelBundle().grid, 0.001
+    flows = oracle._slot_flows(0.12799999964, 0.0, battery, grid, step, *oracle._flow_counts(battery, step))
+    assert flows.e[flows.ok].min() >= 0.0
+    assert not flows.ok[flows.k == -128].any()
+    assert flows.ok[flows.k == -127].all()
+
+
 class TestFrameOracle:
     def test_empty_slot_idles_for_free(self):
         bundle = replace(day_bundle(), horizon=1)
