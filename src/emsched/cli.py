@@ -146,9 +146,9 @@ class ExperimentConfig:
                 )
         if not self.policies:
             raise ConfigurationError("experiment.policies must not be empty")
-        for key, least in (("replications", 1), ("frame_length", 1), ("equivalence_states", 1)):
-            if getattr(self, key) < least:
-                raise ConfigurationError(f"experiment.{key} must be >= {least}")
+        for key in ("replications", "frame_length", "equivalence_states"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"experiment.{key} must be >= 1")
         if not self.oracle_energy_step > 0.0:
             raise ConfigurationError("experiment.oracle_energy_step must be > 0")
         if self.z0_mode not in controller.Z0_MODES:
