@@ -559,7 +559,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emsched",
         description="Online battery/load scheduling: runs, sweeps and verification.",
@@ -578,7 +578,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         cmd.add_argument("--out", default=None, metavar="<dir>", help="override output directory")
         cmd.add_argument("--workers", type=int, default=None, metavar="<n>", help="parallel workers")
         cmd.set_defaults(func=func)
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once: parsing keeps no state in the parser, so every call shares it.
+_PARSER = _build_parser()
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, TraceFormatError, yaml.YAMLError) as exc:

@@ -180,19 +180,13 @@ def generate_trace(profile: StageProfile, horizon: int, seed: int) -> Trace:
     load = np.maximum(load, 0.0)
     intensity = np.round(load / durations, _DECIMALS)
 
+    # .tolist() gives the Python floats and ints a loaded trace holds.
+    max_delay = profile.max_delay
     slots = tuple(
-        SlotInput(
-            slot=t,
-            price=float(price[t]),
-            renewable=float(solar[t]),
-            task=LoadTask(
-                arrival_slot=t,
-                intensity=float(intensity[t]),
-                duration=int(durations[t]),
-                max_delay=profile.max_delay,
-            ),
+        SlotInput(t, p, r, LoadTask(t, i, d, max_delay))
+        for t, p, r, i, d in zip(
+            range(horizon), price.tolist(), solar.tolist(), intensity.tolist(), durations.tolist()
         )
-        for t in range(horizon)
     )
     return Trace(slots=slots, slot_minutes=profile.slot_minutes)
 

@@ -15,7 +15,6 @@ sums, the summary also carries "inclusive" variants that fold drain costs in.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -292,25 +291,14 @@ _RECORD_COLUMNS = (
     "slot", "price", "renewable", "demand", "E", "Q", "D", "S_w", "S_r",
     "delay", "B", "Z", "X", "H_u", "H_d", "regime",
 )
+# One conversion per column, in _RECORD_COLUMNS order, which is also the order
+# of SlotRecord's first 16 fields: floats to 9 significant digits, `slot` and
+# `delay` as integers, and rows ending in `\r\n` as csv.writer's do.
+_ROW = ",".join(["%d"] + ["%.9g"] * 8 + ["%d"] + ["%.9g"] * 5 + ["%s"]) + "\r\n"
 
 
 def write_records(path, records: Iterable[SlotRecord]) -> None:
     """Dump per-slot records in the standard CSV layout (drain slots included)."""
+    rows = [_ROW % r[:16] for r in records]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.slot,
-                    _fmt(r.price), _fmt(r.renewable), _fmt(r.demand),
-                    _fmt(r.e), _fmt(r.q), _fmt(r.d_rate), _fmt(r.s_w), _fmt(r.s_r),
-                    r.delay,
-                    _fmt(r.b), _fmt(r.z), _fmt(r.x), _fmt(r.h_u), _fmt(r.h_d),
-                    r.regime,
-                ]
-            )
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
+        fh.write(",".join(_RECORD_COLUMNS) + "\r\n" + "".join(rows))

@@ -229,6 +229,31 @@ class TestMainExitCodes:
         assert err.value.code == 2
 
 
+class TestSharedParser:
+    """`main` parses with one parser built at import; no call leaves state in
+    it that a later call in the same process would read."""
+
+    def test_calls_in_one_process_keep_their_own_flags(self, tmp_path, capsys):
+        config = small_config(tmp_path, **{"experiment.seed_base": 7})
+        runs = [tmp_path / "run_seed3", tmp_path / "run_default", tmp_path / "trace"]
+        assert main(["run", "--config", str(config), "--seed", "3", "--out", str(runs[0])]) == 0
+        assert main(["run", "--config", str(config), "--out", str(runs[1])]) == 0
+        assert main(["gen-trace", "--config", str(config), "--out", str(runs[2])]) == 0
+
+        assert read_summary(runs[0] / "summary.txt")["seed"] == 3
+        assert read_summary(runs[1] / "summary.txt")["seed"] == 7
+        assert (runs[0] / "records.csv").read_bytes() != (runs[1] / "records.csv").read_bytes()
+        for out in runs[:2]:
+            assert sorted(p.name for p in out.iterdir()) == ["records.csv", "summary.txt"]
+        assert [p.name for p in runs[2].iterdir()] == ["trace_seed7.csv"]
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert "gen-trace" in capsys.readouterr().out
+
+
 def four_slot_trace_config(tmp_path):
     """The small config pointed at a trace file of 4 rows, not the 24 it declares."""
     spec = load_experiment(SMALL)

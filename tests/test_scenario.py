@@ -146,16 +146,16 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         loaded = load_trace(path)
+        slot_types = {"slot": int, "price": float, "renewable": float}
+        task_types = {"arrival_slot": int, "intensity": float, "duration": int, "max_delay": int}
+        assert list(task_types) == [f.name for f in dataclasses.fields(LoadTask)]
         for generated, read in zip(trace.slots, loaded.slots, strict=True):
-            assert type(generated.price) is float
-            assert type(generated.renewable) is float
-            assert type(generated.task.intensity) is float
-            for name in ("slot", "price", "renewable"):
+            for name, kind in slot_types.items():
                 a, b = getattr(generated, name), getattr(read, name)
-                assert a == b and type(a) is type(b), name
-            for f in dataclasses.fields(LoadTask):
-                a, b = getattr(generated.task, f.name), getattr(read.task, f.name)
-                assert a == b and type(a) is type(b), f.name
+                assert a == b and type(a) is type(b) is kind, name
+            for name, kind in task_types.items():
+                a, b = getattr(generated.task, name), getattr(read.task, name)
+                assert a == b and type(a) is type(b) is kind, f"task.{name}"
 
     def test_header_is_the_documented_schema(self, tmp_path):
         trace = generate_trace(StageProfile(), 4, seed=0)

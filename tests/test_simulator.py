@@ -1,5 +1,6 @@
 """Per-slot loop, service ledger, baselines, and cost accounting."""
 
+import csv
 from dataclasses import replace
 
 import pytest
@@ -310,6 +311,34 @@ class TestRecordFiles:
         write_records(path, summary.records)
         lines = path.read_text().splitlines()
         assert len(lines) == len(summary.records) + 1
+
+    def test_bytes_match_csv_writer_at_nine_significant_digits(self, tmp_path):
+        """records.csv is what csv.writer writes with every float formatted
+        by format(x, ".9g"), on a run with drain slots, slots no service
+        window covers (demand is the ledger's int 0) and negative Z."""
+        trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
+        trace = replace(trace, slots=tuple(
+            replace(s, task=None) if s.slot < 3 else s for s in trace.slots
+        ))
+        records = run(trace, day_bundle(), policy="joint").records
+        assert any(not r.in_horizon for r in records)
+        assert any(type(r.demand) is int for r in records)
+        assert any(r.z < 0.0 for r in records)
+
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["slot", "price", "renewable", "demand", "E", "Q", "D", "S_w", "S_r",
+                             "delay", "B", "Z", "X", "H_u", "H_d", "regime"])
+            for r in records:
+                writer.writerow([
+                    r.slot, *(format(x, ".9g") for x in r[1:9]),
+                    r.delay, *(format(x, ".9g") for x in r[10:15]),
+                    r.regime,
+                ])
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestSlotLoopHooks:
