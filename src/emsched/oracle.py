@@ -41,6 +41,7 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
+_STATE_BLOCK = 32  # states `equivalence_battery` prices per table; bounds only its memory
 
 
 class SearchSpaceError(RuntimeError):
@@ -182,7 +183,7 @@ class _AuxLattice:
 
 
 class _SlotFlows(NamedTuple):
-    """A slot's lattice energy flows, one array entry per flow (`_slot_flows`)."""
+    """Lattice energy flows, a column per flow and a row per slot (`_slot_flows`); `k` and `entry` are shared."""
 
     k: np.ndarray  # signed lattice index: k > 0 charges k*step, k < 0 discharges -k*step
     e: np.ndarray
@@ -194,17 +195,16 @@ class _SlotFlows(NamedTuple):
 
 
 def _slot_flows(
-    residual: float,
-    surplus: float,
+    residual: float | np.ndarray,
+    surplus: float | np.ndarray,
     battery: BatteryParams,
     grid: GridParams,
     step: float,
-    k_charge: int,
-    k_discharge: int,
 ) -> _SlotFlows:
-    """Every lattice energy flow of one slot: the one enumeration both oracles price.
+    """Every lattice energy flow of each slot: the one enumeration both oracles price.
 
-    The order is fixed: idle, then charges of k*step for k = 1..k_charge,
+    1-D `residual` and `surplus` give a row per slot, bit for bit the scalar
+    call's. The order is fixed: idle, then charges of k*step for k = 1..k_charge,
     then discharges of k*step for k = 1..k_discharge, so a first minimum
     prefers idle and smaller flows. A charge takes the surplus (>= 0) first:
     s_r = min(flow, surplus), q = flow - s_r, e = residual + q - d_rate. A
@@ -218,6 +218,8 @@ def _slot_flows(
     the frame cost by -s*price, both <= 0 as validate_config enforces v >= 0
     and p_min >= 0. The (s_r, q) plane needs no search.
     """
+    residual, surplus = np.expand_dims(residual, -1), np.expand_dims(surplus, -1)
+    k_charge, k_discharge = _flow_counts(battery, step)
     k = np.concatenate((np.arange(k_charge + 1), -np.arange(1, k_discharge + 1)))
     flow = k * step
     charge = np.maximum(flow, 0.0)
@@ -233,12 +235,31 @@ def _slot_flows(
         & (d_rate <= battery.d_max_rate + _FEAS_TOL)
         & (d_rate <= residual + 1e-12)
     )
-    return _SlotFlows(k, e, q, d_rate, s_r, entry, ok)
+    return _SlotFlows(k, e, q, np.broadcast_to(d_rate, e.shape), s_r, entry, ok)
 
 
 def _flow_counts(battery: BatteryParams, step: float) -> tuple[int, int]:
     """Lattice steps in the largest charge (r_max) and the largest discharge (d_max_rate)."""
     return math.floor(battery.r_max / step + _FEAS_TOL), math.floor(battery.d_max_rate / step + _FEAS_TOL)
+
+
+def _energy_minima(
+    states: Sequence[tuple], battery: BatteryParams, grid: GridParams, step: float
+) -> tuple[_SlotFlows, np.ndarray, np.ndarray]:
+    """Each state's lattice flows (one row per state), and the first column to
+    minimize the per-slot bound e*key1 + s_r*key2 + v*entry in each row with
+    its value, for states (slot, residual, surplus, key1, key2, v). Ties go to
+    idle and smaller flows as in the closed-form rule. Raises `InfeasibleSlot`
+    for the first state with no feasible flow."""
+    slots, residual, surplus, key1, key2, v = (np.array(column) for column in zip(*states))
+    flows = _slot_flows(residual, surplus, battery, grid, step)
+    values = np.where(flows.ok, flows.e * key1[:, None] + flows.s_r * key2[:, None] + v[:, None] * flows.entry, np.inf)
+    best = values.argmin(axis=1)
+    feasible = flows.ok[np.arange(len(states)), best]
+    if not feasible.all():
+        j = int(feasible.argmin())
+        raise InfeasibleSlot(int(slots[j]), float(residual[j]), grid.e_max, "grid oracle found no feasible point")
+    return flows, best, values.min(axis=1)
 
 
 def oracle_energy(
@@ -251,22 +272,15 @@ def oracle_energy(
     grid: GridParams,
     step: float = 1e-3,
 ) -> tuple[EnergyAction, float]:
-    """Grid-search the energy subproblem over the slot's lattice flows.
-
-    Each flow of `_slot_flows` is priced by the per-slot bound
-    e*key1 + s_r*key2 + v*entry, and the first minimum wins, so ties resolve
-    toward idle and toward smaller flows as in the closed-form rule.
-    """
+    """Grid-search the energy subproblem over the slot's lattice flows (`_energy_minima`)."""
     key2 = state.z - state.h_u
     key1 = key2 + state.v * price
-    flows = _slot_flows(demand_l - s_w, renewable - s_w, battery, grid, step, *_flow_counts(battery, step))
-    values = np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + state.v * flows.entry, np.inf)
-    i = int(np.argmin(values))
-    if not flows.ok[i]:
-        raise InfeasibleSlot(state.slot, demand_l - s_w, grid.e_max, "grid oracle found no feasible point")
+    state_row = (state.slot, demand_l - s_w, renewable - s_w, key1, key2, state.v)
+    flows, best, values = _energy_minima([state_row], battery, grid, step)
+    i = int(best[0])
     regime = "idle" if i == 0 else "charge" if flows.k[i] > 0 else "discharge"
-    action = EnergyAction(float(flows.e[i]), float(flows.q[i]), float(flows.d_rate[i]), float(flows.s_r[i]), regime)
-    return action, float(values[i])
+    action = EnergyAction(*(float(column[0, i]) for column in (flows.e, flows.q, flows.d_rate, flows.s_r)), regime)
+    return action, float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +358,20 @@ def _delay_choices(frame: Frame) -> tuple[list[tuple[int, LoadTask]], list[range
     return arrivals, choices
 
 
-def _demand_profile(frame: Frame, arrivals, combo) -> np.ndarray:
-    T = frame.length
-    demand = np.zeros(T)
-    for (p, task), d in zip(arrivals, combo):
-        start = p + d
-        stop = min(start + task.duration, T)
-        if start < T:
-            demand[start:stop] += task.intensity
-    return demand
-
-
-def _frame_slot(
-    demand_p: float,
-    slot: SlotInput,
-    battery: BatteryParams,
-    grid_params: GridParams,
-    h: float,
-    k_charge: int,
-    k_discharge: int,
-) -> tuple[float, _SlotFlows, list[tuple[int, float]]]:
-    """A frame slot's renewable serving the demand, its lattice flows, and the
-    feasible ones as (k, purchase + entry cost) in `_slot_flows` order."""
-    s_w = controller.renewable_split(demand_p, slot.renewable)
-    flows = _slot_flows(demand_p - s_w, slot.renewable - s_w, battery, grid_params, h, k_charge, k_discharge)
-    cost = flows.e * slot.price + flows.entry
-    return s_w, flows, list(zip(flows.k[flows.ok].tolist(), cost[flows.ok].tolist()))
+def _frame_options(
+    frame: Frame, pairs: Sequence[tuple[int, float]], bundle: ModelBundle, h: float
+) -> tuple[list[float], _SlotFlows, list[list[tuple[int, float]]]]:
+    """One table row per (frame slot index, demand) pair: the renewable serving
+    the demand, the lattice flows, and the feasible flows as (k, purchase +
+    entry cost) in `_slot_flows` order."""
+    slots = [frame.slots[p] for p, _ in pairs]
+    demand = np.array([d for _, d in pairs], dtype=float)
+    s_w = [controller.renewable_split(d, slot.renewable) for (_, d), slot in zip(pairs, slots)]
+    renewable = np.array([slot.renewable for slot in slots], dtype=float)
+    flows = _slot_flows(demand - s_w, renewable - s_w, bundle.battery, bundle.grid, h)
+    cost = flows.e * np.array([[slot.price] for slot in slots], dtype=float) + flows.entry
+    options = [list(zip(flows.k[ok].tolist(), row[ok].tolist())) for ok, row in zip(flows.ok, cost)]
+    return s_w, flows, options
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -403,16 +405,19 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     arrivals, choices = _delay_choices(frame)
     delay_budget = T * weights.d_avg_max
 
-    # Deduplicate delay combinations by the in-frame demand profile they induce;
-    # the cheapest total delay wins because the delay cost is increasing. The
-    # all-zero combination always meets the frame delay budget, so at least one
-    # profile survives.
+    # The demand profile of each delay combination within the budget adds each
+    # arrival's intensity over its service window, in arrival order (adding
+    # 0.0 elsewhere is exact). Profiles are deduplicated by demand; the cheapest
+    # total delay wins because the delay cost is increasing. The all-zero
+    # combination always meets the budget, so at least one profile survives.
+    combos = np.array(list(itertools.product(*choices)), dtype=int)
+    combos = combos[combos.sum(axis=1) <= delay_budget]
+    demands = np.zeros((len(combos), T))
+    for (p, task), d in zip(arrivals, combos.T):
+        served = np.arange(T) - (p + d)[:, None]  # slots into the task's service
+        demands += np.where((served >= 0) & (served < task.duration), task.intensity, 0.0)
     profiles: dict[tuple, tuple[np.ndarray, int, tuple[int, ...]]] = {}
-    for combo in itertools.product(*choices):
-        if sum(combo) > delay_budget:
-            continue
-        demand = _demand_profile(frame, arrivals, combo)
-        key = tuple(np.round(demand, 12))
+    for demand, key, combo in zip(demands, map(tuple, np.round(demands, 12).tolist()), combos.tolist()):
         kept = profiles.get(key)
         if kept is None or sum(combo) < kept[1]:
             profiles[key] = (demand, sum(combo), tuple(combo))
@@ -438,30 +443,24 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
     usage_floor = float(usage_penalty.min())
 
+    # A slot's flows depend only on its own demand, which many profiles share,
+    # so the frame's distinct (slot, demand) pairs are priced in one table. A
+    # slot with no feasible flow costs inf, so the floor skips its profiles.
+    rows: dict[tuple[int, float], int] = {}
+    profile_rows = [[rows.setdefault(pair, len(rows)) for pair in enumerate(d.tolist())] for d, *_ in profiles.values()]
+    _, _, options = _frame_options(frame, list(rows), bundle, h)
+    cheapest = np.array([min((c for _, c in feasible), default=math.inf) for feasible in options])
+    floors = np.zeros(len(profiles))
+    for slot_rows in np.array(profile_rows).T:
+        floors += cheapest[slot_rows]
+
     best_value = math.inf
     best = None  # demand, combo, actions, DP layers and usage index of the best plan
-    # A slot's flows depend only on its own demand, which many profiles share,
-    # so each (slot, demand) pair is enumerated once per call and kept with
-    # its cheapest cost (None when the slot has no feasible flow).
-    slot_options: dict[tuple[int, float], tuple[list[tuple[int, float]], float | None]] = {}
-    for demand, delay_sum, combo in profiles.values():
-        actions, cheapest = [], []
-        for p, slot in enumerate(frame.slots):
-            key = (p, float(demand[p]))
-            if key not in slot_options:
-                _, _, feasible = _frame_slot(key[1], slot, battery, grid_params, h, k_charge, k_discharge)
-                slot_options[key] = (feasible, min((c for _, c in feasible), default=None))
-            feasible, cheap = slot_options[key]
-            actions.append(feasible)
-            cheapest.append(cheap)
-        if None in cheapest:
-            continue
+    for (demand, delay_sum, combo), slot_rows, floor in zip(profiles.values(), profile_rows, floors):
         delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
-        floor = 0.0
-        for c in cheapest:
-            floor += c
         if floor / T + usage_floor + delay_term >= best_value:
             continue
+        actions = [options[r] for r in slot_rows]
         layers = _dp_forward(actions, n_off, n_use, o_lo)
         terminal = layers[-1][o_target - o_lo]
         if not np.isfinite(terminal).any():
@@ -534,17 +533,17 @@ def _frame_solution(
     """The solution taking flows[p] at frame slot p under the arrivals' delays `combo`,
     which induce `demand`; its plan must pass the run audit (`_audit_flows`)."""
     battery = bundle.battery
-    k_charge, k_discharge = _flow_counts(battery, h)
     delay_at = {p: d for (p, _), d in zip(arrivals, combo)}
     b = frame.boundary_b
     plan = []
-    for p, (slot, k) in enumerate(zip(frame.slots, flows)):
-        s_w, table, _ = _frame_slot(float(demand[p]), slot, battery, bundle.grid, h, k_charge, k_discharge)
-        i = k if k >= 0 else k_charge - k  # the flow's row in `_slot_flows` order
-        e, q, d_rate, s_r = (float(column[i]) for column in (table.e, table.q, table.d_rate, table.s_r))
+    pairs = list(enumerate(demand.tolist()))
+    s_w, table, _ = _frame_options(frame, pairs, bundle, h)
+    for (p, demand_p), slot, k in zip(pairs, frame.slots, flows):
+        i = table.k.tolist().index(k)
+        e, q, d_rate, s_r = (float(column[p, i]) for column in (table.e, table.q, table.d_rate, table.s_r))
         regime = "idle" if k == 0 else "charge" if k > 0 else "discharge"
         plan.append(SlotRecord(
-            slot.slot, slot.price, slot.renewable, float(demand[p]), e, q, d_rate, s_w, s_r, delay_at.get(p, 0),
+            slot.slot, slot.price, slot.renewable, demand_p, e, q, d_rate, s_w[p], s_r, delay_at.get(p, 0),
             b, 0.0, 0.0, 0.0, 0.0, regime, 0.0, 0.0, slot.slot < bundle.horizon,
         ))
         b += q + s_r - d_rate
@@ -894,11 +893,12 @@ def equivalence_battery(
     weights = bundle.weights
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 
-    # Auxiliary comparisons are grouped by (cost, cap) and run after the loop,
-    # so each gamma lattice and its cost values are built once and only one
-    # lattice is alive at a time.
+    # Both searches run after the loop: the energy lattices a block of states
+    # at a time, and the auxiliary comparisons grouped by (cost, cap), so each
+    # gamma lattice and its cost values are built once and only one is alive.
     aux_costs = (bundle.costs.usage, bundle.costs.delay)
     aux_groups: dict[tuple[int, float], list[tuple[float, float]]] = {}
+    energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the closed form's value
     schedule_bad = aux_bad = dominance_bad = slack_bad = 0
     for state, ctx in samples:
         if ctx.task is not None:
@@ -918,15 +918,15 @@ def equivalence_battery(
         )
         key2 = state.z - state.h_u
         key1 = key2 + state.v * ctx.price
-        closed_v = controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery)
-        _, grid_v = oracle_energy(
-            state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price,
-            bundle.battery, bundle.grid, grid.energy_step,
-        )
-        if closed_v > grid_v + 1e-9:
-            dominance_bad += 1
-        if grid_v > closed_v + grid.energy_step * (abs(key1) + abs(key2)) + 1e-9:
-            slack_bad += 1
+        closed.append(controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery))
+        energy.append((state.slot, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, key1, key2, state.v))
+
+    for lo in range(0, len(energy), _STATE_BLOCK):
+        block = energy[lo : lo + _STATE_BLOCK]
+        _, _, lattice = _energy_minima(block, bundle.battery, bundle.grid, grid.energy_step)
+        for (*_, key1, key2, _), closed_v, grid_v in zip(block, closed[lo:], lattice.tolist()):
+            dominance_bad += closed_v > grid_v + 1e-9
+            slack_bad += grid_v > closed_v + grid.energy_step * (abs(key1) + abs(key2)) + 1e-9
 
     for (which, cap), backlogs in aux_groups.items():
         aux_bad += _aux_mismatches(aux_costs[which], cap, backlogs, v, grid.gamma_step)

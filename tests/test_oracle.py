@@ -34,7 +34,7 @@ from emsched.oracle import (
 from emsched.scenario import LoadTask, SlotInput, StageProfile, generate_trace
 from emsched.simulator import SlotRecord, run
 
-from conftest import SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, day_bundle, small_bundle
+from conftest import SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, SMALL_HORIZON, day_bundle, small_bundle, small_profile
 from test_controller import make_state, task_with
 
 
@@ -149,6 +149,87 @@ class TestEquivalenceBattery:
         assert not report.passed
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
+    @pytest.mark.parametrize("n_states, wrong_at", [
+        (2 * oracle._STATE_BLOCK + 5, (0, oracle._STATE_BLOCK - 1, oracle._STATE_BLOCK, 2 * oracle._STATE_BLOCK + 4)),
+        (oracle._STATE_BLOCK - 7, (0, oracle._STATE_BLOCK - 8)),
+    ], ids=["several_blocks", "one_partial_block"])
+    def test_energy_mismatches_are_counted_across_block_boundaries(self, monkeypatch, n_states, wrong_at):
+        # The lattice is priced a block of states at a time; a closed form that
+        # is wrong on the first and last state of the first block, the first
+        # state of the second block and the last state overall is counted on
+        # exactly those states.
+        bundle = day_bundle()
+        a_o, v_max, _ = controller.design_params(
+            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
+        )
+        samples = sample_slot_states(bundle, n_states, seed=2024, a_o=a_o, v=v_max)
+        wrong = {samples[i][0].z for i in wrong_at}
+        assert len(wrong) == len(wrong_at) and n_states % oracle._STATE_BLOCK != 0
+        exact = controller.energy_control
+
+        def sometimes_wrong(state, demand_l, s_w, renewable, price, battery, grid):
+            action = exact(state, demand_l, s_w, renewable, price, battery, grid)
+            if state.z not in wrong:
+                return action
+            # a purchase 10 kWh off in the direction that raises e*key1
+            key1 = state.z - state.h_u + state.v * price
+            return action._replace(e=action.e + math.copysign(10.0, key1))
+
+        monkeypatch.setattr(controller, "energy_control", sometimes_wrong)
+        report = equivalence_battery(bundle, n_states=n_states, seed=2024)
+        assert report["energy_dominance"].achieved == float(len(wrong_at))
+        assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
+
+    def test_an_infeasible_state_raises_as_oracle_energy_does(self, monkeypatch):
+        # States 1 and 3 need more than e_max even after the largest discharge;
+        # the battery names the first, exactly as oracle_energy would.
+        bundle = day_bundle()
+        a_o, v_max, _ = controller.design_params(
+            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
+        )
+        samples = sample_slot_states(bundle, 5, seed=7, a_o=a_o, v=v_max)
+        overload = bundle.grid.e_max + bundle.battery.d_max_rate + 0.01
+        for i in (1, 3):
+            state, ctx = samples[i]
+            samples[i] = (state._replace(slot=10 + i), replace(ctx, demand_l=ctx.s_w + overload, renewable=ctx.s_w))
+        state, ctx = samples[1]
+        with pytest.raises(InfeasibleSlot) as expected:
+            oracle_energy(state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid)
+
+        def idle(state, demand_l, s_w, renewable, price, battery, grid):
+            return controller.EnergyAction(demand_l - s_w, 0.0, 0.0, 0.0, "idle")
+
+        monkeypatch.setattr(oracle, "sample_slot_states", lambda *args: samples)
+        monkeypatch.setattr(controller, "energy_control", idle)
+        with pytest.raises(InfeasibleSlot) as err:
+            equivalence_battery(bundle, n_states=5, seed=7)
+        assert str(err.value) == str(expected.value)
+        assert "slot 11:" in str(err.value)
+
+    @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
+    def test_batched_lattice_values_equal_oracle_energy(self, monkeypatch, make_bundle):
+        bundle = make_bundle()
+        n_states, seed = 3 * oracle._STATE_BLOCK + 11, 31
+        batched = []
+        energy_minima = oracle._energy_minima
+
+        def recorded(*args):
+            result = energy_minima(*args)
+            batched.extend(result[2].tolist())
+            return result
+
+        monkeypatch.setattr(oracle, "_energy_minima", recorded)
+        equivalence_battery(bundle, n_states=n_states, seed=seed)
+        monkeypatch.undo()
+        a_o, _, v = controller.design_params(
+            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
+        )
+        per_state = [
+            oracle_energy(state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid)[1]
+            for state, ctx in sample_slot_states(bundle, n_states, seed, a_o, v)
+        ]
+        assert batched == per_state
+
     def test_sampled_states_admit_feasible_actions(self):
         bundle = day_bundle()
         a_o, v_max, _ = controller.design_params(
@@ -244,8 +325,8 @@ def test_surplus_first_flows_lose_nothing_to_the_full_charge_grid(params):
 def test_a_grid_first_flow_table_fails_the_surplus_first_property(monkeypatch):
     exact = oracle._slot_flows
 
-    def grid_first(residual, surplus, battery, grid, step, k_charge, k_discharge):
-        flows = exact(residual, surplus, battery, grid, step, k_charge, k_discharge)
+    def grid_first(residual, surplus, battery, grid, step):
+        flows = exact(residual, surplus, battery, grid, step)
         charge = flows.q + flows.s_r
         q = np.minimum(charge, max(grid.e_max - residual, 0.0))
         return flows._replace(q=q, s_r=charge - q, e=residual + q - flows.d_rate)
@@ -259,10 +340,28 @@ def test_no_feasible_flow_buys_a_negative_amount():
     # Desk seed 200500003, sampled state 168: a residual 3.6e-10 kWh below the
     # lattice discharge 0.128 once admitted that discharge, buying -3.6e-10.
     battery, grid, step = ModelBundle().battery, ModelBundle().grid, 0.001
-    flows = oracle._slot_flows(0.12799999964, 0.0, battery, grid, step, *oracle._flow_counts(battery, step))
+    flows = oracle._slot_flows(0.12799999964, 0.0, battery, grid, step)
     assert flows.e[flows.ok].min() >= 0.0
     assert not flows.ok[flows.k == -128].any()
     assert flows.ok[flows.k == -127].all()
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.4)), min_size=1, max_size=40),
+    st.sampled_from([0.001, 0.005, 0.015, 0.04]),
+)
+@example([(0.12799999964, 0.0), (0.35, 0.0), (0.0, 0.3), (0.0, 0.0)], 0.001)  # desk edge; residual > e_max
+@settings(max_examples=100, deadline=None)
+def test_a_table_row_is_the_single_slot_table(slots, step):
+    battery, grid = ModelBundle().battery, ModelBundle().grid
+    residual, surplus = (np.array(column) for column in zip(*slots))
+    table = oracle._slot_flows(residual, surplus, battery, grid, step)
+    assert table.e.shape == (len(slots), sum(oracle._flow_counts(battery, step)) + 1)
+    for r, (res, sur) in enumerate(slots):
+        single = oracle._slot_flows(res, sur, battery, grid, step)
+        for name, column, expected in zip(single._fields, table, single):
+            row = np.broadcast_to(column, table.e.shape)[r]
+            assert row.dtype == expected.dtype and row.tobytes() == expected.tobytes(), name
 
 
 class TestFrameOracle:
@@ -344,8 +443,10 @@ class TestFrameOracle:
 
 
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
-    """The frame search with a DP on every feasible demand profile, built from
-    the oracle's own helpers: the reference the cost-floor skip must match."""
+    """The frame search with a DP on every feasible demand profile: the
+    reference the cost-floor skip must match. Each combo's demand profile is
+    built here, one combo at a time; the slot flows, DP and plan come from the
+    oracle's own helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
@@ -355,7 +456,9 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     for combo in itertools.product(*choices):
         if sum(combo) > T * weights.d_avg_max:
             continue
-        demand = oracle._demand_profile(frame, arrivals, combo)
+        demand = np.zeros(T)
+        for (p, task), d in zip(arrivals, combo):
+            demand[p + d : p + d + task.duration] += task.intensity
         key = tuple(np.round(demand, 12))
         if key not in profiles or sum(combo) < profiles[key][1]:
             profiles[key] = (demand, sum(combo), combo)
@@ -367,10 +470,8 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
 
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
-        actions = [
-            oracle._frame_slot(float(demand[p]), slot, battery, grid_params, h, k_charge, k_discharge)[2]
-            for p, slot in enumerate(frame.slots)
-        ]
+        pairs = list(enumerate(demand.tolist()))
+        actions = oracle._frame_options(frame, pairs, bundle, h)[2]
         if not all(actions):
             continue
         layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
@@ -424,6 +525,32 @@ class TestCostFloorSkip:
                 assert fast == unpruned_lookahead(frame, bundle, grid)
                 full_calls += len(dp_calls)
         assert pruned_calls < full_calls  # the skip was exercised
+
+    def test_every_frame_of_desk_seeds_0_to_2_at_cheap_deferral(self):
+        # At alpha 0.001 deferring is cheap, so many profiles stay near the optimum.
+        bundle = small_bundle(alpha=0.001)
+        grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
+        for seed in range(3):
+            trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
+            summary = run(trace, bundle, policy="joint")
+            for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
+                assert lookahead_optimum(frame, bundle, grid) == unpruned_lookahead(frame, bundle, grid)
+
+    def test_equal_delay_sums_keep_the_first_combo(self):
+        # Delays (1, 1) and (2, 0) both leave demand only in slot 1, at the same
+        # delay sum; that profile wins, and product order puts (1, 1) first.
+        bundle = ModelBundle(
+            costs=CostModel.quadratic(0.2, None, d_avg_max=2), weights=Weights(alpha=0.012, d_avg_max=2), horizon=2
+        )
+        slots = (
+            SlotInput(slot=0, price=0.118, renewable=0.0, task=LoadTask(0, 0.1, duration=1, max_delay=2)),
+            SlotInput(slot=1, price=0.063, renewable=0.0, task=LoadTask(1, 0.1, duration=1, max_delay=1)),
+        )
+        frame, grid = Frame(start=0, slots=slots, boundary_b=0.0), GridSpec(energy_step=0.005)
+        sol = lookahead_optimum(frame, bundle, grid)
+        assert [r.demand for r in sol.decisions] == [0.0, 0.1]
+        assert sol.delays == ((0, 1), (1, 1))
+        assert sol == unpruned_lookahead(frame, bundle, grid)
 
     @pytest.mark.parametrize("alpha", [0.001, 20.0])
     def test_two_slot_frame(self, alpha):
