@@ -152,7 +152,7 @@ def schedule_load(state: ControllerState, task: LoadTask, mu: float, effective_d
     nonzero delay; the answer is always 0, 1, or the cap. Ties go to
     immediate service.
     """
-    d_cap = min(effective_d_max, task.max_delay)
+    d_cap = task.max_delay if task.max_delay < effective_d_max else effective_d_max
     if d_cap <= 0:
         return 0
     omega_o = -task.intensity * (state.z - abs(state.h_u))
@@ -182,7 +182,7 @@ def aux_solution(h: float, v: float, beta: float, cost: CostFunction, cap: float
 
 def renewable_split(demand: float, renewable: float) -> float:
     """Renewable serves the current demand first; the rest may be stored."""
-    return min(demand, renewable)
+    return renewable if renewable < demand else demand
 
 
 def entry_cost(q: float, s_r: float, d_rate: float, battery: BatteryParams) -> float:
@@ -248,19 +248,23 @@ def energy_control(
     key2 = state.z - state.h_u
     key1 = key2 + v * price
 
+    # `b if b < a else a` is min(a, b), ties included, without a builtin call.
+    r_max, d_max_rate = battery.r_max, battery.d_max_rate
     if key1 <= 0.0:
-        s_r = min(surplus, battery.r_max)
-        q = min(battery.r_max - s_r, grid.e_max - residual)
+        s_r = r_max if r_max < surplus else surplus
+        q, headroom = r_max - s_r, grid.e_max - residual
+        if headroom < q:
+            q = headroom
         if q < 0.0:
             q = 0.0  # no grid headroom left; charge from the surplus alone
         e, d_rate, regime = residual + q, 0.0, "charge"
     elif key2 < 0.0:
-        d_rate = min(residual, battery.d_max_rate)
-        s_r = min(surplus, battery.r_max)
+        d_rate = d_max_rate if d_max_rate < residual else residual
+        s_r = r_max if r_max < surplus else surplus
         e, q = residual - d_rate, 0.0
         regime = "charge" if s_r > 0.0 else "discharge"
     else:
-        d_rate = min(residual, battery.d_max_rate)
+        d_rate = d_max_rate if d_max_rate < residual else residual
         e, q, s_r, regime = residual - d_rate, 0.0, 0.0, "discharge"
 
     idle_value = energy_objective(residual, 0.0, 0.0, 0.0, key1, key2, v, battery)
@@ -298,10 +302,11 @@ def update_queues(
         raise StateConsistencyError(
             f"slot {slot}: battery-queue shift identity drifted by {drift:.3e}"
         )
+    x = state.x + record.delay - d_avg_max
     # Positional, in field order: z, x, h_u, h_d, b, a_o, v, gamma_u_cap, slot, z_offset.
     return ControllerState(
         z,
-        max(state.x + record.delay - d_avg_max, 0.0),
+        0.0 if 0.0 > x else x,  # max(x, 0.0)
         state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
         state.h_d + record.gamma_d - record.delay,
         b, state.a_o, state.v, state.gamma_u_cap, slot, state.z_offset,

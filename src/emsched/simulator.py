@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import controller
-from .controller import ControllerState, EnergyAction
+from .controller import ControllerState
 from .model import InfeasibleSlot, ModelBundle, StateConsistencyError
-from .scenario import LoadTask, SlotInput, Trace
+from .scenario import LoadTask, Trace
 
 _BALANCE_TOL = 1e-12
 
@@ -124,101 +124,94 @@ class RunSummary:
         return self.j_bar + self.entry_bar + self.usage_cost
 
 
-def _drain_input(trace: Trace, t: int) -> SlotInput:
-    # Prices repeat the trace's pattern; no renewable or arrivals after the end.
-    return SlotInput(slot=t, price=trace.slots[t % trace.horizon].price, renewable=0.0, task=None)
-
-
-def step(
-    state: ControllerState,
-    ledger: ServiceLedger,
-    slot_input: SlotInput,
-    bundle: ModelBundle,
-    policy: str,
-) -> tuple[ControllerState, SlotRecord]:
-    """Run one slot: schedule, split renewable, pick energy flows, update queues.
-
-    The baselines are this same sequence with stages pinned: under
-    "storage_only" and "no_storage" every arriving task is served at once
-    (the scheduling rule gets a delay cap of 0), and under "no_storage" the
-    battery also stays idle, so the grid buys whatever the renewable cannot
-    cover.
-    """
-    if slot_input.slot != state.slot:
-        raise ValueError(f"slot input {slot_input.slot} does not match state slot {state.slot}")
-    weights = bundle.weights
-    t = state.slot
-
-    delay = 0
-    gamma_d_cap = float(weights.d_avg_max)
-    if slot_input.task is not None:
-        task = slot_input.task
-        d_cap = task.max_delay if policy == "joint" else 0
-        delay = controller.schedule_load(state, task, weights.mu, d_cap)
-        ledger.add(task, delay)
-        gamma_d_cap = float(min(d_cap, weights.d_avg_max))
-    gamma_d = controller.aux_solution(
-        state.h_d, state.v, weights.alpha / weights.mu, bundle.costs.delay, gamma_d_cap
-    )
-
-    demand = ledger.active_demand(t)
-    s_w = controller.renewable_split(demand, slot_input.renewable)
-
-    gamma_u = controller.aux_solution(state.h_u, state.v, 1.0, bundle.costs.usage, state.gamma_u_cap)
-    if policy == "no_storage":
-        action = EnergyAction(demand - s_w, 0.0, 0.0, 0.0, "idle")
-        if action.e > bundle.grid.e_max + 1e-12:
-            raise InfeasibleSlot(t, action.e, bundle.grid.e_max, "no-storage baseline")
-    else:
-        action = controller.energy_control(
-            state, demand, s_w, slot_input.renewable, slot_input.price, bundle.battery, bundle.grid
-        )
-    e, q, d_rate, s_r, regime = action
-
-    balance = e - q + s_w + d_rate - demand
-    if abs(balance) > _BALANCE_TOL:
-        raise StateConsistencyError(f"slot {t}: supply-demand balance off by {balance:.3e}")
-
-    # Positional, in SlotRecord's field order: keyword arguments triple its cost.
-    record = SlotRecord(
-        t, slot_input.price, slot_input.renewable, demand,
-        e, q, d_rate, s_w, s_r, delay,
-        state.b, state.z, state.x, state.h_u, state.h_d,
-        regime, gamma_u, gamma_d, t < bundle.horizon,
-    )
-    next_state = controller.update_queues(state, record, weights.d_avg_max, weights.delta_u, bundle.horizon)
-    return next_state, record
-
-
 def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     """Simulate the whole trace plus the drain phase and assemble the summary.
 
-    `policy` is any name in POLICIES (see `step` for what each one pins);
-    anything else raises ValueError.
+    Every slot schedules the arriving task, splits the renewable, picks the
+    energy flows and updates the queues. The baselines are this sequence with
+    stages pinned: under "storage_only" and "no_storage" every arriving task
+    is served at once (the scheduling rule gets a delay cap of 0), and under
+    "no_storage" the battery also stays idle, so the grid buys whatever the
+    renewable cannot cover. `policy` is any name in POLICIES; anything else
+    raises ValueError. The per-slot rules are looked up on `controller` and
+    `ServiceLedger` once, when the run starts, so a wrapper patched there
+    must be in place before the call.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if trace.horizon != bundle.horizon:
-        raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {bundle.horizon}")
-    a_o, _, v = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
-    state = controller.init_state(bundle.battery, a_o, v, bundle.gamma_u_cap, bundle.z0_mode)
+    horizon = bundle.horizon
+    if trace.horizon != horizon:
+        raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {horizon}")
+    battery, grid, costs, weights = bundle.battery, bundle.grid, bundle.costs, bundle.weights
+    a_o, _, v = controller.design_params(battery, grid, costs, weights, horizon)
+    state = controller.init_state(battery, a_o, v, bundle.gamma_u_cap, bundle.z0_mode)
     initial_state = state
 
+    # Read once: none of these changes during a run.
+    mu, d_avg_max, delta_u, e_max = weights.mu, weights.d_avg_max, weights.delta_u, grid.e_max
+    d_avg_cap, delay_beta, gamma_u_cap = float(d_avg_max), weights.alpha / mu, state.gamma_u_cap
+    delay_cost, usage_cost = costs.delay, costs.usage
+    joint, no_storage = policy == "joint", policy == "no_storage"
+    schedule_load = controller.schedule_load
+    aux_solution = controller.aux_solution
+    renewable_split = controller.renewable_split
+    energy_control = controller.energy_control
+    update_queues = controller.update_queues
     ledger = ServiceLedger()
+    active_demand = ledger.active_demand
+
+    slots = trace.slots
     records: list[SlotRecord] = []
-    for slot_input in trace.slots:
-        state, record = step(state, ledger, slot_input, bundle, policy)
-        records.append(record)
-    state_at_horizon = state
-    t = trace.horizon
-    while ledger.pending_after(t - 1):
-        state, record = step(state, ledger, _drain_input(trace, t), bundle, policy)
-        records.append(record)
+    append = records.append
+    t = 0
+    while True:
+        if t < horizon:
+            slot = slots[t]
+            price, renewable, task = slot.price, slot.renewable, slot.task
+        else:
+            # Drain: prices repeat the trace's pattern; no renewable or arrivals.
+            if t == horizon:
+                state_at_horizon = state
+            elif t > 2 * horizon + 10_000:
+                raise StateConsistencyError("drain phase failed to terminate")
+            if not ledger.pending_after(t - 1):
+                break
+            price, renewable, task = slots[t % horizon].price, 0.0, None
+
+        delay = 0
+        gamma_d_cap = d_avg_cap
+        if task is not None:
+            d_cap = task.max_delay if joint else 0
+            delay = schedule_load(state, task, mu, d_cap)
+            ledger.add(task, delay)
+            gamma_d_cap = float(d_avg_max if d_avg_max < d_cap else d_cap)  # min(d_cap, d_avg_max)
+        gamma_d = aux_solution(state.h_d, v, delay_beta, delay_cost, gamma_d_cap)
+
+        demand = active_demand(t)
+        s_w = renewable_split(demand, renewable)
+
+        gamma_u = aux_solution(state.h_u, v, 1.0, usage_cost, gamma_u_cap)
+        if no_storage:
+            e, q, d_rate, s_r, regime = demand - s_w, 0.0, 0.0, 0.0, "idle"
+            if e > e_max + 1e-12:
+                raise InfeasibleSlot(t, e, e_max, "no-storage baseline")
+        else:
+            e, q, d_rate, s_r, regime = energy_control(state, demand, s_w, renewable, price, battery, grid)
+
+        balance = e - q + s_w + d_rate - demand
+        if abs(balance) > _BALANCE_TOL:
+            raise StateConsistencyError(f"slot {t}: supply-demand balance off by {balance:.3e}")
+
+        # Positional, in SlotRecord's field order: keyword arguments triple its cost.
+        record = SlotRecord(
+            t, price, renewable, demand,
+            e, q, d_rate, s_w, s_r, delay,
+            state.b, state.z, state.x, state.h_u, state.h_d,
+            regime, gamma_u, gamma_d, t < horizon,
+        )
+        append(record)
+        state = update_queues(state, record, d_avg_max, delta_u, horizon)
         t += 1
-        if t > 2 * trace.horizon + 10_000:
-            raise StateConsistencyError("drain phase failed to terminate")
 
     return _summarize(policy, bundle, records, initial_state, state_at_horizon, state)
 

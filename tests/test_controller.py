@@ -1,6 +1,7 @@
 """Closed-form per-slot decisions, parameter design, and queue dynamics."""
 
 import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -366,6 +367,37 @@ class TestUpdateQueues:
         state = self.fresh()._replace(z=1.0)  # identity no longer matches b
         with pytest.raises(StateConsistencyError, match="identity"):
             update_queues(state, self.decision(), d_avg_max=18, delta_u=0.0, horizon=288)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(value) -> tuple[type, bytes]:
+    return type(value), struct.pack("<d", value)
+
+
+@given(demand=FINITE, renewable=FINITE)
+@example(demand=0.0, renewable=-0.0)
+@example(demand=-0.0, renewable=0.0)
+@example(demand=0.05, renewable=0.05)
+@example(demand=0, renewable=0.2)   # a slot no service window covers has demand int 0
+@example(demand=0, renewable=0.0)
+@example(demand=0, renewable=-0.0)
+def test_renewable_split_is_builtin_min_bit_for_bit(demand, renewable):
+    assert _bits(renewable_split(demand, renewable)) == _bits(min(demand, renewable))
+
+
+@given(x=FINITE, delay=st.integers(0, 50), d_avg_max=st.integers(0, 50))
+@example(x=-0.0, delay=0, d_avg_max=0)
+@example(x=0.0, delay=0, d_avg_max=0)
+@example(x=3.0, delay=2, d_avg_max=5)
+@example(x=-3.0, delay=5, d_avg_max=2)
+def test_delay_queue_clamp_is_builtin_max_bit_for_bit(x, delay, d_avg_max):
+    state = init_state(BatteryParams(), a_o=2.67, v=10.0, gamma_u_cap=0.165)._replace(x=x)
+    record = SlotRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delay,
+                        0.0, 0.0, 0.0, 0.0, 0.0, "idle", 0.0, 0.0, True)
+    nxt = update_queues(state, record, d_avg_max=d_avg_max, delta_u=0.0, horizon=288)
+    assert _bits(nxt.x) == _bits(max(x + delay - d_avg_max, 0.0))
 
 
 class TestDriftBound:
