@@ -460,7 +460,7 @@ class TestGoldenOutputs:
     }
 
     @pytest.mark.parametrize("seed, policy", sorted(RUNS))
-    def test_run_outputs(self, tmp_path, capsys, seed, policy):
+    def test_run_outputs(self, tmp_path, seed, policy):
         config = _default_config(tmp_path, policies=[policy])
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--seed", str(seed), "--out", str(out)]) == 0
@@ -475,7 +475,7 @@ class TestGoldenOutputs:
             "c56307860c45e6d046f23111477bfd7f78fadeca36226548a44e7b52eb806f3c"
         )
 
-    def test_sweep_output(self, tmp_path, capsys):
+    def test_sweep_output(self, tmp_path):
         config = _default_config(tmp_path, replications=1)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
