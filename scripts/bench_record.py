@@ -118,6 +118,9 @@ def main(argv=None) -> int:
     sides = {"change": REPO}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
+    # Read before the first run: a tracked file edited while the runs go on
+    # must not mark the measured commit dirty.
+    checkouts = {side: git_state(path) for side, path in sides.items()}
     runs = []
     for side, workload, seed in schedule(args.seeds, args.workloads, list(sides)):
         result = bench_run(sides[side], workload, seed, args.seconds)
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "command": f"bench/run.py --seconds {args.seconds:g}",
-        "checkouts": {side: git_state(path) for side, path in sides.items()},
+        "checkouts": checkouts,
         "machine": {
             "cpu_count": os.cpu_count(),
             "cpu_model": cpu_model(),

@@ -12,7 +12,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 from emsched.model import (
     BatteryParams, CostModel, GridParams, InfeasibleSlot, ModelBundle, Weights,

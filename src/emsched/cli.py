@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -111,7 +112,7 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class CostsConfig:
     """The `costs` section; k_d None means 1 / d_avg_max**2. A negative
-    coefficient would make the cost concave, so both must be >= 0."""
+    coefficient would make the cost concave, so both must be finite and >= 0."""
 
     k_u: float = 0.2
     k_d: float | None = None
@@ -119,8 +120,8 @@ class CostsConfig:
     def __post_init__(self) -> None:
         for key in ("k_u", "k_d"):
             value = getattr(self, key)
-            if value is not None and value < 0.0:
-                raise ConfigurationError(f"costs.{key} must be >= 0, got {value}")
+            if value is not None and not 0.0 <= value < math.inf:  # NaN fails both
+                raise ConfigurationError(f"costs.{key} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

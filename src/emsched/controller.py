@@ -19,16 +19,15 @@ execute concurrently without sharing anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
     BatteryParams,
     ConfigurationError,
-    CostFunction,
     CostModel,
     GridParams,
     InfeasibleSlot,
+    QuadraticCost,
     StateConsistencyError,
     Weights,
     battery_headroom,
@@ -69,13 +68,6 @@ class EnergyAction(NamedTuple):
     d_rate: float
     s_r: float
     regime: str
-
-
-@dataclass(frozen=True)
-class DriftBound:
-    """Constant upper bound on the per-slot quadratic queue-growth terms."""
-
-    g: float
 
 
 def design_params(
@@ -162,7 +154,7 @@ def schedule_load(state: ControllerState, task: LoadTask, mu: float, effective_d
     return 0 if omega_o <= mu * d_cap * backlog else d_cap
 
 
-def aux_solution(h: float, v: float, beta: float, cost: CostFunction, cap: float) -> float:
+def aux_solution(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> float:
     """Optimal auxiliary stand-in gamma* in [0, cap] for backlog h.
 
     Minimizes h*gamma + v*beta*C(gamma): 0 when the backlog is nonnegative,
@@ -318,19 +310,18 @@ def drift_bound_G(
     weights: Weights,
     per_load_d_max: int,
     horizon: int,
-) -> DriftBound:
-    """Constant bounding the quadratic queue-growth terms of a single slot.
+) -> float:
+    """Constant G bounding the quadratic queue-growth terms of a single slot.
 
     per_load_d_max is the largest per-load delay cap over the whole trace.
     """
     shift = weights.delta_u / horizon
-    g = (
+    return (
         0.5 * max((battery.r_max - shift) ** 2, (battery.d_max_rate + shift) ** 2)
         + 0.5 * max(battery.r_max**2, battery.d_max_rate**2)
         + 0.5 * weights.mu * max(float(weights.d_avg_max) ** 2, float(per_load_d_max - weights.d_avg_max) ** 2)
         + 0.5 * weights.mu * float(per_load_d_max) ** 2
     )
-    return DriftBound(g=g)
 
 
 def lyapunov(state: ControllerState, mu: float) -> float:

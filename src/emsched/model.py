@@ -1,4 +1,4 @@
-"""Parameters and cost functions for battery-plus-scheduling energy management.
+"""Parameters and quadratic costs for battery-plus-scheduling energy management.
 
 Units are fixed across the package: energy in kWh per slot, money in dollars,
 scheduling delay in integer slots. All parameter containers are immutable and
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
 
 
 class ConfigurationError(ValueError):
@@ -38,20 +37,9 @@ class StateConsistencyError(RuntimeError):
     """Internal bug trap: a state invariant that must hold by construction failed."""
 
 
-@runtime_checkable
-class CostFunction(Protocol):
-    """Convex non-decreasing cost on [0, cap], with derivative and its inverse."""
-
-    def value(self, x: float) -> float: ...
-
-    def derivative(self, x: float) -> float: ...
-
-    def inverse_derivative(self, y: float) -> float: ...
-
-
 @dataclass(frozen=True)
 class QuadraticCost:
-    """k * x**2 — the default usage/delay cost family."""
+    """k * x**2, with k >= 0: the usage and delay cost of the model."""
 
     k: float
 
@@ -67,24 +55,6 @@ class QuadraticCost:
             # the closed-form saturates first; 0 is a safe answer for probes.
             return 0.0
         return y / (2.0 * self.k)
-
-
-@dataclass(frozen=True)
-class FunctionTriple:
-    """Adapter for user-supplied convex costs as (value, derivative, inverse-derivative)."""
-
-    value_fn: Callable[[float], float]
-    derivative_fn: Callable[[float], float]
-    inverse_derivative_fn: Callable[[float], float]
-
-    def value(self, x: float) -> float:
-        return self.value_fn(x)
-
-    def derivative(self, x: float) -> float:
-        return self.derivative_fn(x)
-
-    def inverse_derivative(self, y: float) -> float:
-        return self.inverse_derivative_fn(y)
 
 
 def default_k_d(d_avg_max: int) -> float:
@@ -103,8 +73,8 @@ def default_k_d(d_avg_max: int) -> float:
 class CostModel:
     """Battery usage cost C_u and scheduling delay cost C_d."""
 
-    usage: CostFunction
-    delay: CostFunction
+    usage: QuadraticCost
+    delay: QuadraticCost
 
     @staticmethod
     def quadratic(k_u: float = 0.2, k_d: float | None = None, *, d_avg_max: int = 18) -> "CostModel":
@@ -268,19 +238,10 @@ def validate_config(
             )
 
     gamma_u = max(battery.r_max, battery.d_max_rate)
-    try:
-        du = costs.usage_cost_derivative(gamma_u)
-        if not math.isfinite(du):
-            problems.append(f"usage-cost derivative is not finite at {gamma_u}")
-    except Exception as exc:  # user-supplied triples may raise anything
-        problems.append(f"usage-cost derivative failed at {gamma_u}: {exc}")
-    if weights.d_avg_max > 0:
-        try:
-            dd = costs.delay_cost_derivative(float(weights.d_avg_max))
-            if not math.isfinite(dd):
-                problems.append(f"delay-cost derivative is not finite at {weights.d_avg_max}")
-        except Exception as exc:
-            problems.append(f"delay-cost derivative failed at {weights.d_avg_max}: {exc}")
+    if not math.isfinite(costs.usage_cost_derivative(gamma_u)):
+        problems.append(f"usage-cost derivative is not finite at {gamma_u}")
+    if weights.d_avg_max > 0 and not math.isfinite(costs.delay_cost_derivative(float(weights.d_avg_max))):
+        problems.append(f"delay-cost derivative is not finite at {weights.d_avg_max}")
 
     if battery_headroom(battery, weights.delta_u) <= 0.0:
         problems.append(

@@ -29,19 +29,22 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import controller
-from .controller import ControllerState, DriftBound, EnergyAction
+from .controller import ControllerState, EnergyAction
 from .model import (
     BatteryParams,
-    CostFunction,
     GridParams,
     InfeasibleSlot,
     ModelBundle,
+    QuadraticCost,
 )
 from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
 _STATE_BLOCK = 32  # states `equivalence_battery` prices per table; bounds only its memory
+_BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `equivalence_battery`
+_GAMMA_STEP = 1e-4  # auxiliary gamma lattice
+_MAX_NODES = 1e8  # largest frame search `lookahead_optimum` enumerates
 
 
 class SearchSpaceError(RuntimeError):
@@ -63,11 +66,9 @@ class SearchSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice resolutions for the brute-force searches."""
+    """Energy lattice resolution of the frame look-ahead search."""
 
     energy_step: float = 1e-3
-    gamma_step: float = 1e-4
-    max_nodes: float = 1e8
 
 
 @dataclass(frozen=True)
@@ -132,33 +133,24 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
     return best_d, best_v
 
 
-def oracle_aux(h: float, v: float, beta: float, cost: CostFunction, cap: float, step: float = 1e-4) -> tuple[float, float]:
+def oracle_aux(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
     """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g)."""
     if cap <= 0.0:
         return 0.0, 0.0
-    return _AuxLattice(cost, cap, step).argmin(h, v * beta)
+    return _AuxLattice(cost, cap).argmin(h, v * beta)
 
 
 class _AuxLattice:
-    """The gamma lattice 0, step, 2*step, ..., cap with C evaluated on it.
+    """The gamma lattice 0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap with C evaluated on it.
 
     One lattice serves any number of (h, v*beta) searches with the same cost
     and cap; the searches write into two scratch arrays owned by the lattice
     instead of allocating fresh ones.
     """
 
-    def __init__(self, cost: CostFunction, cap: float, step: float):
-        self.grid = np.append(np.arange(0.0, cap, step), cap)
-        # Quadratic (and any numpy-broadcastable) costs evaluate the whole
-        # lattice at once; fall back to per-point evaluation for scalar-only
-        # callables.
-        try:
-            values = np.asarray(cost.value(self.grid), dtype=float)
-        except Exception:
-            values = None
-        if values is None or values.shape != self.grid.shape:
-            values = np.array([cost.value(float(g)) for g in self.grid], dtype=float)
-        self.cost_values = values
+    def __init__(self, cost: QuadraticCost, cap: float):
+        self.grid = np.append(np.arange(0.0, cap, _GAMMA_STEP), cap)
+        self.cost_values = cost.value(self.grid)
         self._linear = np.empty_like(self.grid)
         self._penalty = np.empty_like(self.grid)
 
@@ -437,8 +429,8 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         raise ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
 
     nodes = len(profiles) * T * n_off * n_use * (k_charge + k_discharge + 1)
-    if nodes > grid.max_nodes:
-        raise SearchSpaceError(nodes, grid.max_nodes, h * (nodes / grid.max_nodes) ** (1 / 3))
+    if nodes > _MAX_NODES:
+        raise SearchSpaceError(nodes, _MAX_NODES, h * (nodes / _MAX_NODES) ** (1 / 3))
 
     usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
     usage_floor = float(usage_penalty.min())
@@ -598,7 +590,7 @@ def lookahead_grid_slack(bundle: ModelBundle, energy_step: float, frame_length: 
 def lookahead_bound_check(
     run: RunSummary,
     frames: Sequence[OracleSolution],
-    g: DriftBound,
+    g: float,
     bundle: ModelBundle,
     trace: Trace,
 ) -> CheckReport:
@@ -643,7 +635,7 @@ def lookahead_bound_check(
     cu_prime = bundle.costs.usage_cost_derivative(gamma_u_cap)
     cd_prime = bundle.costs.delay_cost_derivative(gamma_d_cap)
     rhs = (
-        g.g * frame_length / v
+        g * frame_length / v
         + (l0 - l_end) / (v * horizon)
         + (
             cu_prime * (run.initial_state.h_u - run.state_at_horizon.h_u)
@@ -662,7 +654,7 @@ def lookahead_bound_check(
     return CheckReport((consistency, bound_check))
 
 
-def margin_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle) -> CheckReport:
+def margin_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport:
     """Delay-margin and usage-mismatch bounds, plus the achieved delay cap."""
     weights = bundle.weights
     horizon = run.horizon
@@ -670,7 +662,7 @@ def margin_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle) -> CheckR
     x_end = run.state_at_horizon.x
     epsilon_d = (x_end - x0) / horizon
     l0 = controller.lyapunov(run.initial_state, weights.mu)
-    d_bound = math.sqrt(2.0 * g.g / (weights.mu * horizon) + l0 / (weights.mu * horizon)) + abs(x0) / horizon
+    d_bound = math.sqrt(2.0 * g / (weights.mu * horizon) + l0 / (weights.mu * horizon)) + abs(x0) / horizon
     delay_margin = CheckResult(
         name="delay_margin",
         passed=abs(epsilon_d) <= d_bound + _FEAS_TOL,
@@ -783,7 +775,7 @@ def _state_of_record(r: SlotRecord, template: ControllerState) -> ControllerStat
     return template._replace(z=r.z, x=r.x, h_u=r.h_u, h_d=r.h_d, b=r.b, slot=r.slot)
 
 
-def drift_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle, tol: float = 1e-9) -> CheckReport:
+def drift_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport:
     """Per-slot quadratic drift never exceeds its constant-plus-linear bound."""
     weights = bundle.weights
     mu = weights.mu
@@ -791,13 +783,13 @@ def drift_checks(run: RunSummary, g: DriftBound, bundle: ModelBundle, tol: float
     states = [_state_of_record(r, run.initial_state) for r in run.records] + [run.final_state]
     for r, state, nxt in zip(run.records, states, states[1:]):
         drift = controller.lyapunov(nxt, mu) - controller.lyapunov(state, mu)
-        bound = controller.drift_upper_bound(state, r, r.demand, g.g, weights, bundle.horizon)
+        bound = controller.drift_upper_bound(state, r, r.demand, g, weights, bundle.horizon)
         worst = max(worst, drift - bound)
     return CheckReport(
         (
             CheckResult(
                 name="drift_bound",
-                passed=worst <= tol,
+                passed=worst <= _FEAS_TOL,
                 achieved=worst,
                 bound=0.0,
                 detail="max over slots of drift minus its upper bound",
@@ -860,26 +852,19 @@ def sample_slot_states(
     return out
 
 
-def _aux_mismatches(
-    cost: CostFunction, cap: float, backlogs: Sequence[tuple[float, float]], v: float, step: float
-) -> int:
+def _aux_mismatches(cost: QuadraticCost, cap: float, backlogs: Sequence[tuple[float, float]], v: float) -> int:
     """Count (h, beta) pairs whose closed-form gamma is off the lattice argmin by over one step."""
-    lattice = _AuxLattice(cost, cap, step) if cap > 0.0 else None
+    lattice = _AuxLattice(cost, cap) if cap > 0.0 else None
     bad = 0
     for h, beta in backlogs:
         closed_g = controller.aux_solution(h, v, beta, cost, cap)
         grid_g = lattice.argmin(h, v * beta)[0] if lattice is not None else 0.0
-        if abs(closed_g - grid_g) > step + 1e-9:
+        if abs(closed_g - grid_g) > _GAMMA_STEP + 1e-9:
             bad += 1
     return bad
 
 
-def equivalence_battery(
-    bundle: ModelBundle,
-    n_states: int,
-    seed: int,
-    grid: GridSpec = GridSpec(),
-) -> CheckReport:
+def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckReport:
     """Closed-form rules vs grid search over randomized states.
 
     The scheduling rule must match exactly; the auxiliary argmins must land
@@ -923,13 +908,13 @@ def equivalence_battery(
 
     for lo in range(0, len(energy), _STATE_BLOCK):
         block = energy[lo : lo + _STATE_BLOCK]
-        _, _, lattice = _energy_minima(block, bundle.battery, bundle.grid, grid.energy_step)
+        _, _, lattice = _energy_minima(block, bundle.battery, bundle.grid, _BATTERY_ENERGY_STEP)
         for (*_, key1, key2, _), closed_v, grid_v in zip(block, closed[lo:], lattice.tolist()):
             dominance_bad += closed_v > grid_v + 1e-9
-            slack_bad += grid_v > closed_v + grid.energy_step * (abs(key1) + abs(key2)) + 1e-9
+            slack_bad += grid_v > closed_v + _BATTERY_ENERGY_STEP * (abs(key1) + abs(key2)) + 1e-9
 
     for (which, cap), backlogs in aux_groups.items():
-        aux_bad += _aux_mismatches(aux_costs[which], cap, backlogs, v, grid.gamma_step)
+        aux_bad += _aux_mismatches(aux_costs[which], cap, backlogs, v)
 
     def count_check(name: str, count: int, detail: str) -> CheckResult:
         return CheckResult(name=name, passed=count == 0, achieved=float(count), bound=0.0, detail=detail)
@@ -944,7 +929,7 @@ def equivalence_battery(
     )
 
 
-def jensen_check(run: RunSummary, bundle: ModelBundle, tol: float = 1e-9) -> CheckReport:
+def jensen_check(run: RunSummary, bundle: ModelBundle) -> CheckReport:
     """Average of convex costs dominates the cost of the average, per run."""
     records = [r for r in run.records if r.in_horizon]
     if not records:
@@ -962,9 +947,9 @@ def jensen_check(run: RunSummary, bundle: ModelBundle, tol: float = 1e-9) -> Che
         checks.append(
             CheckResult(
                 name=name,
-                passed=gap <= tol,
+                passed=gap <= _FEAS_TOL,
                 achieved=gap,
-                bound=tol,
+                bound=_FEAS_TOL,
                 detail="cost of mean minus mean of cost (convexity says <= 0)",
             )
         )

@@ -152,6 +152,8 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("experiment.equivalence_states", -5),
         ("costs.k_u", -0.2),  # a concave usage cost
         ("costs.k_d", -1.0),  # a concave delay cost
+        ("costs.k_u", math.nan),
+        ("costs.k_d", math.inf),
     ]
 ]
 
@@ -166,6 +168,13 @@ class TestMalformedValues:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_infinite_delay_coefficient_at_a_zero_delay_target(self, tmp_path, capsys):
+        # validate_config probes the delay cost's slope only when d_avg_max > 0
+        path = small_config(tmp_path, **{"costs.k_d": math.inf, "weights.d_avg_max": 0})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "costs.k_d must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_a_scalar_policy_is_one_policy(self, tmp_path):

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is used somewhere in the package."""
+"""Every name a package module, script or test module imports is used in that
+module, and every module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,9 @@ import pytest
 
 import emsched
 
+REPO = Path(__file__).resolve().parent.parent
 MODULES = sorted(Path(emsched.__file__).resolve().parent.glob("*.py"))
+SCRIPTS_AND_TESTS = sorted(REPO.glob("scripts/*.py")) + sorted(REPO.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +38,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS_AND_TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,7 +1,5 @@
 """Cost functions, parameter containers, and configuration validation."""
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from emsched.model import (
     BatteryParams,
     CostModel,
-    FunctionTriple,
     GridParams,
     ModelBundle,
     QuadraticCost,
@@ -56,16 +53,6 @@ class TestQuadraticCosts:
     def test_inverse_derivative_degenerate_coefficient(self):
         # A flat cost has no marginal-cost inversion; the convention is 0.
         assert QuadraticCost(0.0).inverse_derivative(1.0) == 0.0
-
-    def test_function_triple_adapter(self):
-        cubicish = FunctionTriple(
-            value_fn=lambda x: x**2,
-            derivative_fn=lambda x: 2 * x,
-            inverse_derivative_fn=lambda y: y / 2,
-        )
-        assert cubicish.value(3.0) == 9.0
-        assert cubicish.derivative(3.0) == 6.0
-        assert cubicish.inverse_derivative(6.0) == 3.0
 
 
 @given(

@@ -71,6 +71,28 @@ def test_bench_record_alternates_the_first_side_for_each_workload():
                         ("baseline", 2), ("change", 2)]
 
 
+def test_bench_record_reads_every_checkout_before_the_first_run(tmp_path, monkeypatch):
+    bench_record = load_bench_record()
+    calls = []
+    metrics = {m["name"]: {"value": 1.0} for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    def git_state(checkout):
+        calls.append("git_state")
+        return {"commit": "0" * 40, "dirty": False}
+
+    def bench_run(checkout, workload, seed, seconds):
+        calls.append("bench_run")
+        return {"metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "git_state", git_state)
+    monkeypatch.setattr(bench_record, "bench_run", bench_run)
+    out = tmp_path / "BENCH_order.json"
+    assert bench_record.main(["--label", "order", "--workloads", "day-run", "--seeds", "0", "1",
+                              "--seconds", "1", "--baseline", str(tmp_path), "--out", str(out)]) == 0
+    assert calls == ["git_state"] * 2 + ["bench_run"] * 4
+    assert set(json.loads(out.read_text())["checkouts"]) == {"change", "baseline"}
+
+
 def test_bench_record_summary_counts_pairs_won_in_each_direction():
     bench_record = load_bench_record()
 

@@ -11,7 +11,6 @@ import yaml
 from emsched import controller
 from emsched.cli import load_experiment, main
 from emsched.model import (
-    BatteryParams,
     CostModel,
     InfeasibleSlot,
     ModelBundle,
