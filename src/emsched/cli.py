@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -111,17 +110,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CostsConfig:
-    """The `costs` section; k_d None means 1 / d_avg_max**2. A negative
-    coefficient would make the cost concave, so both must be finite and >= 0."""
+    """The `costs` section; k_d None means 1 / d_avg_max**2. `QuadraticCost`
+    refuses a negative or non-finite coefficient, which would make the cost
+    concave or infinite."""
 
     k_u: float = 0.2
     k_d: float | None = None
-
-    def __post_init__(self) -> None:
-        for key in ("k_u", "k_d"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 <= value < math.inf:  # NaN fails both
-                raise ConfigurationError(f"costs.{key} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ freely shareable across threads and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 
 class ConfigurationError(ValueError):
@@ -39,9 +39,15 @@ class StateConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """k * x**2, with k >= 0: the usage and delay cost of the model."""
+    """k * x**2, the usage and delay cost of the model. k must be finite and
+    >= 0, so the cost is convex; `name` labels k in the error otherwise."""
 
     k: float
+    name: InitVar[str] = "k"
+
+    def __post_init__(self, name: str) -> None:
+        if not 0.0 <= self.k < math.inf:  # NaN fails both
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {self.k}")
 
     def value(self, x: float) -> float:
         return self.k * x * x
@@ -80,7 +86,7 @@ class CostModel:
     def quadratic(k_u: float = 0.2, k_d: float | None = None, *, d_avg_max: int = 18) -> "CostModel":
         if k_d is None:
             k_d = default_k_d(d_avg_max)
-        return CostModel(usage=QuadraticCost(k_u), delay=QuadraticCost(k_d))
+        return CostModel(usage=QuadraticCost(k_u, "costs.k_u"), delay=QuadraticCost(k_d, "costs.k_d"))
 
     def usage_cost(self, x: float) -> float:
         _reject_negative(x)

@@ -41,9 +41,10 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
-_STATE_BLOCK = 32  # states `equivalence_battery` prices per table; bounds only its memory
+_STATE_BLOCK = 32  # states (or backlogs) `equivalence_battery` prices per table; bounds only its memory
 _BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `equivalence_battery`
 _GAMMA_STEP = 1e-4  # auxiliary gamma lattice
+_COARSE = 100  # lattice points per step of the coarse gamma scan
 _MAX_NODES = 1e8  # largest frame search `lookahead_optimum` enumerates
 
 
@@ -134,44 +135,43 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
 
 
 def oracle_aux(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
-    """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g)."""
+    """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g), for v*beta >= 0."""
     if cap <= 0.0:
         return 0.0, 0.0
-    return _AuxLattice(cost, cap).argmin(h, v * beta)
+    g, value = _aux_argmins(cost, cap, np.array([h]), np.array([v * beta]))
+    return float(g[0]), float(value[0])
 
 
-class _AuxLattice:
-    """The gamma lattice 0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap with C evaluated on it.
+def _aux_argmins(cost: QuadraticCost, cap: float, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first argmin of h*g + vb*C(g) over the gamma lattice
+    0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap, and its value, for vb >= 0 and cap > 0.
 
-    One lattice serves any number of (h, v*beta) searches with the same cost
-    and cap; the searches write into two scratch arrays owned by the lattice
-    instead of allocating fresh ones.
+    C(g) = k*g**2 with k >= 0, so the objective is convex and two exhaustive
+    scans find the whole lattice's first argmin: every _COARSE-th point plus
+    cap, then every point between the coarse argmin's two neighbours (README,
+    "Why the two-level gamma search is exact"). One table per stage prices
+    all rows. Each row is scaled by the power of two that lifts its larger
+    coefficient into [0.5, 1), exact wherever nothing underflows, so tiny
+    coefficients (h = -5e-324 with vb = 0) do not tie every point at 0; the
+    value is returned at the original scale.
     """
+    n = math.ceil(cap / _GAMMA_STEP)  # point i < n is i*_GAMMA_STEP, as in np.arange(0.0, cap, _GAMMA_STEP)
+    _, exponent = np.frexp(np.maximum(np.abs(h), np.abs(vb)))
+    shift = np.maximum(-exponent, 0)
+    h_s, vb_s = np.ldexp(h, shift)[:, None], np.ldexp(vb, shift)[:, None]
 
-    def __init__(self, cost: QuadraticCost, cap: float):
-        self.grid = np.append(np.arange(0.0, cap, _GAMMA_STEP), cap)
-        self.cost_values = cost.value(self.grid)
-        self._linear = np.empty_like(self.grid)
-        self._penalty = np.empty_like(self.grid)
+    def first_min(index: np.ndarray) -> np.ndarray:
+        g = np.where(index == n, cap, index * _GAMMA_STEP)
+        return (h_s * g + vb_s * cost.value(g)).argmin(axis=1)
 
-    def argmin(self, h: float, vb: float) -> tuple[float, float]:
-        """Lattice argmin of h*g + vb*C(g) and its value.
-
-        Backlogs and weights far below 1 can make every lattice value
-        underflow to zero (h = -5e-324 with vb = 0 ties every point at 0), so
-        the search runs on the objective scaled by the power of two that
-        lifts the larger coefficient into [0.5, 1). That scaling is exact
-        wherever nothing underflows, so the argmin changes only where
-        underflow had tied or misordered the points. The value is returned
-        at the original scale.
-        """
-        _, exponent = math.frexp(max(abs(h), abs(vb)))
-        shift = max(-exponent, 0)
-        np.multiply(self.grid, math.ldexp(h, shift), out=self._linear)
-        np.multiply(self.cost_values, math.ldexp(vb, shift), out=self._penalty)
-        np.add(self._linear, self._penalty, out=self._linear)
-        i = int(np.argmin(self._linear))
-        return float(self.grid[i]), float(h * self.grid[i] + vb * self.cost_values[i])
+    coarse = np.append(np.arange(0, n, _COARSE), n)
+    j = first_min(coarse)
+    lo, hi = coarse[np.maximum(j - 1, 0)], coarse[np.minimum(j + 1, len(coarse) - 1)]
+    # past hi a row repeats hi, which a first minimum never picks over hi itself
+    window = np.minimum(lo[:, None] + np.arange(2 * _COARSE + 1), hi[:, None])
+    best = window[np.arange(len(h)), first_min(window)]
+    g = np.where(best == n, cap, best * _GAMMA_STEP)
+    return g, h * g + vb * cost.value(g)
 
 
 class _SlotFlows(NamedTuple):
@@ -809,58 +809,53 @@ def sample_slot_states(
 
     Residual demand and surplus renewable are never both positive (the
     renewable split guarantees that in a real run), and residual demand stays
-    under the grid cap so every sample admits a feasible action.
+    under the grid cap so every sample admits a feasible action. Each field
+    is drawn as one column of n values.
     """
     rng = np.random.default_rng(seed)
-    battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
-    out = []
-    for _ in range(n):
-        state = ControllerState(
-            z=float(rng.uniform(-1.5 * a_o - 1.0, battery.b_max)),
-            x=float(rng.uniform(0.0, 2.0 * max(weights.d_avg_max, 1))),
-            h_u=float(rng.uniform(-1.5, 1.5)),
-            h_d=float(rng.uniform(-1.5 * max(weights.d_avg_max, 1), 1.5 * max(weights.d_avg_max, 1))),
-            b=battery.b_init,
-            a_o=a_o,
-            v=v,
-            gamma_u_cap=bundle.gamma_u_cap,
+    battery, grid_params = bundle.battery, bundle.grid
+    d_scale = max(bundle.weights.d_avg_max, 1)
+
+    def uniform(low: float, high: float) -> list[float]:
+        return rng.uniform(low, high, n).tolist()
+
+    def integers(low: int, high: int) -> list[int]:
+        return rng.integers(low, high, n).tolist()
+
+    z, x = uniform(-1.5 * a_o - 1.0, battery.b_max), uniform(0.0, 2.0 * d_scale)
+    h_u, h_d = uniform(-1.5, 1.5), uniform(-1.5 * d_scale, 1.5 * d_scale)
+    s_w = uniform(0.0, 0.25)
+    kind = integers(0, 3)  # 0: residual demand, 1: surplus renewable, 2: neither
+    residual = [r if k == 0 else 0.0 for k, r in zip(kind, uniform(0.0, 0.9 * grid_params.e_max))]
+    surplus = [r if k == 1 else 0.0 for k, r in zip(kind, uniform(0.0, 2.0 * battery.r_max))]
+    has_task = [d > 0 for d in integers(0, 4)]  # three states in four
+    intensity, duration, max_delay = uniform(0.005, 0.3), integers(1, 13), integers(0, 2 * d_scale + 1)
+    price = uniform(grid_params.p_min, grid_params.p_max)
+    return [
+        (
+            ControllerState(z[i], x[i], h_u[i], h_d[i], battery.b_init, a_o, v, bundle.gamma_u_cap),
+            SlotContext(
+                task=LoadTask(0, intensity[i], duration[i], max_delay[i]) if has_task[i] else None,
+                demand_l=s_w[i] + residual[i],
+                s_w=s_w[i],
+                renewable=s_w[i] + surplus[i],
+                price=price[i],
+            ),
         )
-        s_w = float(rng.uniform(0.0, 0.25))
-        kind = rng.integers(0, 3)
-        residual = float(rng.uniform(0.0, 0.9 * grid_params.e_max)) if kind == 0 else 0.0
-        surplus = float(rng.uniform(0.0, 2.0 * battery.r_max)) if kind == 1 else 0.0
-        task = None
-        if rng.integers(0, 4) > 0:
-            task = LoadTask(
-                arrival_slot=0,
-                intensity=float(rng.uniform(0.005, 0.3)),
-                duration=int(rng.integers(1, 13)),
-                max_delay=int(rng.integers(0, 2 * max(weights.d_avg_max, 1) + 1)),
-            )
-        out.append(
-            (
-                state,
-                SlotContext(
-                    task=task,
-                    demand_l=s_w + residual,
-                    s_w=s_w,
-                    renewable=s_w + surplus,
-                    price=float(rng.uniform(grid_params.p_min, grid_params.p_max)),
-                ),
-            )
-        )
-    return out
+        for i in range(n)
+    ]
 
 
 def _aux_mismatches(cost: QuadraticCost, cap: float, backlogs: Sequence[tuple[float, float]], v: float) -> int:
     """Count (h, beta) pairs whose closed-form gamma is off the lattice argmin by over one step."""
-    lattice = _AuxLattice(cost, cap) if cap > 0.0 else None
     bad = 0
-    for h, beta in backlogs:
-        closed_g = controller.aux_solution(h, v, beta, cost, cap)
-        grid_g = lattice.argmin(h, v * beta)[0] if lattice is not None else 0.0
-        if abs(closed_g - grid_g) > _GAMMA_STEP + 1e-9:
-            bad += 1
+    for lo in range(0, len(backlogs), _STATE_BLOCK):
+        block = backlogs[lo : lo + _STATE_BLOCK]
+        h, beta = (np.array(column) for column in zip(*block))
+        grid_g = _aux_argmins(cost, cap, h, v * beta)[0].tolist() if cap > 0.0 else [0.0] * len(block)
+        for (h_i, beta_i), grid_gi in zip(block, grid_g):
+            closed_g = controller.aux_solution(h_i, v, beta_i, cost, cap)
+            bad += abs(closed_g - grid_gi) > _GAMMA_STEP + 1e-9
     return bad
 
 
@@ -878,9 +873,8 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
     weights = bundle.weights
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 
-    # Both searches run after the loop: the energy lattices a block of states
-    # at a time, and the auxiliary comparisons grouped by (cost, cap), so each
-    # gamma lattice and its cost values are built once and only one is alive.
+    # Both searches run after the loop, a block of states per table: the energy
+    # lattices in sample order, the gamma lattices grouped by (cost, cap).
     aux_costs = (bundle.costs.usage, bundle.costs.delay)
     aux_groups: dict[tuple[int, float], list[tuple[float, float]]] = {}
     energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the closed form's value

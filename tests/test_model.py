@@ -1,11 +1,15 @@
 """Cost functions, parameter containers, and configuration validation."""
 
+import math
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emsched.model import (
     BatteryParams,
+    ConfigurationError,
     CostModel,
     GridParams,
     ModelBundle,
@@ -53,6 +57,21 @@ class TestQuadraticCosts:
     def test_inverse_derivative_degenerate_coefficient(self):
         # A flat cost has no marginal-cost inversion; the convention is 0.
         assert QuadraticCost(0.0).inverse_derivative(1.0) == 0.0
+
+    @pytest.mark.parametrize(("k_u", "k_d", "d_avg_max", "key"), [
+        (-0.2, -1.0, 18, "costs.k_u"),  # concave: a default day run on it totalled -79.94
+        (0.2, math.inf, 0, "costs.k_d"),  # validate_config probes the delay slope only when d_avg_max > 0
+        (0.2, -1e-300, 18, "costs.k_d"),
+        (math.nan, None, 18, "costs.k_u"),
+    ])
+    def test_a_concave_or_infinite_cost_is_refused_when_built(self, k_u, k_d, d_avg_max, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key} must be finite and >= 0")):
+            CostModel.quadratic(k_u, k_d, d_avg_max=d_avg_max)
+
+    def test_a_flat_cost_is_allowed_and_a_concave_one_is_not(self):
+        assert QuadraticCost(0.0).value(3.0) == 0.0
+        with pytest.raises(ConfigurationError, match=re.escape("k must be finite and >= 0, got -1e-09")):
+            QuadraticCost(-1e-9)
 
 
 @given(

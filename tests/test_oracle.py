@@ -221,18 +221,33 @@ class TestEquivalenceBattery:
         ]
         assert batched == per_state
 
-    def test_sampled_states_admit_feasible_actions(self):
-        bundle = day_bundle()
+    @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
+    def test_sampled_states_admit_feasible_actions(self, make_bundle):
+        # Each field is drawn as a column; every state must still be one the
+        # closed forms can act on, and all three energy regimes must appear.
+        bundle = make_bundle()
         a_o, v_max, _ = controller.design_params(
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
-        samples = sample_slot_states(bundle, 200, seed=7, a_o=a_o, v=v_max)
+        samples = sample_slot_states(bundle, 300, seed=7, a_o=a_o, v=v_max)
+        assert len(samples) == 300
+        kinds, tasks = set(), 0
         for state, ctx in samples:
             residual = ctx.demand_l - ctx.s_w
             surplus = ctx.renewable - ctx.s_w
             assert not (residual > 0.0 and surplus > 0.0)
-            assert residual <= bundle.grid.e_max
+            assert 0.0 <= residual <= 0.9 * bundle.grid.e_max + 1e-12  # demand_l - s_w rounds
+            assert surplus >= 0.0
+            kinds.add((residual > 0.0, surplus > 0.0))
+            assert state.b == bundle.battery.b_init
+            assert (state.a_o, state.v, state.gamma_u_cap) == (a_o, v_max, bundle.gamma_u_cap)
             assert bundle.grid.p_min <= ctx.price <= bundle.grid.p_max
+            if ctx.task is not None:
+                tasks += 1
+                assert type(ctx.task.duration) is int and 1 <= ctx.task.duration <= 12
+                assert 0 <= ctx.task.max_delay <= 2 * max(bundle.weights.d_avg_max, 1)
+        assert kinds == {(False, False), (True, False), (False, True)}
+        assert 0 < tasks < 300
 
 
 @st.composite
@@ -256,6 +271,72 @@ def test_aux_closed_form_tracks_grid_search(params):
     closed = controller.aux_solution(h, v, beta, cost, 0.165)
     grid, _ = oracle_aux(h, v, beta, cost, 0.165)
     assert abs(closed - grid) <= 1e-4 + 1e-9
+
+
+def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
+    """The exhaustive reference for `oracle._aux_argmins`: h*g + vb*C(g) on
+    every point of the gamma lattice 0, step, 2*step, ..., cap, scaled by the
+    same power of two, with the first minimum winning."""
+    grid = np.append(np.arange(0.0, cap, oracle._GAMMA_STEP), cap)
+    values = cost.value(grid)
+    _, exponent = math.frexp(max(abs(h), abs(vb)))
+    shift = max(-exponent, 0)
+    i = int(np.argmin(grid * math.ldexp(h, shift) + values * math.ldexp(vb, shift)))
+    return float(grid[i]), float(h * grid[i] + vb * values[i])
+
+
+def full_lattice_argmins(cost, cap, h, vb):
+    """`oracle._aux_argmins` by the exhaustive reference, one row at a time."""
+    g, value = zip(*(full_lattice_argmin(h_i, vb_i, cost, cap) for h_i, vb_i in zip(h.tolist(), vb.tolist())))
+    return np.array(g), np.array(value)
+
+
+GAMMA_CAPS = (1e-4, 0.165, 6.0, 0.12345)  # the last is not a multiple of the gamma step
+
+
+@given(
+    rows=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=4),
+    k=st.floats(0.0, 1e3),
+    cap=st.sampled_from(GAMMA_CAPS) | st.floats(1e-6, 6.0),
+)
+@example(rows=[(-5e-324, 0.0)], k=0.01, cap=0.165)  # h*g underflows to 0 on every lattice point
+@example(rows=[(-5e-324, 0.0), (-0.4, 10.0)], k=0.2, cap=0.165)  # rows scaled apart
+@example(rows=[(-0.4, 1.0), (0.4, 1.0)], k=0.0, cap=6.0)  # flat: a negative backlog takes the cap, a positive one 0
+@example(rows=[(0.0, 1.0), (0.0, 0.0)], k=0.2, cap=0.12345)
+@example(rows=[(-0.4, 1.0), (-1e-3, 0.5)], k=0.2, cap=1e-4)
+@example(rows=[(-2.0, 1.0), (-0.0661, 1.0)], k=0.2, cap=0.165)  # interior and at the cap
+@example(rows=[(-3.0, 1.0 / 36.0), (-1e-3, 1.0)], k=1.0, cap=6.0)
+@settings(max_examples=200, deadline=None)
+def test_two_level_gamma_search_equals_the_full_lattice(rows, k, cap):
+    h, vb = (np.array(column) for column in zip(*rows))
+    cost = QuadraticCost(k)
+    g, value = oracle._aux_argmins(cost, cap, h, vb)
+    assert list(zip(g.tolist(), value.tolist())) == [full_lattice_argmin(h_i, vb_i, cost, cap) for h_i, vb_i in rows]
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_aux_answers_two_gamma_steps_off_are_caught(monkeypatch, steps):
+    # A closed form that answers `steps` lattice steps away from the lattice
+    # argmin wherever that argmin is interior (moving inward at the cap) is
+    # within the battery's one-step tolerance at one step and counted at
+    # two, by the two-level search and by the full-lattice reference alike.
+    bundle, shift = small_bundle(), steps * oracle._GAMMA_STEP
+    moved = []
+
+    def off(h, v, beta, cost, cap):
+        g = full_lattice_argmin(h, v * beta, cost, cap)[0] if cap > 0.0 else 0.0
+        if not 0.0 < g < cap:
+            return g
+        moved.append(h)
+        return g + shift if g + shift <= cap else g - shift
+
+    monkeypatch.setattr(controller, "aux_solution", off)
+    pruned = equivalence_battery(bundle, 120, 2024)["aux_equivalence"].achieved
+    n_moved, moved[:] = len(moved), []
+    monkeypatch.setattr(oracle, "_aux_argmins", full_lattice_argmins)
+    reference = equivalence_battery(bundle, 120, 2024)["aux_equivalence"].achieved
+    assert len(moved) == n_moved > 0
+    assert pruned == reference == (0.0 if steps == 1 else float(n_moved))
 
 
 def explicit_energy_grid_min(residual, surplus, key1, key2, v, battery, grid, step):
