@@ -136,6 +136,8 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
 
 def oracle_aux(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
     """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g), for v*beta >= 0."""
+    if v * beta < 0.0:
+        raise ValueError(f"the gamma search needs v*beta >= 0, a convex objective; got {v * beta}")
     if cap <= 0.0:
         return 0.0, 0.0
     g, value = _aux_argmins(cost, cap, np.array([h]), np.array([v * beta]))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,11 @@ class TestSubproblemOracles:
     def test_aux_oracle_lands_on_the_interior_optimum(self):
         g, _ = oracle_aux(-0.4, 10.0, 1.0, QuadraticCost(0.2), cap=0.165)
         assert g == pytest.approx(0.1, abs=1e-4)
+
+    def test_aux_oracle_refuses_a_concave_objective(self):
+        # The two-level search is exact only for a convex objective.
+        with pytest.raises(ValueError, match=re.escape("needs v*beta >= 0")):
+            oracle_aux(-0.4, -10.0, 1.0, QuadraticCost(0.2), cap=0.165)
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
         state = make_state(z=-3.0)
@@ -315,7 +321,7 @@ def test_two_level_gamma_search_equals_the_full_lattice(rows, k, cap):
 
 
 @pytest.mark.parametrize("steps", [1, 2])
-def test_aux_answers_two_gamma_steps_off_are_caught(monkeypatch, steps):
+def test_aux_answers_over_one_gamma_step_off_are_caught(monkeypatch, steps):
     # A closed form that answers `steps` lattice steps away from the lattice
     # argmin wherever that argmin is interior (moving inward at the cap) is
     # within the battery's one-step tolerance at one step and counted at
