@@ -354,10 +354,10 @@ def _delay_choices(frame: Frame) -> tuple[list[tuple[int, LoadTask]], list[range
 
 def _frame_options(
     frame: Frame, pairs: Sequence[tuple[int, float]], bundle: ModelBundle, h: float
-) -> tuple[list[float], _SlotFlows, list[list[tuple[int, float]]]]:
+) -> tuple[list[float], _SlotFlows, np.ndarray, list[list[tuple[int, float]]]]:
     """One table row per (frame slot index, demand) pair: the renewable serving
-    the demand, the lattice flows, and the feasible flows as (k, purchase +
-    entry cost) in `_slot_flows` order."""
+    the demand, the lattice flows, each flow's purchase + entry cost, and the
+    feasible flows as (k, cost) in `_slot_flows` order."""
     slots = [frame.slots[p] for p, _ in pairs]
     demand = np.array([d for _, d in pairs], dtype=float)
     s_w = [controller.renewable_split(d, slot.renewable) for (_, d), slot in zip(pairs, slots)]
@@ -365,7 +365,7 @@ def _frame_options(
     flows = _slot_flows(demand - s_w, renewable - s_w, bundle.battery, bundle.grid, h)
     cost = flows.e * np.array([[slot.price] for slot in slots], dtype=float) + flows.entry
     options = [list(zip(flows.k[ok].tolist(), row[ok].tolist())) for ok, row in zip(flows.ok, cost)]
-    return s_w, flows, options
+    return s_w, flows, cost, options
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -387,7 +387,9 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     + and / are monotone, so no plan of the profile totals less than its
     floor. A profile whose floor is not below the best total so far could not
     replace it, so its DP is skipped; the answer, ties included, is the one
-    the full search returns.
+    the full search returns. A profile's DP fills only the states that can
+    still reach the net-flow target (`_dp_forward`), which leaves the target
+    row, and so the answer, bit for bit as the full table has it.
     """
     T = frame.length
     h = grid.energy_step
@@ -442,8 +444,8 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     # slot with no feasible flow costs inf, so the floor skips its profiles.
     rows: dict[tuple[int, float], int] = {}
     profile_rows = [[rows.setdefault(pair, len(rows)) for pair in enumerate(d.tolist())] for d, *_ in profiles.values()]
-    _, _, options = _frame_options(frame, list(rows), bundle, h)
-    cheapest = np.array([min((c for _, c in feasible), default=math.inf) for feasible in options])
+    _, flows, cost, options = _frame_options(frame, list(rows), bundle, h)
+    cheapest = np.where(flows.ok, cost, np.inf).min(axis=1)
     floors = np.zeros(len(profiles))
     for slot_rows in np.array(profile_rows).T:
         floors += cheapest[slot_rows]
@@ -455,7 +457,7 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         if floor / T + usage_floor + delay_term >= best_value:
             continue
         actions = [options[r] for r in slot_rows]
-        layers = _dp_forward(actions, n_off, n_use, o_lo)
+        layers = _dp_forward(actions, n_off, n_use, o_lo, o_target)
         terminal = layers[-1][o_target - o_lo]
         if not np.isfinite(terminal).any():
             continue
@@ -472,22 +474,42 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand, flows)
 
 
-def _dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarray]:
-    """Min purchase+entry cost over (battery offset, cumulative usage) states.
+def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
+    """Min purchase+entry cost over (battery offset, cumulative usage) states
+    on plans that can still end at offset `o_target`.
 
     Returns one layer per slot boundary: layers[0] is the start state and
     layers[p + 1] the cost after slot p, so the last layer is the terminal one.
+    Layer p is computed only on a window and is inf elsewhere: the offsets
+    that slots < p can reach from the start and from which slots >= p can
+    reach `o_target`, each bounded by the sums of the slots' smallest and
+    largest k, and the usages up to the sum of the largest |k| of slots < p.
+    Every finite predecessor of a window cell is in the window, so window
+    cells, the `o_target` row among them, take the full table's values bit
+    for bit (README, "Why the DP window is exact").
     """
+    lo = [min((k for k, _ in feasible), default=0) for feasible in actions]
+    hi = [max((k for k, _ in feasible), default=0) for feasible in actions]
+    reach = [max(h, -l) for l, h in zip(lo, hi)]  # largest |k|
+    start, target = -o_lo, o_target - o_lo
+    r_lo, r_hi, u_hi = [], [], []  # window of each layer: rows r_lo..r_hi, usages 0..u_hi
+    for p in range(len(actions) + 1):
+        r_lo.append(max(0, start + sum(lo[:p]), target - sum(hi[p:])))
+        r_hi.append(min(n_off - 1, start + sum(hi[:p]), target - sum(lo[p:])))
+        u_hi.append(min(n_use - 1, sum(reach[:p])))
+
     cost = np.full((n_off, n_use), np.inf)
-    cost[-o_lo, 0] = 0.0
+    cost[start, 0] = 0.0
     layers = [cost]
-    for feasible in actions:
+    for p, feasible in enumerate(actions):
         new = np.full_like(cost, np.inf)
         for k, c in feasible:
             a = abs(k)
-            src = cost[max(0, -k) : n_off - max(0, k), : n_use - a]
-            dst = new[max(0, k) : n_off - max(0, -k), a:]
-            np.minimum(dst, src + c, out=dst)
+            i0, i1 = max(r_lo[p + 1], r_lo[p] + k), min(r_hi[p + 1], r_hi[p] + k) + 1
+            j1 = min(u_hi[p + 1], u_hi[p] + a) + 1
+            if i0 < i1 and a < j1:
+                dst = new[i0:i1, a:j1]
+                np.minimum(dst, cost[i0 - k : i1 - k, : j1 - a] + c, out=dst)
         cost = new
         layers.append(cost)
     return layers
@@ -531,7 +553,7 @@ def _frame_solution(
     b = frame.boundary_b
     plan = []
     pairs = list(enumerate(demand.tolist()))
-    s_w, table, _ = _frame_options(frame, pairs, bundle, h)
+    s_w, table, _, _ = _frame_options(frame, pairs, bundle, h)
     for (p, demand_p), slot, k in zip(pairs, frame.slots, flows):
         i = table.k.tolist().index(k)
         e, q, d_rate, s_r = (float(column[p, i]) for column in (table.e, table.q, table.d_rate, table.s_r))

@@ -522,11 +522,30 @@ class TestFrameOracle:
             frames_from_run(trace, summary, 7)
 
 
+def full_dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarray]:
+    """`oracle._dp_forward` without its window: every (offset, usage) state of
+    every layer, for flows with |k| < n_off and |k| < n_use as the oracle's are."""
+    cost = np.full((n_off, n_use), np.inf)
+    cost[-o_lo, 0] = 0.0
+    layers = [cost]
+    for feasible in actions:
+        new = np.full_like(cost, np.inf)
+        for k, c in feasible:
+            a = abs(k)
+            src = cost[max(0, -k) : n_off - max(0, k), : n_use - a]
+            dst = new[max(0, k) : n_off - max(0, -k), a:]
+            np.minimum(dst, src + c, out=dst)
+        cost = new
+        layers.append(cost)
+    return layers
+
+
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
-    """The frame search with a DP on every feasible demand profile: the
-    reference the cost-floor skip must match. Each combo's demand profile is
-    built here, one combo at a time; the slot flows, DP and plan come from the
-    oracle's own helpers."""
+    """The frame search with a full-table DP (`full_dp_forward`) on every
+    feasible demand profile: the reference the cost-floor skip and the DP
+    window must match. Each combo's demand profile is built here, one combo
+    at a time; the slot flows, walk back and plan come from the oracle's own
+    helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
@@ -551,17 +570,17 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
         pairs = list(enumerate(demand.tolist()))
-        actions = oracle._frame_options(frame, pairs, bundle, h)[2]
+        actions = oracle._frame_options(frame, pairs, bundle, h)[3]
         if not all(actions):
             continue
-        layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
+        layers = full_dp_forward(actions, n_off, n_use, o_lo)
         delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
         totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best, best_value = (demand, combo, actions, layers, idx), float(totals[idx])
     if best is None:
-        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
+        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
     demand, combo, actions, layers, idx = best
     flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
@@ -591,8 +610,9 @@ class TestCostFloorSkip:
         bundle = small_bundle()
         grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
         dp_calls = []
-        dp_forward = oracle._dp_forward
+        dp_forward, full_forward = oracle._dp_forward, full_dp_forward
         monkeypatch.setattr(oracle, "_dp_forward", lambda *a: dp_calls.append(1) or dp_forward(*a))
+        monkeypatch.setitem(globals(), "full_dp_forward", lambda *a: dp_calls.append(1) or full_forward(*a))
         pruned_calls = full_calls = 0
         # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
         # floor above the cheapest slot flow would skip the winning profile.
@@ -677,12 +697,13 @@ class TestWalkBack:
         (THREE_SLOTS, 9, 7, -4, THREE_SLOT_PLANS),
     ], ids=["two_slots", "three_slots"])
     def test_exact_ties_take_the_first_flow_in_slot_order(self, actions, n_off, n_use, o_lo, plans):
-        layers = oracle._dp_forward(actions, n_off, n_use, o_lo)
+        full = full_dp_forward(actions, n_off, n_use, o_lo)
         reachable = {
-            (i + o_lo, j) for i, j in zip(*np.nonzero(np.isfinite(layers[-1])))
+            (i + o_lo, j) for i, j in zip(*np.nonzero(np.isfinite(full[-1])))
         }
         assert reachable == set(plans)
         for (o_target, u_target), flows in plans.items():
+            layers = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
             assert oracle._walk_back(layers, actions, o_lo, o_target, u_target) == flows
             # the plan costs what the DP says it costs
             cost = sum(dict(slot)[k] for slot, k in zip(actions, flows))
@@ -690,9 +711,94 @@ class TestWalkBack:
 
     def test_unreachable_end_state_is_refused(self):
         # inf + c == inf, so a walk from an unreachable state would "match"
-        layers = oracle._dp_forward(self.TWO_SLOTS, 5, 3, -2)
+        layers = oracle._dp_forward(self.TWO_SLOTS, 5, 3, -2, 0)
         with pytest.raises(ValueError, match="no plan ends"):
             oracle._walk_back(layers, self.TWO_SLOTS, -2, 0, 1)
+
+
+@st.composite
+def dp_instances(draw):
+    """Random `_dp_forward` inputs: 1-5 slots of flows with k in [-4, 4] in any
+    order, costs from a few exact values so that plans tie, some slots with
+    only charges or no discharge, an offset window that may clip at either
+    battery bound, and any net-flow target inside it."""
+    n_slots = draw(st.integers(1, 5))
+    actions = []
+    for _ in range(n_slots):
+        k_min = draw(st.sampled_from([-4, 0, 1]))  # any flow, no discharge, only charges
+        flow = st.tuples(st.integers(k_min, 4), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        actions.append(draw(st.lists(flow, min_size=1, max_size=9, unique_by=lambda f: f[0])))
+    k_flow = max(abs(k) for feasible in actions for k, _ in feasible)
+    o_lo = draw(st.integers(-4 * n_slots, 0))
+    o_hi = draw(st.integers(max(0, o_lo + 4), max(4 * n_slots, o_lo + 4)))  # n_off > every |k|
+    o_target = draw(st.integers(o_lo, o_hi))
+    n_use = draw(st.integers(k_flow + 1, n_slots * k_flow + 1))
+    return actions, o_hi - o_lo + 1, n_use, o_lo, o_target
+
+
+@given(dp_instances())
+@example(([[(0, 0.5), (1, 0.5), (-1, 0.5)]] * 2, 5, 3, -2, 0))  # TestWalkBack.TWO_SLOTS
+@example(([[(2, 0.5), (3, 0.25)], [(0, 0.0), (4, 1.0)]], 5, 9, 0, 4))  # only charges, clipped at b_min
+@example(([[(0, 0.0), (-1, 0.5), (-4, 0.5)]] * 3, 6, 13, -5, -5))  # clipped at b_max, target at b_min
+@settings(max_examples=300, deadline=None)
+def test_dp_window_leaves_the_target_row_bit_for_bit(instance):
+    actions, n_off, n_use, o_lo, o_target = instance
+    full = full_dp_forward(actions, n_off, n_use, o_lo)
+    windowed = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
+    assert [layer.shape for layer in windowed] == [layer.shape for layer in full]
+    for w, f in zip(windowed, full):
+        assert ((w == f) | (w == np.inf)).all()  # a cell outside the window is inf, never a wrong value
+    row = o_target - o_lo
+    assert windowed[-1][row].tobytes() == full[-1][row].tobytes()
+    for u_target in np.nonzero(np.isfinite(full[-1][row]))[0].tolist():
+        flows = oracle._walk_back(windowed, actions, o_lo, o_target, u_target)
+        assert flows == oracle._walk_back(full, actions, o_lo, o_target, u_target)
+
+
+def same_as_unpruned(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> bool:
+    """Assert that `lookahead_optimum` returns what `unpruned_lookahead` does,
+    or that both find no plan. False, with nothing compared, when the oracle
+    refuses the frame because its net-flow target is outside its battery window."""
+    try:
+        sol = lookahead_optimum(frame, bundle, grid)
+    except ValueError as err:
+        assert "net-flow target" in str(err)
+        return False
+    except InfeasibleSlot:
+        with pytest.raises(InfeasibleSlot):
+            unpruned_lookahead(frame, bundle, grid)
+        return True
+    assert sol == unpruned_lookahead(frame, bundle, grid)
+    return True
+
+
+class TestNetFlowTarget:
+    """Frames whose net-flow target is not the boundary level (delta_u != 0),
+    or whose battery window is clipped by b_min or b_max."""
+
+    GRID = GridSpec(energy_step=SMALL_ENERGY_STEP)
+
+    @pytest.mark.parametrize("delta_u", [0.36, -0.36])  # a target of +-4 steps per 4-slot frame
+    def test_every_frame_of_desk_seeds_0_to_2(self, delta_u):
+        bundle = small_bundle(delta_u=delta_u)
+        compared = 0
+        for seed in range(3):
+            trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
+            summary = run(trace, bundle, policy="joint")
+            compared += sum(same_as_unpruned(frame, bundle, self.GRID)
+                            for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH))
+        assert compared >= 12
+
+    @pytest.mark.parametrize("boundary_b, delta_u", [
+        (0.0, 0.0), (0.0, 0.36),  # at b_min
+        (2.95, 0.0), (2.95, -0.36), (2.95, 0.18),  # under b_max by less than one frame's charge
+    ])
+    def test_every_frame_of_desk_seed_0_from_a_clipped_window(self, small_instances, boundary_b, delta_u):
+        bundle = small_bundle(delta_u=delta_u)
+        assert bundle.battery.b_min == 0.0 and bundle.battery.b_max == 3.0
+        _, trace, summary = small_instances[0]
+        for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
+            assert same_as_unpruned(replace(frame, boundary_b=boundary_b), bundle, self.GRID)
 
 
 @pytest.fixture(scope="module")
