@@ -580,7 +580,7 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         if totals[idx] < best_value:
             best, best_value = (demand, combo, actions, layers, idx), float(totals[idx])
     if best is None:
-        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
+        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
 
     demand, combo, actions, layers, idx = best
     flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
@@ -737,7 +737,7 @@ def dp_instances(draw):
 
 
 @given(dp_instances())
-@example(([[(0, 0.5), (1, 0.5), (-1, 0.5)]] * 2, 5, 3, -2, 0))  # TestWalkBack.TWO_SLOTS
+@example(([[(0, 1.0), (1, 0.5), (-1, 0.5)]] * 2, 5, 3, -2, 0))  # TestWalkBack.TWO_SLOTS
 @example(([[(2, 0.5), (3, 0.25)], [(0, 0.0), (4, 1.0)]], 5, 9, 0, 4))  # only charges, clipped at b_min
 @example(([[(0, 0.0), (-1, 0.5), (-4, 0.5)]] * 3, 6, 13, -5, -5))  # clipped at b_max, target at b_min
 @settings(max_examples=300, deadline=None)
