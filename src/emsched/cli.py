@@ -131,6 +131,8 @@ class ExperimentConfig:
     frame_length: int = 4
     oracle_energy_step: float = 0.015
     equivalence_states: int = 300
+    # The battery queue has one origin, z(0) = b_init - a_o; the key stays so
+    # that configs naming it still load.
     z0_mode: str = "shifted"
 
     def __post_init__(self) -> None:
@@ -146,11 +148,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"experiment.{key} must be >= 1")
         if not self.oracle_energy_step > 0.0:
             raise ConfigurationError("experiment.oracle_energy_step must be > 0")
-        if self.z0_mode not in controller.Z0_MODES:
-            raise ConfigurationError(
-                f"unknown experiment.z0_mode {self.z0_mode!r}; "
-                f"expected one of {', '.join(controller.Z0_MODES)}"
-            )
+        if self.seed_base < 0:
+            raise ConfigurationError(f"experiment.seed_base (--seed) must be >= 0, got {self.seed_base}")
+        if self.z0_mode != "shifted":
+            raise ConfigurationError(f"experiment.z0_mode must be 'shifted', got {self.z0_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if problems:
         raise ConfigurationError("; ".join(problems))
     bundle = ModelBundle(
-        battery=config.battery, grid=config.grid, costs=costs, weights=config.weights,
-        horizon=scenario.horizon, z0_mode=exp.z0_mode,
+        battery=config.battery, grid=config.grid, costs=costs, weights=config.weights, horizon=scenario.horizon,
     )
     return ExperimentSpec(
         profile=scenario.profile,
@@ -270,7 +270,7 @@ def _load_or_generate(spec: ExperimentSpec, seed: int) -> Trace:
     """The configured trace file, or one generated from `seed`; ConfigurationError
     unless it has `scenario.horizon` rows and passes `validate_trace`."""
     if spec.trace_path is not None:
-        trace = load_trace(spec.trace_path, slot_minutes=spec.profile.slot_minutes)
+        trace = load_trace(spec.trace_path)
     else:
         trace = generate_trace(spec.profile, spec.bundle.horizon, seed)
     if trace.horizon != spec.bundle.horizon:
@@ -382,7 +382,7 @@ def _with_max_delay(trace: Trace, max_delay: int) -> Trace:
         replace(s, task=replace(s.task, max_delay=max_delay) if s.task is not None else None)
         for s in trace.slots
     )
-    return Trace(slots=slots, slot_minutes=trace.slot_minutes)
+    return Trace(slots=slots)
 
 
 def _run_columns(outcome: RunSummary | Exception) -> dict:

@@ -45,9 +45,7 @@ class ControllerState(NamedTuple):
 
     z tracks the battery level minus a time-dependent shift (so it ranges over
     all reals), x >= 0 accumulates delay excess over the per-slot target, and
-    h_u / h_d are signed backlogs of the auxiliary equalities. z_offset is the
-    constant gap between z and its shift identity left by the chosen
-    initialization mode; it stays fixed for the whole run.
+    h_u / h_d are signed backlogs of the auxiliary equalities.
     """
 
     z: float
@@ -57,9 +55,7 @@ class ControllerState(NamedTuple):
     b: float
     a_o: float
     v: float
-    gamma_u_cap: float
     slot: int = 0
-    z_offset: float = 0.0
 
 
 class EnergyAction(NamedTuple):
@@ -84,7 +80,7 @@ def design_params(
     battery inside [b_min, b_max] at every slot. Returns (a_o, v_max, v), where
     v is weights.v, defaulting to v_max, and a_o is evaluated at that v.
     """
-    gamma_u = max(battery.r_max, battery.d_max_rate)
+    gamma_u = battery.gamma_u_cap
     marginal = costs.usage_cost_derivative(gamma_u)
     v_max = battery_headroom(battery, weights.delta_u) / (grid.p_max + marginal)
     if v_max <= 0.0:
@@ -102,39 +98,13 @@ def design_params(
     return a_o, v_max, v
 
 
-# The battery-queue origins init_state accepts.
-Z0_MODES = ("shifted", "zero")
-
-
-def init_state(
-    battery: BatteryParams,
-    a_o: float,
-    v: float,
-    gamma_u_cap: float,
-    z0_mode: str = "shifted",
-) -> ControllerState:
+def init_state(battery: BatteryParams, a_o: float, v: float) -> ControllerState:
     """Fresh state at slot 0: empty queues, battery at its initial level.
 
-    z0_mode picks the battery-queue origin. "shifted" (default) starts z at
-    b_init - a_o, which is what the battery-bounds guarantee assumes; "zero"
-    starts z at 0, leaving a constant offset that the shift identity carries
-    for the rest of the run.
+    z starts at b_init - a_o, the shifted origin the battery-bounds guarantee
+    assumes, so z = b - (a_o + shift * slot) holds at every slot of the run.
     """
-    if z0_mode not in Z0_MODES:
-        raise ValueError(f"z0_mode must be 'shifted' or 'zero', got {z0_mode!r}")
-    z0 = battery.b_init - a_o if z0_mode == "shifted" else 0.0
-    return ControllerState(
-        z=z0,
-        x=0.0,
-        h_u=0.0,
-        h_d=0.0,
-        b=battery.b_init,
-        a_o=a_o,
-        v=v,
-        gamma_u_cap=gamma_u_cap,
-        slot=0,
-        z_offset=z0 - (battery.b_init - a_o),
-    )
+    return ControllerState(z=battery.b_init - a_o, x=0.0, h_u=0.0, h_d=0.0, b=battery.b_init, a_o=a_o, v=v)
 
 
 def schedule_load(state: ControllerState, task: LoadTask, mu: float, effective_d_max: int) -> int:
@@ -280,7 +250,7 @@ def update_queues(
 ) -> ControllerState:
     """Advance every queue and the battery by the slot `record` describes.
 
-    Re-asserts the shift identity between z and the battery level; a violation
+    Re-asserts the shift identity z = b - (a_o + shift * slot); a violation
     means a bug in the flow accounting, not bad input, so it raises
     StateConsistencyError.
     """
@@ -289,19 +259,19 @@ def update_queues(
     z = state.z + net_flow - shift
     b = state.b + net_flow
     slot = state.slot + 1
-    drift = z - (b - (state.a_o + shift * slot)) - state.z_offset
+    drift = z - (b - (state.a_o + shift * slot))
     if abs(drift) > _IDENTITY_TOL:
         raise StateConsistencyError(
             f"slot {slot}: battery-queue shift identity drifted by {drift:.3e}"
         )
     x = state.x + record.delay - d_avg_max
-    # Positional, in field order: z, x, h_u, h_d, b, a_o, v, gamma_u_cap, slot, z_offset.
+    # Positional, in field order: z, x, h_u, h_d, b, a_o, v, slot.
     return ControllerState(
         z,
         0.0 if 0.0 > x else x,  # max(x, 0.0)
         state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
         state.h_d + record.gamma_d - record.delay,
-        b, state.a_o, state.v, state.gamma_u_cap, slot, state.z_offset,
+        b, state.a_o, state.v, slot,
     )
 
 

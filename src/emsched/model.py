@@ -126,6 +126,11 @@ class BatteryParams:
     c_rc: float = 0.001
     c_dc: float = 0.001
 
+    @property
+    def gamma_u_cap(self) -> float:
+        """Cap of the usage stand-in: the largest flow one slot can move."""
+        return max(self.r_max, self.d_max_rate)
+
 
 @dataclass(frozen=True)
 class GridParams:
@@ -162,11 +167,6 @@ class ModelBundle:
     costs: CostModel = CostModel.quadratic()
     weights: Weights = Weights()
     horizon: int = 288
-    z0_mode: str = "shifted"
-
-    @property
-    def gamma_u_cap(self) -> float:
-        return max(self.battery.r_max, self.battery.d_max_rate)
 
     @property
     def delta_per_slot(self) -> float:
@@ -176,8 +176,7 @@ class ModelBundle:
 def battery_headroom(battery: BatteryParams, delta_u: float) -> float:
     """Battery window left once the rate limits, the usage stand-in cap and the
     net shift are set aside; v_max is positive exactly when this is."""
-    gamma_u = max(battery.r_max, battery.d_max_rate)
-    return battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate - 2.0 * gamma_u - abs(delta_u)
+    return battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate - 2.0 * battery.gamma_u_cap - abs(delta_u)
 
 
 def validate_config(
@@ -235,7 +234,7 @@ def validate_config(
     if horizon >= 1:
         delta_cap = min(
             battery.b_max - battery.b_min,
-            horizon * max(battery.r_max, battery.d_max_rate),
+            horizon * battery.gamma_u_cap,
         )
         if abs(weights.delta_u) > delta_cap:
             problems.append(
@@ -243,7 +242,7 @@ def validate_config(
                 f"(cap {delta_cap})"
             )
 
-    gamma_u = max(battery.r_max, battery.d_max_rate)
+    gamma_u = battery.gamma_u_cap
     if not math.isfinite(costs.usage_cost_derivative(gamma_u)):
         problems.append(f"usage-cost derivative is not finite at {gamma_u}")
     if weights.d_avg_max > 0 and not math.isfinite(costs.delay_cost_derivative(float(weights.d_avg_max))):

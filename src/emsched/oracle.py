@@ -560,7 +560,7 @@ def _frame_solution(
         regime = "idle" if k == 0 else "charge" if k > 0 else "discharge"
         plan.append(SlotRecord(
             slot.slot, slot.price, slot.renewable, demand_p, e, q, d_rate, s_w[p], s_r, delay_at.get(p, 0),
-            b, 0.0, 0.0, 0.0, 0.0, regime, 0.0, 0.0, slot.slot < bundle.horizon,
+            b, 0.0, 0.0, 0.0, 0.0, regime, 0.0, 0.0,
         ))
         b += q + s_r - d_rate
     excursion, balance_err, overlaps = _audit_flows(plan, frame.boundary_b, battery)
@@ -603,7 +603,7 @@ def lookahead_grid_slack(bundle: ModelBundle, energy_step: float, frame_length: 
     usage by at most one step, and may toggle at most one charge/discharge
     entry pair per frame.
     """
-    marginal = bundle.costs.usage_cost_derivative(bundle.gamma_u_cap)
+    marginal = bundle.costs.usage_cost_derivative(bundle.battery.gamma_u_cap)
     return (
         energy_step * bundle.grid.p_max
         + energy_step * marginal
@@ -654,9 +654,8 @@ def lookahead_bound_check(
     horizon = run.horizon
     l0 = controller.lyapunov(run.initial_state, mu)
     l_end = controller.lyapunov(run.state_at_horizon, mu)
-    gamma_u_cap = bundle.gamma_u_cap
     gamma_d_cap = float(min(max(trace.max_task_delay(), 0), bundle.weights.d_avg_max))
-    cu_prime = bundle.costs.usage_cost_derivative(gamma_u_cap)
+    cu_prime = bundle.costs.usage_cost_derivative(bundle.battery.gamma_u_cap)
     cd_prime = bundle.costs.delay_cost_derivative(gamma_d_cap)
     rhs = (
         g * frame_length / v
@@ -710,7 +709,7 @@ def margin_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport
     )
 
     v = run.initial_state.v
-    gamma_u_cap = bundle.gamma_u_cap
+    gamma_u_cap = bundle.battery.gamma_u_cap
     u_bound = (
         2.0 * gamma_u_cap
         + bundle.battery.r_max
@@ -736,13 +735,12 @@ def feasibility_checks(run: RunSummary, bundle: ModelBundle) -> CheckReport:
     """
     shift = bundle.delta_per_slot
     a_o = run.initial_state.a_o
-    z_offset = run.initial_state.z_offset
 
     bound_violation, balance_err, exclusive = _audit_flows(run.records, run.initial_state.b, bundle.battery)
     identity_err = 0.0
     for r in run.records:
         z_next = r.z + (r.q + r.s_r - r.d_rate) - shift
-        ideal = r.b + r.q + r.s_r - r.d_rate - (a_o + shift * (r.slot + 1)) + z_offset
+        ideal = r.b + r.q + r.s_r - r.d_rate - (a_o + shift * (r.slot + 1))
         identity_err = max(identity_err, abs(z_next - ideal))
 
     return CheckReport(
@@ -857,7 +855,7 @@ def sample_slot_states(
     price = uniform(grid_params.p_min, grid_params.p_max)
     return [
         (
-            ControllerState(z[i], x[i], h_u[i], h_d[i], battery.b_init, a_o, v, bundle.gamma_u_cap),
+            ControllerState(z[i], x[i], h_u[i], h_d[i], battery.b_init, a_o, v),
             SlotContext(
                 task=LoadTask(0, intensity[i], duration[i], max_delay[i]) if has_task[i] else None,
                 demand_l=s_w[i] + residual[i],
@@ -894,7 +892,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
     a_o, _, v = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
-    weights = bundle.weights
+    weights, gamma_u_cap = bundle.weights, bundle.battery.gamma_u_cap
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 
     # Both searches run after the loop, a block of states per table: the energy
@@ -913,7 +911,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
         else:
             gamma_d_cap = float(weights.d_avg_max)
 
-        aux_groups.setdefault((0, state.gamma_u_cap), []).append((state.h_u, 1.0))
+        aux_groups.setdefault((0, gamma_u_cap), []).append((state.h_u, 1.0))
         aux_groups.setdefault((1, gamma_d_cap), []).append((state.h_d, weights.alpha / weights.mu))
 
         action = controller.energy_control(
@@ -949,7 +947,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
 
 def jensen_check(run: RunSummary, bundle: ModelBundle) -> CheckReport:
     """Average of convex costs dominates the cost of the average, per run."""
-    records = [r for r in run.records if r.in_horizon]
+    records = run.records[: run.horizon]
     if not records:
         raise ValueError("run has no in-horizon records")
     gamma_u = [r.gamma_u for r in records]

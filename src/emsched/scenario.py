@@ -63,7 +63,6 @@ class SlotInput:
 @dataclass(frozen=True)
 class Trace:
     slots: tuple[SlotInput, ...]
-    slot_minutes: int = 5
 
     def __post_init__(self):
         for i, s in enumerate(self.slots):
@@ -188,11 +187,12 @@ def generate_trace(profile: StageProfile, horizon: int, seed: int) -> Trace:
             range(horizon), price.tolist(), solar.tolist(), intensity.tolist(), durations.tolist()
         )
     )
-    return Trace(slots=slots, slot_minutes=profile.slot_minutes)
+    return Trace(slots=slots)
 
 
 def validate_trace(trace: Trace, grid: GridParams) -> list[str]:
-    """List every bounds violation in the trace; empty means valid."""
+    """List every price or renewable bounds violation in the trace; empty means
+    valid. Task fields need no check here: `LoadTask` refuses bad ones."""
     problems: list[str] = []
     for s in trace.slots:
         if not (grid.p_min <= s.price <= grid.p_max):
@@ -201,14 +201,6 @@ def validate_trace(trace: Trace, grid: GridParams) -> list[str]:
             )
         if s.renewable < 0.0:
             problems.append(f"slot {s.slot}: renewable {s.renewable} is negative")
-        if s.task is not None:
-            t = s.task
-            if t.intensity < 0.0:
-                problems.append(f"slot {s.slot}: intensity {t.intensity} is negative")
-            if t.duration < 1:
-                problems.append(f"slot {s.slot}: duration {t.duration} < 1")
-            if t.max_delay < 0:
-                problems.append(f"slot {s.slot}: max_delay {t.max_delay} < 0")
     return problems
 
 
@@ -230,7 +222,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             writer.writerow([str(s.slot), _fmt(s.price), _fmt(s.renewable)] + tail)
 
 
-def load_trace(path: str | Path, slot_minutes: int = 5) -> Trace:
+def load_trace(path: str | Path) -> Trace:
     """Parse and validate a trace CSV; malformed rows raise with line numbers."""
     path = Path(path)
     with path.open(newline="") as fh:
@@ -285,4 +277,4 @@ def load_trace(path: str | Path, slot_minutes: int = 5) -> Trace:
                     raise TraceFormatError(f"{path}: line {lineno}: max_delay must be >= 0, got {max_delay}")
                 task = LoadTask(slot, intensity, duration, max_delay)
             slots.append(SlotInput(slot=slot, price=price, renewable=renewable, task=task))
-    return Trace(slots=tuple(slots), slot_minutes=slot_minutes)
+    return Trace(slots=tuple(slots))

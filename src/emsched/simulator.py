@@ -91,7 +91,6 @@ class SlotRecord(NamedTuple):
     regime: str
     gamma_u: float
     gamma_d: float
-    in_horizon: bool
 
 
 @dataclass(frozen=True)
@@ -144,12 +143,12 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
         raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {horizon}")
     battery, grid, costs, weights = bundle.battery, bundle.grid, bundle.costs, bundle.weights
     a_o, _, v = controller.design_params(battery, grid, costs, weights, horizon)
-    state = controller.init_state(battery, a_o, v, bundle.gamma_u_cap, bundle.z0_mode)
+    state = controller.init_state(battery, a_o, v)
     initial_state = state
 
     # Read once: none of these changes during a run.
     mu, d_avg_max, delta_u, e_max = weights.mu, weights.d_avg_max, weights.delta_u, grid.e_max
-    d_avg_cap, delay_beta, gamma_u_cap = float(d_avg_max), weights.alpha / mu, state.gamma_u_cap
+    d_avg_cap, delay_beta, gamma_u_cap = float(d_avg_max), weights.alpha / mu, battery.gamma_u_cap
     delay_cost, usage_cost = costs.delay, costs.usage
     joint, no_storage = policy == "joint", policy == "no_storage"
     schedule_load = controller.schedule_load
@@ -207,7 +206,7 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
             t, price, renewable, demand,
             e, q, d_rate, s_w, s_r, delay,
             state.b, state.z, state.x, state.h_u, state.h_d,
-            regime, gamma_u, gamma_d, t < horizon,
+            regime, gamma_u, gamma_d,
         )
         append(record)
         state = update_queues(state, record, d_avg_max, delta_u, horizon)
@@ -232,6 +231,7 @@ def _summarize(
     # horizon, the inclusive ones fold the drain slots in.
     purchase = entry = usage = delay = net_flow = 0.0
     purchase_all = entry_all = usage_all = 0.0
+    horizon = bundle.horizon
     for r in records:
         r_purchase = r.e * r.price
         r_entry = controller.entry_cost(r.q, r.s_r, r.d_rate, bundle.battery)
@@ -239,7 +239,7 @@ def _summarize(
         purchase_all += r_purchase
         entry_all += r_entry
         usage_all += r_usage
-        if r.in_horizon:
+        if r.slot < horizon:
             purchase += r_purchase
             entry += r_entry
             usage += r_usage

@@ -17,7 +17,9 @@ from emsched.simulator import run_policy
 
 REPO = Path(__file__).resolve().parent.parent
 SMALL = REPO / "configs" / "small.yaml"
-SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.yaml")) + sorted(REPO.glob("bench/configs/*.yaml"))
+# The benchmark's configs are named, not globbed, so that losing one fails.
+BENCH_CONFIGS = [REPO / "bench" / "configs" / "day.yaml", REPO / "bench" / "configs" / "desk.yaml"]
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.yaml")) + BENCH_CONFIGS
 
 
 def small_config(tmp_path, **overrides):
@@ -117,10 +119,6 @@ class TestLoadExperiment:
         spec = load_experiment(path)
         assert spec.profile.high_hours == ((16.0, 20.0),)
 
-    def test_z0_mode_reaches_the_bundle(self, tmp_path):
-        path = small_config(tmp_path, **{"experiment.z0_mode": "zero"})
-        assert load_experiment(path).bundle.z0_mode == "zero"
-
 
 # (override of small.yaml, value, the dotted key the error must name)
 MALFORMED = [
@@ -150,6 +148,8 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("experiment.frame_length", 0),
         ("experiment.oracle_energy_step", 0),
         ("experiment.equivalence_states", -5),
+        ("experiment.seed_base", -1),  # numpy refuses a negative seed
+        ("experiment.z0_mode", "zero"),  # the battery queue has one origin
         ("costs.k_u", -0.2),  # a concave usage cost
         ("costs.k_d", -1.0),  # a concave delay cost
         ("costs.k_u", math.nan),
@@ -232,6 +232,13 @@ class TestMainExitCodes:
             assert "infeasible run" in capsys.readouterr().err
             assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify", "gen-trace"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(SMALL), "--seed", "-1", "--out", str(out)]) == 2
+        assert "experiment.seed_base (--seed) must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as err:
             main(["explode", "--config", str(SMALL)])
@@ -267,7 +274,7 @@ def four_slot_trace_config(tmp_path):
     """The small config pointed at a trace file of 4 rows, not the 24 it declares."""
     spec = load_experiment(SMALL)
     trace = generate_trace(spec.profile, spec.bundle.horizon, 0)
-    save_trace(Trace(slots=trace.slots[:4], slot_minutes=trace.slot_minutes), tmp_path / "short.csv")
+    save_trace(Trace(slots=trace.slots[:4]), tmp_path / "short.csv")
     return small_config(tmp_path, **{"scenario.trace": str(tmp_path / "short.csv")})
 
 
@@ -402,7 +409,7 @@ class TestGenTrace:
                      "--out", str(tmp_path)]) == 0
         path = tmp_path / "trace_seed5.csv"
         spec = load_experiment(SMALL)
-        loaded = load_trace(path, slot_minutes=60)
+        loaded = load_trace(path)
         assert loaded == generate_trace(spec.profile, 24, 5)
 
     def test_run_accepts_a_pregenerated_trace(self, tmp_path):

@@ -38,7 +38,7 @@ from emsched.simulator import SlotRecord
 def make_state(**overrides) -> ControllerState:
     kwargs = dict(
         z=0.0, x=0.0, h_u=0.0, h_d=0.0, b=0.0,
-        a_o=2.67, v=10.0, gamma_u_cap=0.165, slot=0, z_offset=0.0,
+        a_o=2.67, v=10.0, slot=0,
     )
     kwargs.update(overrides)
     return ControllerState(**kwargs)
@@ -79,24 +79,18 @@ class TestDesignParams:
 
 class TestInitState:
     def test_empty_battery_starts_queue_at_minus_shift(self):
-        state = init_state(BatteryParams(b_init=0.0), a_o=2.67, v=10.0, gamma_u_cap=0.165)
+        state = init_state(BatteryParams(b_init=0.0), a_o=2.67, v=10.0)
         assert state.z == pytest.approx(-2.67)
         assert (state.x, state.h_u, state.h_d) == (0.0, 0.0, 0.0)
-        assert state.z_offset == 0.0
 
     def test_battery_at_shift_level_starts_queue_at_zero(self):
-        state = init_state(BatteryParams(b_max=3.0, b_init=2.67), a_o=2.67, v=10.0, gamma_u_cap=0.165)
+        state = init_state(BatteryParams(b_max=3.0, b_init=2.67), a_o=2.67, v=10.0)
         assert state.z == pytest.approx(0.0)
 
-    def test_zero_mode_keeps_offset(self):
-        state = init_state(BatteryParams(b_init=0.0), a_o=2.67, v=10.0, gamma_u_cap=0.165,
-                           z0_mode="zero")
-        assert state.z == 0.0
-        assert state.z_offset == pytest.approx(2.67)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="z0_mode"):
-            init_state(BatteryParams(), a_o=2.67, v=10.0, gamma_u_cap=0.165, z0_mode="warm")
+def test_state_and_record_carry_only_per_slot_fields():
+    assert ControllerState._fields == ("z", "x", "h_u", "h_d", "b", "a_o", "v", "slot")
+    assert len(SlotRecord._fields) == 18 and SlotRecord._fields[-1] == "gamma_d"
 
 
 class TestScheduleLoad:
@@ -314,7 +308,7 @@ class TestUpdateQueues:
     BATTERY = BatteryParams()
 
     def fresh(self, **overrides):
-        state = init_state(self.BATTERY, a_o=2.67, v=10.0, gamma_u_cap=0.165)
+        state = init_state(self.BATTERY, a_o=2.67, v=10.0)
         return state._replace(**overrides) if overrides else state
 
     @staticmethod
@@ -322,7 +316,7 @@ class TestUpdateQueues:
         kwargs = dict(slot=0, price=0.0, renewable=0.0, demand=0.0,
                       e=0.0, q=0.0, d_rate=0.0, s_w=0.0, s_r=0.0, delay=0,
                       b=0.0, z=0.0, x=0.0, h_u=0.0, h_d=0.0, regime="idle",
-                      gamma_u=0.0, gamma_d=0.0, in_horizon=True)
+                      gamma_u=0.0, gamma_d=0.0)
         kwargs.update(overrides)
         return SlotRecord(**kwargs)
 
@@ -391,9 +385,9 @@ def test_renewable_split_is_builtin_min_bit_for_bit(demand, renewable):
 @example(x=3.0, delay=2, d_avg_max=5)
 @example(x=-3.0, delay=5, d_avg_max=2)
 def test_delay_queue_clamp_is_builtin_max_bit_for_bit(x, delay, d_avg_max):
-    state = init_state(BatteryParams(), a_o=2.67, v=10.0, gamma_u_cap=0.165)._replace(x=x)
+    state = init_state(BatteryParams(), a_o=2.67, v=10.0)._replace(x=x)
     record = SlotRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delay,
-                        0.0, 0.0, 0.0, 0.0, 0.0, "idle", 0.0, 0.0, True)
+                        0.0, 0.0, 0.0, 0.0, 0.0, "idle", 0.0, 0.0)
     nxt = update_queues(state, record, d_avg_max=d_avg_max, delta_u=0.0, horizon=288)
     assert _bits(nxt.x) == _bits(max(x + delay - d_avg_max, 0.0))
 
@@ -431,7 +425,7 @@ class TestDriftUpperBound:
 
     def test_one_step_drift_never_exceeds_bound_on_a_random_walk(self):
         # quick standalone spot check; run-level coverage lives in the oracle tests
-        state = init_state(BatteryParams(), a_o=2.67, v=10.0, gamma_u_cap=0.165)
+        state = init_state(BatteryParams(), a_o=2.67, v=10.0)
         weights = Weights()
         g = drift_bound_G(BatteryParams(), weights, per_load_d_max=18, horizon=288)
         decision = TestUpdateQueues.decision(q=0.1, gamma_u=0.05, gamma_d=1.0,

@@ -142,7 +142,7 @@ class TestValidateConfig:
 class TestModelBundle:
     def test_usage_auxiliary_cap_is_larger_rate(self):
         bundle = ModelBundle(battery=BatteryParams(r_max=0.1, d_max_rate=0.2))
-        assert bundle.gamma_u_cap == 0.2
+        assert bundle.battery.gamma_u_cap == 0.2
 
     def test_per_slot_level_shift(self):
         bundle = ModelBundle(weights=Weights(delta_u=2.88), horizon=288)

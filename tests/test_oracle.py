@@ -246,7 +246,7 @@ class TestEquivalenceBattery:
             assert surplus >= 0.0
             kinds.add((residual > 0.0, surplus > 0.0))
             assert state.b == bundle.battery.b_init
-            assert (state.a_o, state.v, state.gamma_u_cap) == (a_o, v_max, bundle.gamma_u_cap)
+            assert (state.a_o, state.v) == (a_o, v_max)
             assert bundle.grid.p_min <= ctx.price <= bundle.grid.p_max
             if ctx.task is not None:
                 tasks += 1
@@ -507,7 +507,7 @@ class TestFrameOracle:
             b = frame.boundary_b
             for slot, r in zip(frame.slots, sol.decisions):
                 assert type(r) is SlotRecord
-                assert (r.slot, r.price, r.renewable, r.in_horizon) == (slot.slot, slot.price, slot.renewable, True)
+                assert (r.slot, r.price, r.renewable) == (slot.slot, slot.price, slot.renewable)
                 assert r.b == b
                 b += r.q + r.s_r - r.d_rate
                 assert r.regime == ("charge" if r.q + r.s_r > 0.0 else "discharge" if r.d_rate > 0.0 else "idle")

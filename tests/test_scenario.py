@@ -164,12 +164,6 @@ class TestTraceFiles:
         header = path.read_text().splitlines()[0]
         assert header == "slot,price,renewable,intensity,duration,max_delay"
 
-    def test_slot_minutes_survive_via_loader_argument(self, tmp_path):
-        trace = generate_trace(hourly_profile(), 24, seed=0)
-        path = tmp_path / "trace.csv"
-        save_trace(trace, path)
-        assert load_trace(path, slot_minutes=60) == trace
-
     def test_small_hand_written_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
