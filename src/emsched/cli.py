@@ -4,9 +4,9 @@ Configuration is a YAML file with sections ``scenario``, ``battery``, ``grid``,
 ``costs``, ``weights`` and ``experiment`` (`ConfigFile`). Each section is read
 into its dataclass with every value checked against its field's declared type,
 and unknown keys are rejected so typos fail loudly instead of silently using
-defaults. ``--seed``, ``--out`` and ``--workers`` override the config (and
-``EMSCHED_OUT`` the output directory, with the flag winning over the
-environment); `_load` applies them as the config is loaded.
+defaults. ``--seed`` and ``--out`` override the config (and ``EMSCHED_OUT``
+the output directory, with the flag winning over the environment); `_load`
+applies them as the config is loaded.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import csv
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields as dataclass_fields, is_dataclass, replace
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
@@ -127,12 +126,12 @@ class ExperimentConfig:
     replications: int = 1
     seed_base: int = 0
     out_dir: str = "out"
-    workers: int = 1
     frame_length: int = 4
     oracle_energy_step: float = 0.015
     equivalence_states: int = 300
-    # The battery queue has one origin, z(0) = b_init - a_o; the key stays so
-    # that configs naming it still load.
+    # The commands run in one process, and the battery queue has one origin,
+    # z(0) = b_init - a_o; both keys stay so that configs naming them still load.
+    workers: int = 1
     z0_mode: str = "shifted"
 
     def __post_init__(self) -> None:
@@ -150,6 +149,8 @@ class ExperimentConfig:
             raise ConfigurationError("experiment.oracle_energy_step must be > 0")
         if self.seed_base < 0:
             raise ConfigurationError(f"experiment.seed_base (--seed) must be >= 0, got {self.seed_base}")
+        if self.workers != 1:
+            raise ConfigurationError(f"experiment.workers must be 1, got {self.workers}")
         if self.z0_mode != "shifted":
             raise ConfigurationError(f"experiment.z0_mode must be 'shifted', got {self.z0_mode!r}")
 
@@ -250,10 +251,9 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
 def _load(args: argparse.Namespace) -> ExperimentSpec:
     """The command's config with its flags applied: --seed replaces seed_base,
-    --workers workers, and --out, else EMSCHED_OUT, out_dir."""
+    and --out, else EMSCHED_OUT, out_dir."""
     flags = {
         "seed_base": args.seed,
-        "workers": args.workers,
         "out_dir": args.out or os.environ.get("EMSCHED_OUT") or None,
     }
     return replace(load_experiment(args.config), **{k: v for k, v in flags.items() if v is not None})
@@ -402,18 +402,9 @@ def _run_columns(outcome: RunSummary | Exception) -> dict:
     )
 
 
-def _pool_map(func, workers: int, *iterables) -> list:
-    """`list(map(func, *iterables))`, run in a pool of `workers` processes when more than one."""
-    if workers <= 1:
-        return list(map(func, *iterables))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, *iterables))
-
-
-def _run_job(job: tuple[Trace, ModelBundle, str]) -> dict:
+def _run_job(trace: Trace, bundle: ModelBundle, policy: str) -> dict:
     """One distinct sweep run, reduced to its columns where it ran, so
     neither its records nor an error's traceback outlive it."""
-    trace, bundle, policy = job
     try:
         return _run_columns(run_policy(trace, bundle, policy))
     except (ValueError, RuntimeError) as exc:
@@ -426,8 +417,7 @@ def _run_key(policy: str, point: SweepPoint, replication: int) -> tuple:
 
 
 def run_sweep(spec: ExperimentSpec) -> list[dict]:
-    """All sweep rows in deterministic (point, replication, policy) order,
-    with the runs spread over `spec.workers` processes.
+    """All sweep rows in deterministic (point, replication, policy) order.
 
     Every (point, replication) is validated on its own, and one that fails
     gives error rows for all policies. Each distinct run (`_run_key`) is
@@ -462,7 +452,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
             continue
         for policy in spec.policies:
             jobs.setdefault(_run_key(policy, point, replication), (trace, bundle, policy))
-    columns = dict(zip(jobs, _pool_map(_run_job, spec.workers, jobs.values())))
+    columns = {key: _run_job(*job) for key, job in jobs.items()}
     return [
         {
             **point._asdict(), "policy": policy, "replication": replication,
@@ -495,8 +485,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
-    """Full verification battery on the joint policy's run at `spec.seed_base`,
-    with the frame searches spread over `spec.workers` processes."""
+    """Full verification battery on the joint policy's run at `spec.seed_base`."""
     seed = spec.seed_base
     bundle = spec.bundle
     if bundle.horizon % spec.frame_length != 0:
@@ -519,7 +508,7 @@ def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
     frames = oracle.frames_from_run(trace, run, spec.frame_length)
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
     try:
-        solutions = _pool_map(oracle.lookahead_optimum, spec.workers, frames, repeat(bundle), repeat(grid))
+        solutions = [oracle.lookahead_optimum(frame, bundle, grid) for frame in frames]
     except oracle.SearchSpaceError as exc:
         raise ConfigurationError(f"experiment.oracle_energy_step={spec.oracle_energy_step}: {exc}") from exc
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
@@ -571,7 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, metavar="<path>", help="YAML config file")
         cmd.add_argument("--seed", type=int, default=None, metavar="<u64>", help="override seed")
         cmd.add_argument("--out", default=None, metavar="<dir>", help="override output directory")
-        cmd.add_argument("--workers", type=int, default=None, metavar="<n>", help="parallel workers")
         cmd.set_defaults(func=func)
     return parser
 

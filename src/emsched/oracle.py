@@ -60,10 +60,6 @@ class SearchSpaceError(RuntimeError):
             f"try energy_step >= {suggested_step:.4g}"
         )
 
-    def __reduce__(self):
-        # Rebuilt from its own arguments, so it crosses a process pool intact.
-        return SearchSpaceError, (self.nodes, self.limit, self.suggested_step)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -444,15 +440,15 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     # slot with no feasible flow costs inf, so the floor skips its profiles.
     rows: dict[tuple[int, float], int] = {}
     profile_rows = [[rows.setdefault(pair, len(rows)) for pair in enumerate(d.tolist())] for d, *_ in profiles.values()]
-    _, flows, cost, options = _frame_options(frame, list(rows), bundle, h)
+    s_w, flows, cost, options = _frame_options(frame, list(rows), bundle, h)
     cheapest = np.where(flows.ok, cost, np.inf).min(axis=1)
     floors = np.zeros(len(profiles))
     for slot_rows in np.array(profile_rows).T:
         floors += cheapest[slot_rows]
 
     best_value = math.inf
-    best = None  # demand, combo, actions, DP layers and usage index of the best plan
-    for (demand, delay_sum, combo), slot_rows, floor in zip(profiles.values(), profile_rows, floors):
+    best = None  # combo, table rows, actions, DP layers and usage index of the best plan
+    for (_, delay_sum, combo), slot_rows, floor in zip(profiles.values(), profile_rows, floors):
         delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
         if floor / T + usage_floor + delay_term >= best_value:
             continue
@@ -465,13 +461,14 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best = (demand, combo, actions, layers, idx)
+            best = (combo, slot_rows, actions, layers, idx)
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    demand, combo, actions, layers, usage_idx = best
-    flows = _walk_back(layers, actions, o_lo, o_target, usage_idx)
-    return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand, flows)
+    combo, slot_rows, actions, layers, usage_idx = best
+    steps = _walk_back(layers, actions, o_lo, o_target, usage_idx)
+    demand_sw = [(d, s) for (_, d), s in zip(rows, s_w)]
+    return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, flows, slot_rows, steps)
 
 
 def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
@@ -544,22 +541,23 @@ def _walk_back(layers: Sequence[np.ndarray], actions, o_lo: int, o_target: int, 
 
 
 def _frame_solution(
-    frame: Frame, bundle: ModelBundle, h: float, u_opt: float, arrivals, combo: Sequence[int], demand, flows: list[int]
+    frame: Frame, bundle: ModelBundle, h: float, u_opt: float, arrivals, combo: Sequence[int],
+    demand_sw: Sequence[tuple[float, float]], table: _SlotFlows, slot_rows: Sequence[int], steps: list[int],
 ) -> OracleSolution:
-    """The solution taking flows[p] at frame slot p under the arrivals' delays `combo`,
-    which induce `demand`; its plan must pass the run audit (`_audit_flows`)."""
+    """The solution taking flow steps[p] at frame slot p under the arrivals' delays
+    `combo`, read from row slot_rows[p] of the priced `table` and its (demand, s_w)
+    in `demand_sw`; its plan must pass the run audit (`_audit_flows`)."""
     battery = bundle.battery
     delay_at = {p: d for (p, _), d in zip(arrivals, combo)}
     b = frame.boundary_b
     plan = []
-    pairs = list(enumerate(demand.tolist()))
-    s_w, table, _, _ = _frame_options(frame, pairs, bundle, h)
-    for (p, demand_p), slot, k in zip(pairs, frame.slots, flows):
+    for p, (slot, r, k) in enumerate(zip(frame.slots, slot_rows, steps)):
         i = table.k.tolist().index(k)
-        e, q, d_rate, s_r = (float(column[p, i]) for column in (table.e, table.q, table.d_rate, table.s_r))
+        e, q, d_rate, s_r = (float(column[r, i]) for column in (table.e, table.q, table.d_rate, table.s_r))
+        demand, s_w = demand_sw[r]
         regime = "idle" if k == 0 else "charge" if k > 0 else "discharge"
         plan.append(SlotRecord(
-            slot.slot, slot.price, slot.renewable, demand_p, e, q, d_rate, s_w[p], s_r, delay_at.get(p, 0),
+            slot.slot, slot.price, slot.renewable, demand, e, q, d_rate, s_w, s_r, delay_at.get(p, 0),
             b, 0.0, 0.0, 0.0, 0.0, regime, 0.0, 0.0,
         ))
         b += q + s_r - d_rate

@@ -150,6 +150,8 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("experiment.equivalence_states", -5),
         ("experiment.seed_base", -1),  # numpy refuses a negative seed
         ("experiment.z0_mode", "zero"),  # the battery queue has one origin
+        ("experiment.workers", 2),  # the commands run in one process
+        ("experiment.workers", 0),
         ("costs.k_u", -0.2),  # a concave usage cost
         ("costs.k_d", -1.0),  # a concave delay cost
         ("costs.k_u", math.nan),
@@ -458,14 +460,12 @@ class TestSweepCommand:
             assert math.isclose(float(r["monetary"]),
                                 float(r["total"]) - float(r["delay_cost"]), rel_tol=1e-12)
 
-    def test_worker_count_does_not_change_the_output(self, tmp_path):
-        out1 = tmp_path / "w1"
-        out2 = tmp_path / "w2"
-        assert main(["sweep", "--config", str(SMALL), "--out", str(out1),
-                     "--workers", "1"]) == 0
-        assert main(["sweep", "--config", str(SMALL), "--out", str(out2),
-                     "--workers", "2"]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    def test_the_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(SMALL), "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_points_become_error_rows(self, tmp_path, capsys):
         # target average delay above the per-load cap: rejected per point
@@ -570,12 +570,6 @@ class TestSweepPlan:
         assert calls.count("joint") == 24 * 2
         assert calls.count("storage_only") == calls.count("no_storage") == 2 * 2
 
-    def test_worker_count_does_not_change_the_output(self, config, tmp_path):
-        for workers in ("1", "2"):
-            argv = ["sweep", "--config", str(config), "--out", str(tmp_path / workers), "--workers", workers]
-            assert main(argv) == 0
-        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
-
 
 class TestVerifyCommand:
     def test_small_config_passes_every_check(self, tmp_path, capsys):
@@ -597,11 +591,10 @@ class TestVerifyCommand:
         assert "FAILED checks: battery_bounds" in captured.err
         assert "FAIL battery_bounds" in (tmp_path / "verify_report.txt").read_text()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_a_too_fine_oracle_step_is_a_config_error(self, tmp_path, capsys, workers):
+    def test_a_too_fine_oracle_step_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"experiment.oracle_energy_step": 0.0005})
         out = tmp_path / "out"
-        assert main(["verify", "--config", str(path), "--out", str(out), "--workers", workers]) == 2
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: experiment.oracle_energy_step=0.0005: search space")
         assert "try energy_step >= 0.008845" in err

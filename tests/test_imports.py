@@ -1,7 +1,11 @@
 """Every name a package module, script or test module imports is used in that
-module, and every module-level private name is used somewhere in the package."""
+module, every module-level private name is used somewhere in the package, and
+importing the CLI loads no process-pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,23 @@ def test_the_scan_sees_an_unused_private_name():
         "b.py": "from . import a\nfrom .a import _used\na._called_from_b()\n",
     }
     assert unused_privates(sources) == ["_SPARE (a.py:2)", "_Table (a.py:5)", "_lattice (a.py:4)"]
+
+
+def test_the_cli_imports_no_process_pool():
+    # a fresh interpreter, so that what other tests imported does not count
+    code = (
+        "import sys, emsched.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'"
+        " or m.startswith('concurrent.futures')))"
+    )
+    package_root = Path(emsched.__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(package_root), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

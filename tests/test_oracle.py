@@ -544,8 +544,8 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     """The frame search with a full-table DP (`full_dp_forward`) on every
     feasible demand profile: the reference the cost-floor skip and the DP
     window must match. Each combo's demand profile is built here, one combo
-    at a time; the slot flows, walk back and plan come from the oracle's own
-    helpers."""
+    at a time and priced in its own table, with rows range(T); the slot
+    flows, walk back and plan come from the oracle's own helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
@@ -570,7 +570,7 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
         pairs = list(enumerate(demand.tolist()))
-        actions = oracle._frame_options(frame, pairs, bundle, h)[3]
+        s_w, table, _, actions = oracle._frame_options(frame, pairs, bundle, h)
         if not all(actions):
             continue
         layers = full_dp_forward(actions, n_off, n_use, o_lo)
@@ -578,13 +578,14 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
-            best, best_value = (demand, combo, actions, layers, idx), float(totals[idx])
+            demand_sw = list(zip(demand.tolist(), s_w))
+            best, best_value = (combo, demand_sw, table, actions, layers, idx), float(totals[idx])
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan")
 
-    demand, combo, actions, layers, idx = best
-    flows = oracle._walk_back(layers, actions, o_lo, o_target, idx)
-    return oracle._frame_solution(frame, bundle, h, best_value, arrivals, combo, demand, flows)
+    combo, demand_sw, table, actions, layers, idx = best
+    steps = oracle._walk_back(layers, actions, o_lo, o_target, idx)
+    return oracle._frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, table, range(T), steps)
 
 
 def overloaded_first_slot_frame(intensity: float) -> tuple[Frame, ModelBundle]:
