@@ -81,7 +81,7 @@ def design_params(
     v is weights.v, defaulting to v_max, and a_o is evaluated at that v.
     """
     gamma_u = battery.gamma_u_cap
-    marginal = costs.usage_cost_derivative(gamma_u)
+    marginal = costs.usage.derivative(gamma_u)
     v_max = battery_headroom(battery, weights.delta_u) / (grid.p_max + marginal)
     if v_max <= 0.0:
         raise ConfigurationError(

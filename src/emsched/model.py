@@ -88,27 +88,6 @@ class CostModel:
             k_d = default_k_d(d_avg_max)
         return CostModel(usage=QuadraticCost(k_u, "costs.k_u"), delay=QuadraticCost(k_d, "costs.k_d"))
 
-    def usage_cost(self, x: float) -> float:
-        _reject_negative(x)
-        return self.usage.value(x)
-
-    def usage_cost_derivative(self, x: float) -> float:
-        _reject_negative(x)
-        return self.usage.derivative(x)
-
-    def delay_cost(self, x: float) -> float:
-        _reject_negative(x)
-        return self.delay.value(x)
-
-    def delay_cost_derivative(self, x: float) -> float:
-        _reject_negative(x)
-        return self.delay.derivative(x)
-
-
-def _reject_negative(x: float) -> None:
-    if x < 0.0:
-        raise ValueError(f"cost functions are defined for x >= 0, got {x}")
-
 
 @dataclass(frozen=True)
 class BatteryParams:
@@ -205,23 +184,23 @@ def validate_config(
             "battery levels must satisfy 0 <= b_min <= b_init <= b_max, got "
             f"b_min={battery.b_min}, b_init={battery.b_init}, b_max={battery.b_max}"
         )
-    if battery.r_max <= 0.0:
+    if not battery.r_max > 0.0:
         problems.append(f"charge rate limit r_max must be > 0, got {battery.r_max}")
-    if battery.d_max_rate <= 0.0:
+    if not battery.d_max_rate > 0.0:
         problems.append(f"discharge rate limit d_max_rate must be > 0, got {battery.d_max_rate}")
-    if battery.c_rc < 0.0 or battery.c_dc < 0.0:
+    if not (battery.c_rc >= 0.0 and battery.c_dc >= 0.0):
         problems.append(f"entry costs must be >= 0, got c_rc={battery.c_rc}, c_dc={battery.c_dc}")
 
-    if grid.e_max <= 0.0:
+    if not grid.e_max > 0.0:
         problems.append(f"grid purchase limit e_max must be > 0, got {grid.e_max}")
     if not (0.0 <= grid.p_min <= grid.p_max):
         problems.append(f"prices must satisfy 0 <= p_min <= p_max, got p_min={grid.p_min}, p_max={grid.p_max}")
 
-    if weights.alpha <= 0.0:
+    if not weights.alpha > 0.0:
         problems.append(f"alpha must be > 0, got {weights.alpha}")
-    if weights.mu <= 0.0:
+    if not weights.mu > 0.0:
         problems.append(f"mu must be > 0, got {weights.mu}")
-    if weights.v is not None and weights.v < 0.0:
+    if weights.v is not None and not weights.v >= 0.0:
         problems.append(f"v must be >= 0, got {weights.v}")
     if weights.d_avg_max < 0:
         problems.append(f"d_avg_max must be >= 0, got {weights.d_avg_max}")
@@ -236,19 +215,19 @@ def validate_config(
             battery.b_max - battery.b_min,
             horizon * battery.gamma_u_cap,
         )
-        if abs(weights.delta_u) > delta_cap:
+        if not abs(weights.delta_u) <= delta_cap:
             problems.append(
                 f"|delta_u|={abs(weights.delta_u)} is unreachable within the horizon "
                 f"(cap {delta_cap})"
             )
 
     gamma_u = battery.gamma_u_cap
-    if not math.isfinite(costs.usage_cost_derivative(gamma_u)):
+    if not math.isfinite(costs.usage.derivative(gamma_u)):
         problems.append(f"usage-cost derivative is not finite at {gamma_u}")
-    if weights.d_avg_max > 0 and not math.isfinite(costs.delay_cost_derivative(float(weights.d_avg_max))):
+    if weights.d_avg_max > 0 and not math.isfinite(costs.delay.derivative(float(weights.d_avg_max))):
         problems.append(f"delay-cost derivative is not finite at {weights.d_avg_max}")
 
-    if battery_headroom(battery, weights.delta_u) <= 0.0:
+    if not battery_headroom(battery, weights.delta_u) > 0.0:
         problems.append(
             "V_max <= 0: battery window b_max - b_min = "
             f"{battery.b_max - battery.b_min} does not exceed "

@@ -14,9 +14,10 @@ The look-ahead optimizer is deliberately a lattice search, not an LP/QP: at
 desk scale it is exact within one grid step per energy coordinate and needs
 no solver to trust.
 
-Both energy searches, `oracle_energy` and the frame optimizer, price one
-table of lattice flows per slot (`_slot_flows`), whose charges take the
-renewable surplus before the grid; v >= 0 and prices >= 0 make that exact.
+Both energy searches, the equivalence battery's `_energy_minima` and the
+frame optimizer, price one table of lattice flows per slot (`_slot_flows`),
+whose charges take the renewable surplus before the grid; v >= 0 and
+prices >= 0 make that exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import controller
-from .controller import ControllerState, EnergyAction
+from .controller import ControllerState
 from .model import (
     BatteryParams,
     GridParams,
@@ -128,16 +129,6 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
         if v < best_v:
             best_d, best_v = d, v
     return best_d, best_v
-
-
-def oracle_aux(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
-    """Grid-search the auxiliary subproblem min_{0<=g<=cap} h*g + v*beta*C(g), for v*beta >= 0."""
-    if v * beta < 0.0:
-        raise ValueError(f"the gamma search needs v*beta >= 0, a convex objective; got {v * beta}")
-    if cap <= 0.0:
-        return 0.0, 0.0
-    g, value = _aux_argmins(cost, cap, np.array([h]), np.array([v * beta]))
-    return float(g[0]), float(value[0])
 
 
 def _aux_argmins(cost: QuadraticCost, cap: float, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,27 +241,6 @@ def _energy_minima(
         j = int(feasible.argmin())
         raise InfeasibleSlot(int(slots[j]), float(residual[j]), grid.e_max, "grid oracle found no feasible point")
     return flows, best, values.min(axis=1)
-
-
-def oracle_energy(
-    state: ControllerState,
-    demand_l: float,
-    s_w: float,
-    renewable: float,
-    price: float,
-    battery: BatteryParams,
-    grid: GridParams,
-    step: float = 1e-3,
-) -> tuple[EnergyAction, float]:
-    """Grid-search the energy subproblem over the slot's lattice flows (`_energy_minima`)."""
-    key2 = state.z - state.h_u
-    key1 = key2 + state.v * price
-    state_row = (state.slot, demand_l - s_w, renewable - s_w, key1, key2, state.v)
-    flows, best, values = _energy_minima([state_row], battery, grid, step)
-    i = int(best[0])
-    regime = "idle" if i == 0 else "charge" if flows.k[i] > 0 else "discharge"
-    action = EnergyAction(*(float(column[0, i]) for column in (flows.e, flows.q, flows.d_rate, flows.s_r)), regime)
-    return action, float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +402,7 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     if nodes > _MAX_NODES:
         raise SearchSpaceError(nodes, _MAX_NODES, h * (nodes / _MAX_NODES) ** (1 / 3))
 
-    usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
+    usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
     usage_floor = float(usage_penalty.min())
 
     # A slot's flows depend only on its own demand, which many profiles share,
@@ -449,7 +419,7 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     best_value = math.inf
     best = None  # combo, table rows, actions, DP layers and usage index of the best plan
     for (_, delay_sum, combo), slot_rows, floor in zip(profiles.values(), profile_rows, floors):
-        delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        delay_term = weights.alpha * bundle.costs.delay.value(delay_sum / T)
         if floor / T + usage_floor + delay_term >= best_value:
             continue
         actions = [options[r] for r in slot_rows]
@@ -583,8 +553,8 @@ def recompute_frame_objective(sol: OracleSolution, bundle: ModelBundle) -> float
         usage += controller.usage_amount(dec.q, dec.s_r, dec.d_rate)
     return (
         purchase_entry / T
-        + bundle.costs.usage_cost(usage / T)
-        + bundle.weights.alpha * bundle.costs.delay_cost(sol.delay_sum / T)
+        + bundle.costs.usage.value(usage / T)
+        + bundle.weights.alpha * bundle.costs.delay.value(sol.delay_sum / T)
     )
 
 
@@ -601,7 +571,7 @@ def lookahead_grid_slack(bundle: ModelBundle, energy_step: float, frame_length: 
     usage by at most one step, and may toggle at most one charge/discharge
     entry pair per frame.
     """
-    marginal = bundle.costs.usage_cost_derivative(bundle.battery.gamma_u_cap)
+    marginal = bundle.costs.usage.derivative(bundle.battery.gamma_u_cap)
     return (
         energy_step * bundle.grid.p_max
         + energy_step * marginal
@@ -653,8 +623,8 @@ def lookahead_bound_check(
     l0 = controller.lyapunov(run.initial_state, mu)
     l_end = controller.lyapunov(run.state_at_horizon, mu)
     gamma_d_cap = float(min(max(trace.max_task_delay(), 0), bundle.weights.d_avg_max))
-    cu_prime = bundle.costs.usage_cost_derivative(bundle.battery.gamma_u_cap)
-    cd_prime = bundle.costs.delay_cost_derivative(gamma_d_cap)
+    cu_prime = bundle.costs.usage.derivative(bundle.battery.gamma_u_cap)
+    cd_prime = bundle.costs.delay.derivative(gamma_d_cap)
     rhs = (
         g * frame_length / v
         + (l0 - l_end) / (v * horizon)
@@ -712,7 +682,7 @@ def margin_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport
         2.0 * gamma_u_cap
         + bundle.battery.r_max
         + v * bundle.grid.p_max
-        + v * bundle.costs.usage_cost_derivative(gamma_u_cap)
+        + v * bundle.costs.usage.derivative(gamma_u_cap)
         + bundle.battery.d_max_rate
     )
     usage_mismatch = CheckResult(
@@ -952,8 +922,8 @@ def jensen_check(run: RunSummary, bundle: ModelBundle) -> CheckReport:
     gamma_d = [r.gamma_d for r in records]
     checks = []
     for name, values, fn in (
-        ("jensen_usage", gamma_u, bundle.costs.usage_cost),
-        ("jensen_delay", gamma_d, bundle.costs.delay_cost),
+        ("jensen_usage", gamma_u, bundle.costs.usage.value),
+        ("jensen_delay", gamma_d, bundle.costs.delay.value),
     ):
         mean_of_cost = sum(fn(g) for g in values) / len(values)
         cost_of_mean = fn(sum(values) / len(values))

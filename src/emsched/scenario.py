@@ -46,7 +46,7 @@ class LoadTask:
     def __post_init__(self):
         if self.duration < 1:
             raise ValueError(f"duration >= 1 required, got {self.duration}")
-        if self.intensity < 0.0:
+        if not self.intensity >= 0.0:
             raise ValueError(f"intensity >= 0 required, got {self.intensity}")
         if self.max_delay < 0:
             raise ValueError(f"max_delay >= 0 required, got {self.max_delay}")
@@ -113,7 +113,7 @@ class StageProfile:
                 f"price stages must be ordered high >= mid >= low, got "
                 f"{self.price_high}, {self.price_mid}, {self.price_low}"
             )
-        if self.solar_std_ratio < 0.0 or self.load_std_ratio < 0.0:
+        if not (self.solar_std_ratio >= 0.0 and self.load_std_ratio >= 0.0):
             raise ValueError("std-dev ratios must be >= 0")
         if self.duration_min < 1:
             raise ValueError(f"duration_min >= 1 required, got {self.duration_min}")
@@ -131,7 +131,7 @@ class StageProfile:
             self.solar_mean_high, self.solar_mean_mid, self.solar_mean_low,
             self.load_mean_high, self.load_mean_mid, self.load_mean_low,
         ):
-            if mean < 0.0:
+            if not mean >= 0.0:
                 raise ValueError("stage means must be >= 0")
 
     def stage(self, slot: int) -> str:
@@ -199,7 +199,7 @@ def validate_trace(trace: Trace, grid: GridParams) -> list[str]:
             problems.append(
                 f"slot {s.slot}: price {s.price} outside [{grid.p_min}, {grid.p_max}]"
             )
-        if s.renewable < 0.0:
+        if not s.renewable >= 0.0:
             problems.append(f"slot {s.slot}: renewable {s.renewable} is negative")
     return problems
 
@@ -251,7 +251,7 @@ def load_trace(path: str | Path) -> Trace:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: slots must be contiguous from 0, expected {len(slots)}, got {slot}"
                 )
-            if renewable < 0.0:
+            if not renewable >= 0.0:
                 raise TraceFormatError(f"{path}: line {lineno}: renewable must be >= 0, got {renewable}")
             triple = [cell.strip() for cell in row[3:6]]
             if all(cell == "" for cell in triple):
@@ -262,19 +262,8 @@ def load_trace(path: str | Path) -> Trace:
                 )
             else:
                 try:
-                    intensity = float(triple[0])
-                    duration = int(triple[1])
-                    max_delay = int(triple[2])
-                except ValueError as exc:
+                    task = LoadTask(slot, float(triple[0]), int(triple[1]), int(triple[2]))
+                except ValueError as exc:  # a cell that does not parse, or a value LoadTask refuses
                     raise TraceFormatError(f"{path}: line {lineno}: {exc}") from None
-                if intensity < 0.0:
-                    raise TraceFormatError(f"{path}: line {lineno}: intensity must be >= 0, got {intensity}")
-                if duration < 1:
-                    raise TraceFormatError(
-                        f"{path}: line {lineno}: duration >= 1 required for every load, got {duration}"
-                    )
-                if max_delay < 0:
-                    raise TraceFormatError(f"{path}: line {lineno}: max_delay must be >= 0, got {max_delay}")
-                task = LoadTask(slot, intensity, duration, max_delay)
             slots.append(SlotInput(slot=slot, price=price, renewable=renewable, task=task))
     return Trace(slots=tuple(slots))

@@ -123,7 +123,7 @@ class RunSummary:
         return self.j_bar + self.entry_bar + self.usage_cost
 
 
-def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
+def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     """Simulate the whole trace plus the drain phase and assemble the summary.
 
     Every slot schedules the arriving task, splits the renewable, picks the
@@ -215,10 +215,6 @@ def run(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunSummary:
     return _summarize(policy, bundle, records, initial_state, state_at_horizon, state)
 
 
-# The CLI and the scripts call the loop by this name.
-run_policy = run
-
-
 def _summarize(
     policy: str,
     bundle: ModelBundle,
@@ -252,8 +248,8 @@ def _summarize(
     entry_bar = entry / slots
     usage_avg = usage / slots
     delay_avg = delay / slots
-    usage_cost = bundle.costs.usage_cost(usage_avg)
-    delay_cost = bundle.weights.alpha * bundle.costs.delay_cost(delay_avg)
+    usage_cost = bundle.costs.usage.value(usage_avg)
+    delay_cost = bundle.weights.alpha * bundle.costs.delay.value(delay_avg)
     j_bar_inc = purchase_all / slots
     entry_bar_inc = entry_all / slots
     usage_avg_inc = usage_all / slots
@@ -270,7 +266,7 @@ def _summarize(
         j_bar_inclusive=j_bar_inc,
         entry_bar_inclusive=entry_bar_inc,
         usage_avg_inclusive=usage_avg_inc,
-        total_inclusive=j_bar_inc + entry_bar_inc + bundle.costs.usage_cost(usage_avg_inc) + delay_cost,
+        total_inclusive=j_bar_inc + entry_bar_inc + bundle.costs.usage.value(usage_avg_inc) + delay_cost,
         epsilon_u=net_flow - bundle.weights.delta_u,
         drain_slots=max(len(records) - bundle.horizon, 0),
         records=tuple(records),

@@ -23,7 +23,7 @@ from emsched.model import (
     Weights,
 )
 from emsched.scenario import StageProfile, Trace, generate_trace
-from emsched.simulator import run, run_policy
+from emsched.simulator import run_policy
 
 DAY_HORIZON = 288
 ACCEPT_COUNT = 100
@@ -100,7 +100,7 @@ def day_runs() -> list[tuple[int, object]]:
         assert seed < 400, "seed scan ran away; the scenario defaults changed"
         trace = generate_trace(profile, DAY_HORIZON, seed)
         try:
-            runs.append((seed, run(trace, bundle, policy="joint")))
+            runs.append((seed, run_policy(trace, bundle, policy="joint")))
         except InfeasibleSlot:
             pass
         seed += 1
@@ -119,13 +119,13 @@ def _ensemble_cells(seed: int) -> dict | None:
         for cap in DELAY_CAPS:
             trace = generate_trace(day_profile(max_delay=cap), DAY_HORIZON, seed)
             bundle = day_bundle(alpha=0.005, d_avg_max=cap)
-            cells[("total_vs_cap", cap)] = run(trace, bundle, "joint").total
+            cells[("total_vs_cap", cap)] = run_policy(trace, bundle, "joint").total
 
         # Monetary cost with deferral allowed vs every load served on arrival.
         trace_long = generate_trace(day_profile(max_delay=LONG_DELAY), DAY_HORIZON, seed)
         for cap in DELAY_CAPS:
             bundle = day_bundle(alpha=0.005, d_avg_max=cap)
-            cells[("monetary_deferral", cap)] = run(trace_long, bundle, "joint").monetary_cost
+            cells[("monetary_deferral", cap)] = run_policy(trace_long, bundle, "joint").monetary_cost
         cells["monetary_never_defer"] = run_policy(
             trace_long, day_bundle(alpha=0.005), "storage_only"
         ).monetary_cost
@@ -133,7 +133,7 @@ def _ensemble_cells(seed: int) -> dict | None:
         # Policy comparison across battery sizes at the small delay weight.
         for b_max in B_MAXES:
             bundle = warm_bundle(day_bundle(alpha=0.001, b_max=b_max))
-            joint = run(trace_long, bundle, "joint")
+            joint = run_policy(trace_long, bundle, "joint")
             storage = run_policy(trace_long, bundle, "storage_only")
             none = run_policy(trace_long, bundle, "no_storage")
             for policy, summary in (("joint", joint), ("storage_only", storage), ("no_storage", none)):
@@ -145,7 +145,7 @@ def _ensemble_cells(seed: int) -> dict | None:
             trace = generate_trace(day_profile(max_delay=cap), DAY_HORIZON, seed)
             for mu in (1.0, 10.0):
                 bundle = day_bundle(alpha=1.0, mu=mu, d_avg_max=cap)
-                cells[("total_vs_mu", cap, mu)] = run(trace, bundle, "joint").total
+                cells[("total_vs_mu", cap, mu)] = run_policy(trace, bundle, "joint").total
     except InfeasibleSlot:
         return None
     return cells
@@ -177,7 +177,7 @@ def small_instances() -> list[tuple[int, Trace, object]]:
         assert seed < 200, "seed scan ran away; the scenario defaults changed"
         trace = generate_trace(profile, SMALL_HORIZON, seed)
         try:
-            instances.append((seed, trace, run(trace, bundle, policy="joint")))
+            instances.append((seed, trace, run_policy(trace, bundle, policy="joint")))
         except InfeasibleSlot:
             pass
         seed += 1

@@ -120,6 +120,8 @@ class TestLoadExperiment:
         assert spec.profile.high_hours == ((16.0, 20.0),)
 
 
+SMALL_PROFILE = yaml.safe_load(SMALL.read_text())["scenario"]["profile"]
+
 # (override of small.yaml, value, the dotted key the error must name)
 MALFORMED = [
     ("scenario.horizon", "abc", "scenario.horizon"),
@@ -157,6 +159,23 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("costs.k_u", math.nan),
         ("costs.k_d", math.inf),
     ]
+] + [
+    # NaN fails every range check: each is written as the condition that must hold
+    pytest.param(key, math.nan, name, id=f"{key}=nan")
+    for key, name in [
+        ("battery.c_rc", "c_rc"),
+        ("battery.d_max_rate", "d_max_rate"),
+        ("grid.e_max", "e_max"),
+        ("weights.alpha", "alpha"),
+        ("weights.mu", "mu"),
+        ("weights.v", "v must be >= 0"),
+        ("weights.delta_u", "delta_u"),
+    ]
+] + [
+    pytest.param(
+        "scenario.profile", {**SMALL_PROFILE, name: math.nan}, "scenario.profile", id=f"scenario.profile.{name}=nan"
+    )
+    for name in ("solar_std_ratio", "load_std_ratio", "solar_mean_high", "load_mean_low")
 ]
 
 
@@ -177,6 +196,15 @@ class TestMalformedValues:
         path = small_config(tmp_path, **{"costs.k_d": math.inf, "weights.d_avg_max": 0})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "costs.k_d must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_rate_limits_are_named_not_a_traceback(self, tmp_path, capsys):
+        # validate_config probes the usage cost's slope at max(r_max, d_max_rate) = -0.1
+        path = small_config(tmp_path, **{"battery.r_max": -0.1, "battery.d_max_rate": -0.1})
+        for command in ("run", "sweep", "verify", "gen-trace"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "charge rate limit r_max must be > 0" in err
         assert not (tmp_path / "out").exists()
 
     def test_a_scalar_policy_is_one_policy(self, tmp_path):

@@ -1,11 +1,13 @@
 """Every name a package module, script or test module imports is used in that
-module, every module-level private name is used somewhere in the package, and
-importing the CLI loads no process-pool machinery."""
+module, every module-level private name is used somewhere in the package,
+every module-level public name is used by the package, a script or the
+benchmark, and importing the CLI loads no process-pool machinery."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
@@ -15,13 +17,14 @@ import emsched
 REPO = Path(__file__).resolve().parent.parent
 MODULES = sorted(Path(emsched.__file__).resolve().parent.glob("*.py"))
 SCRIPTS_AND_TESTS = sorted(REPO.glob("scripts/*.py")) + sorted(REPO.glob("tests/*.py"))
+PROGRAMS = sorted(REPO.glob("scripts/*.py")) + sorted(REPO.glob("bench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that the module never references.
 
     A name counts as referenced when it appears as an identifier anywhere in
-    the module, or as a string in `__all__` (a re-export).
+    the module.
     """
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -35,10 +38,6 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -58,18 +57,12 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == ["Iterable (line 2)", "math (line 1)"]
 
 
-def unused_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level `_private` functions, classes and constants that no module references.
-
-    `sources` maps module names to their source. A name counts as referenced
-    when any module loads it as an identifier, reads it as an attribute
-    (`oracle._FEAS_TOL`) or imports it by name. Dunder names are exempt.
-    """
+def module_level_names(sources: dict[str, str]) -> dict[str, str]:
+    """Each module-level function, class and constant of `sources` (module
+    name -> source), mapped to where it is defined ("module:line")."""
     defined: dict[str, str] = {}
-    used: set[str] = set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -78,16 +71,34 @@ def unused_privates(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
+                defined[name] = f"{module}:{node.lineno}"
+    return defined
+
+
+def referenced_names(sources: Iterable[str]) -> set[str]:
+    """Every name one of `sources` loads as an identifier, reads as an
+    attribute (`oracle._FEAS_TOL`) or imports by name."""
+    used: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in used]
+    return used
+
+
+def unused_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions, classes and constants that no module
+    of `sources` references. Dunder names are exempt."""
+    used = referenced_names(sources.values())
+    return [
+        f"{name} ({where})"
+        for name, where in sorted(module_level_names(sources).items())
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
 
 
 def test_no_unused_private_names():
@@ -108,6 +119,40 @@ def test_the_scan_sees_an_unused_private_name():
         "b.py": "from . import a\nfrom .a import _used\na._called_from_b()\n",
     }
     assert unused_privates(sources) == ["_SPARE (a.py:2)", "_Table (a.py:5)", "_lattice (a.py:4)"]
+
+
+def publics_only_tests_use(package: dict[str, str], programs: Iterable[str]) -> list[str]:
+    """Module-level public functions, classes and constants of `package` that
+    neither the package nor the `programs` sources (the scripts and the
+    benchmark) reference, so that at most the tests use them."""
+    used = referenced_names([*package.values(), *programs])
+    return [
+        f"{name} ({where})"
+        for name, where in sorted(module_level_names(package).items())
+        if not name.startswith("_") and name not in used
+    ]
+
+
+def test_no_public_name_is_used_only_by_tests():
+    package = {path.name: path.read_text() for path in MODULES}
+    assert publics_only_tests_use(package, [path.read_text() for path in PROGRAMS]) == []
+
+
+def test_the_scan_sees_a_public_name_only_tests_use():
+    package = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "def solve(): return LIMIT\n"
+            "def adapter(): pass\n"
+            "class Table: pass\n"
+            "def called_from_bench(): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": "from .a import solve\n",
+    }
+    programs = ["import a\na.called_from_bench()\n"]
+    assert publics_only_tests_use(package, programs) == ["SPARE (a.py:2)", "Table (a.py:5)", "adapter (a.py:4)"]
 
 
 def test_the_cli_imports_no_process_pool():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,14 +25,12 @@ from emsched.oracle import (
     jensen_check,
     lookahead_optimum,
     margin_checks,
-    oracle_aux,
-    oracle_energy,
     oracle_schedule,
     sample_slot_states,
     lookahead_bound_check,
 )
 from emsched.scenario import LoadTask, SlotInput, StageProfile, generate_trace
-from emsched.simulator import SlotRecord, run
+from emsched.simulator import SlotRecord, run_policy
 
 from conftest import SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, SMALL_HORIZON, day_bundle, small_bundle, small_profile
 from test_controller import make_state, task_with
@@ -54,6 +51,13 @@ def two_slot_frame(alpha: float) -> tuple[Frame, ModelBundle]:
     return Frame(start=0, slots=slots, boundary_b=0.0), bundle
 
 
+def energy_row(state, residual, surplus, price):
+    """A state's row for `oracle._energy_minima`, keyed as `equivalence_battery`
+    keys it: (slot, residual, surplus, key1, key2, v)."""
+    key2 = state.z - state.h_u
+    return (state.slot, residual, surplus, key2 + state.v * price, key2, state.v)
+
+
 class TestSubproblemOracles:
     def test_schedule_oracle_agrees_on_the_serve_now_example(self):
         state = make_state(z=-2.0, h_u=0.3, x=0.5, h_d=0.2)
@@ -61,21 +65,18 @@ class TestSubproblemOracles:
         assert d == 0
 
     def test_aux_oracle_lands_on_the_interior_optimum(self):
-        g, _ = oracle_aux(-0.4, 10.0, 1.0, QuadraticCost(0.2), cap=0.165)
-        assert g == pytest.approx(0.1, abs=1e-4)
-
-    def test_aux_oracle_refuses_a_concave_objective(self):
-        # The two-level search is exact only for a convex objective.
-        with pytest.raises(ValueError, match=re.escape("needs v*beta >= 0")):
-            oracle_aux(-0.4, -10.0, 1.0, QuadraticCost(0.2), cap=0.165)
+        g, _ = oracle._aux_argmins(QuadraticCost(0.2), 0.165, np.array([-0.4]), np.array([10.0]))
+        assert g[0] == pytest.approx(0.1, abs=1e-4)
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
         state = make_state(z=-3.0)
-        point, value = oracle_energy(state, 0.1, 0.0, 0.05, 0.118,
-                                     day_bundle().battery, day_bundle().grid, step=1e-3)
-        assert value == pytest.approx(-0.5313, abs=1e-6)
-        assert point.regime == "charge"
-        assert point.s_r == pytest.approx(0.05, abs=1e-3)
+        flows, best, values = oracle._energy_minima(
+            [energy_row(state, 0.1, 0.05, 0.118)], day_bundle().battery, day_bundle().grid, 1e-3
+        )
+        i = best[0]
+        assert values[0] == pytest.approx(-0.5313, abs=1e-6)
+        assert flows.k[i] > 0  # a charge
+        assert flows.s_r[0, i] == pytest.approx(0.05, abs=1e-3)
 
 
 def grid_before_surplus(action, residual, grid):
@@ -177,9 +178,9 @@ class TestEquivalenceBattery:
         assert report["energy_dominance"].achieved == float(len(wrong_at))
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
-    def test_an_infeasible_state_raises_as_oracle_energy_does(self, monkeypatch):
+    def test_an_infeasible_state_raises_as_a_one_row_search_does(self, monkeypatch):
         # States 1 and 3 need more than e_max even after the largest discharge;
-        # the battery names the first, exactly as oracle_energy would.
+        # the battery names the first, exactly as a search of that state alone would.
         bundle = day_bundle()
         a_o, v_max, _ = controller.design_params(
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
@@ -190,8 +191,9 @@ class TestEquivalenceBattery:
             state, ctx = samples[i]
             samples[i] = (state._replace(slot=10 + i), replace(ctx, demand_l=ctx.s_w + overload, renewable=ctx.s_w))
         state, ctx = samples[1]
+        row = energy_row(state, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, ctx.price)
         with pytest.raises(InfeasibleSlot) as expected:
-            oracle_energy(state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid)
+            oracle._energy_minima([row], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)
 
         def idle(state, demand_l, s_w, renewable, price, battery, grid):
             return controller.EnergyAction(demand_l - s_w, 0.0, 0.0, 0.0, "idle")
@@ -204,7 +206,7 @@ class TestEquivalenceBattery:
         assert "slot 11:" in str(err.value)
 
     @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
-    def test_batched_lattice_values_equal_oracle_energy(self, monkeypatch, make_bundle):
+    def test_batched_lattice_values_equal_one_row_searches(self, monkeypatch, make_bundle):
         bundle = make_bundle()
         n_states, seed = 3 * oracle._STATE_BLOCK + 11, 31
         batched = []
@@ -222,7 +224,10 @@ class TestEquivalenceBattery:
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
         per_state = [
-            oracle_energy(state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid)[1]
+            oracle._energy_minima(
+                [energy_row(state, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, ctx.price)],
+                bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP,
+            )[2][0]
             for state, ctx in sample_slot_states(bundle, n_states, seed, a_o, v)
         ]
         assert batched == per_state
@@ -275,8 +280,8 @@ def test_aux_closed_form_tracks_grid_search(params):
     h, v, beta, k = params
     cost = QuadraticCost(k)
     closed = controller.aux_solution(h, v, beta, cost, 0.165)
-    grid, _ = oracle_aux(h, v, beta, cost, 0.165)
-    assert abs(closed - grid) <= 1e-4 + 1e-9
+    grid, _ = oracle._aux_argmins(cost, 0.165, np.array([h]), np.array([v * beta]))
+    assert abs(closed - grid[0]) <= 1e-4 + 1e-9
 
 
 def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
@@ -390,7 +395,8 @@ def test_surplus_first_flows_lose_nothing_to_the_full_charge_grid(params):
     bundle = day_bundle()
     state = make_state(z=z, h_u=h_u, v=v)
     try:
-        _, table_min = oracle_energy(state, residual, 0.0, surplus, price, bundle.battery, bundle.grid, step)
+        row = energy_row(state, residual, surplus, price)
+        table_min = oracle._energy_minima([row], bundle.battery, bundle.grid, step)[2][0]
     except InfeasibleSlot:
         table_min = math.inf
     key2 = z - h_u
@@ -565,7 +571,7 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + tol)))
     n_off, n_use = o_hi - o_lo + 1, T * max(k_charge, k_discharge) + 1
     o_target = int(round(T * weights.delta_u / bundle.horizon / h))
-    usage_penalty = np.array([bundle.costs.usage_cost(j * h / T) for j in range(n_use)])
+    usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
 
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
@@ -574,7 +580,7 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
         if not all(actions):
             continue
         layers = full_dp_forward(actions, n_off, n_use, o_lo)
-        delay_term = weights.alpha * bundle.costs.delay_cost(delay_sum / T)
+        delay_term = weights.alpha * bundle.costs.delay.value(delay_sum / T)
         totals = layers[-1][o_target - o_lo] / T + usage_penalty + delay_term
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
@@ -633,7 +639,7 @@ class TestCostFloorSkip:
         grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
         for seed in range(3):
             trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
-            summary = run(trace, bundle, policy="joint")
+            summary = run_policy(trace, bundle, policy="joint")
             for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
                 assert lookahead_optimum(frame, bundle, grid) == unpruned_lookahead(frame, bundle, grid)
 
@@ -785,7 +791,7 @@ class TestNetFlowTarget:
         compared = 0
         for seed in range(3):
             trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
-            summary = run(trace, bundle, policy="joint")
+            summary = run_policy(trace, bundle, policy="joint")
             compared += sum(same_as_unpruned(frame, bundle, self.GRID)
                             for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH))
         assert compared >= 12
@@ -838,7 +844,7 @@ class TestLookaheadBoundCheck:
 def checked_run():
     bundle = day_bundle()
     trace = generate_trace(StageProfile(), 288, seed=0)
-    summary = run(trace, bundle, policy="joint")
+    summary = run_policy(trace, bundle, policy="joint")
     g = drift_bound_G(bundle.battery, bundle.weights, trace.max_task_delay(), bundle.horizon)
     return bundle, summary, g
 

@@ -21,7 +21,6 @@ from emsched.scenario import LoadTask, SlotInput, StageProfile, Trace, generate_
 from emsched.simulator import (
     POLICIES,
     ServiceLedger,
-    run,
     run_policy,
     write_records,
 )
@@ -114,37 +113,37 @@ class TestNoStorageBaseline:
 
 class TestRun:
     def test_zero_slot_trace_yields_all_zero_summary(self):
-        summary = run(Trace(slots=()), small_run_bundle(0), policy="joint")
+        summary = run_policy(Trace(slots=()), small_run_bundle(0), policy="joint")
         assert summary.total == 0.0
         assert summary.records == ()
 
     def test_same_inputs_same_records(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=3)
-        a = run(trace, day_bundle(), policy="joint")
-        b = run(trace, day_bundle(), policy="joint")
+        a = run_policy(trace, day_bundle(), policy="joint")
+        b = run_policy(trace, day_bundle(), policy="joint")
         assert a.records == b.records
         assert a.total == b.total
 
     def test_trace_and_bundle_horizons_must_agree(self):
         trace = flat_trace(4)
         with pytest.raises(ValueError, match="horizon"):
-            run(trace, small_run_bundle(8), policy="joint")
+            run_policy(trace, small_run_bundle(8), policy="joint")
 
     def test_total_is_composed_from_its_parts(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=3)
         bundle = day_bundle(alpha=0.005)
-        s = run(trace, bundle, policy="joint")
+        s = run_policy(trace, bundle, policy="joint")
         assert s.total == pytest.approx(s.j_bar + s.entry_bar + s.usage_cost + s.delay_cost, abs=1e-15)
-        assert s.usage_cost == pytest.approx(bundle.costs.usage_cost(s.usage_avg), abs=1e-15)
+        assert s.usage_cost == pytest.approx(bundle.costs.usage.value(s.usage_avg), abs=1e-15)
         assert s.delay_cost == pytest.approx(
-            bundle.weights.alpha * bundle.costs.delay_cost(s.delay_avg), abs=1e-15
+            bundle.weights.alpha * bundle.costs.delay.value(s.delay_avg), abs=1e-15
         )
         assert s.monetary_cost == pytest.approx(s.total - s.delay_cost, abs=1e-15)
 
     def test_drain_phase_serves_every_scheduled_load(self):
         task = LoadTask(arrival_slot=3, intensity=0.05, duration=4, max_delay=6)
         trace = flat_trace(4, tasks={3: task})
-        summary = run(trace, small_run_bundle(4, d_avg_max=6), policy="joint")
+        summary = run_policy(trace, small_run_bundle(4, d_avg_max=6), policy="joint")
         served = sum(1 for r in summary.records if r.demand > 0.0)
         assert served == 4  # the full duration, wherever the window landed
         assert summary.drain_slots == len(summary.records) - 4
@@ -156,7 +155,7 @@ class TestRun:
     def test_inclusive_averages_count_drain_purchases(self):
         task = LoadTask(arrival_slot=3, intensity=0.05, duration=4, max_delay=6)
         trace = flat_trace(4, tasks={3: task})
-        summary = run(trace, small_run_bundle(4, d_avg_max=6), policy="joint")
+        summary = run_policy(trace, small_run_bundle(4, d_avg_max=6), policy="joint")
         all_purchases = sum(r.e * r.price for r in summary.records)
         assert summary.j_bar_inclusive == pytest.approx(all_purchases / 4)
         assert summary.j_bar_inclusive >= summary.j_bar
@@ -164,7 +163,7 @@ class TestRun:
     def test_zero_delay_caps_reduce_to_the_storage_only_baseline(self):
         profile = replace(day_profile(), max_delay=0)
         trace = generate_trace(profile, DAY_HORIZON, seed=0)
-        joint = run(trace, day_bundle(), policy="joint")
+        joint = run_policy(trace, day_bundle(), policy="joint")
         storage = run_policy(trace, day_bundle(), "storage_only")
         assert joint.delay_avg == 0.0
         assert joint.records == storage.records
@@ -182,7 +181,7 @@ class TestRun:
         monkeypatch.setattr(ServiceLedger, "pending_after", lambda self, t: True)
         monkeypatch.setattr(controller, "update_queues", counting)
         with pytest.raises(StateConsistencyError, match="^drain phase failed to terminate$"):
-            run(flat_trace(4), small_run_bundle(4), policy="joint")
+            run_policy(flat_trace(4), small_run_bundle(4), policy="joint")
         assert len(calls) == 2 * 4 + 10_001
         assert calls[-1] == 2 * 4 + 10_000
 
@@ -264,7 +263,7 @@ class TestSeededRegression:
 
     def test_default_parameters_joint_total(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        summary = run(trace, day_bundle(), policy="joint")
+        summary = run_policy(trace, day_bundle(), policy="joint")
         assert summary.total == pytest.approx(0.2510547605827935, rel=1e-9)
         assert summary.delay_avg == pytest.approx(8.940972222222221, rel=1e-9)
 
@@ -273,7 +272,7 @@ class TestSeededRegression:
         # policy wins on total cost, not just on the monetary part
         bundle = warm_bundle(day_bundle(alpha=0.001))
         trace = generate_trace(day_profile(max_delay=216), DAY_HORIZON, seed=0)
-        joint = run(trace, bundle, policy="joint")
+        joint = run_policy(trace, bundle, policy="joint")
         storage = run_policy(trace, bundle, "storage_only")
         none = run_policy(trace, bundle, "no_storage")
         assert joint.total == pytest.approx(0.004078566062471808, rel=1e-9)
@@ -306,8 +305,8 @@ class TestScaleInvariance:
             costs=CostModel.quadratic(0.2 * scale, scale / 324.0, d_avg_max=18),
         )
         # v defaults to the designed maximum, which absorbs the 1/scale factor
-        base = run(trace, bundle, policy="joint")
-        scaled = run(scaled_trace, scaled_bundle, policy="joint")
+        base = run_policy(trace, bundle, policy="joint")
+        scaled = run_policy(scaled_trace, scaled_bundle, policy="joint")
         for r_base, r_scaled in zip(base.records, scaled.records):
             assert (r_base.e, r_base.q, r_base.d_rate, r_base.s_r, r_base.delay) == (
                 r_scaled.e, r_scaled.q, r_scaled.d_rate, r_scaled.s_r, r_scaled.delay
@@ -318,7 +317,7 @@ class TestScaleInvariance:
 class TestRecordFiles:
     def test_header_matches_documented_schema(self, tmp_path):
         trace = flat_trace(2)
-        summary = run(trace, small_run_bundle(2), policy="joint")
+        summary = run_policy(trace, small_run_bundle(2), policy="joint")
         path = tmp_path / "records.csv"
         write_records(path, summary.records)
         header = path.read_text().splitlines()[0]
@@ -328,7 +327,7 @@ class TestRecordFiles:
         trace = generate_trace(StageProfile(), 48, seed=0)
         bundle = day_bundle()
         bundle = replace(bundle, horizon=48)
-        summary = run(trace, bundle, policy="joint")
+        summary = run_policy(trace, bundle, policy="joint")
         path = tmp_path / "records.csv"
         write_records(path, summary.records)
         lines = path.read_text().splitlines()
@@ -342,7 +341,7 @@ class TestRecordFiles:
         trace = replace(trace, slots=tuple(
             replace(s, task=None) if s.slot < 3 else s for s in trace.slots
         ))
-        records = run(trace, day_bundle(), policy="joint").records
+        records = run_policy(trace, day_bundle(), policy="joint").records
         assert any(r.slot >= DAY_HORIZON for r in records)
         assert any(type(r.demand) is int for r in records)
         assert any(r.z < 0.0 for r in records)
@@ -386,7 +385,7 @@ class TestSlotLoopHooks:
 
             monkeypatch.setattr(owner, name, recorder)
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        summary = run(trace, day_bundle(), policy=policy)
+        summary = run_policy(trace, day_bundle(), policy=policy)
 
         slots = len(summary.records)
         assert slots > DAY_HORIZON  # the drain slots go through the same hooks
@@ -401,7 +400,7 @@ class TestSlotLoopHooks:
 
     def test_records_and_states_are_immutable(self):
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        summary = run(trace, day_bundle(), policy="joint")
+        summary = run_policy(trace, day_bundle(), policy="joint")
         with pytest.raises(AttributeError):
             summary.records[0].e = 1.0
         with pytest.raises(AttributeError):
