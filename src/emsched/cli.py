@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields as dataclass_fields, is_dataclass, replace
@@ -145,8 +146,8 @@ class ExperimentConfig:
         for key in ("replications", "frame_length", "equivalence_states"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"experiment.{key} must be >= 1")
-        if not self.oracle_energy_step > 0.0:
-            raise ConfigurationError("experiment.oracle_energy_step must be > 0")
+        if not 0.0 < self.oracle_energy_step < math.inf:
+            raise ConfigurationError("experiment.oracle_energy_step must be > 0 and finite")
         if self.seed_base < 0:
             raise ConfigurationError(f"experiment.seed_base (--seed) must be >= 0, got {self.seed_base}")
         if self.workers != 1:
@@ -509,8 +510,9 @@ def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
     try:
         solutions = [oracle.lookahead_optimum(frame, bundle, grid) for frame in frames]
-    except oracle.SearchSpaceError as exc:
-        raise ConfigurationError(f"experiment.oracle_energy_step={spec.oracle_energy_step}: {exc}") from exc
+    except oracle.SearchSpaceError as exc:  # with no suggested step, only a shorter frame fits
+        key = "oracle_energy_step" if exc.suggested_step else "frame_length"
+        raise ConfigurationError(f"experiment.{key}={getattr(spec, key)}: {exc}") from exc
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
     return oracle.CheckReport(tuple(checks)), run
 

@@ -179,29 +179,29 @@ def validate_config(
     if horizon < 1:
         problems.append(f"horizon must be >= 1, got {horizon}")
 
-    if not (0.0 <= battery.b_min <= battery.b_init <= battery.b_max):
+    if not (0.0 <= battery.b_min <= battery.b_init <= battery.b_max < math.inf):
         problems.append(
-            "battery levels must satisfy 0 <= b_min <= b_init <= b_max, got "
+            "battery levels must satisfy 0 <= b_min <= b_init <= b_max < inf, got "
             f"b_min={battery.b_min}, b_init={battery.b_init}, b_max={battery.b_max}"
         )
-    if not battery.r_max > 0.0:
-        problems.append(f"charge rate limit r_max must be > 0, got {battery.r_max}")
-    if not battery.d_max_rate > 0.0:
-        problems.append(f"discharge rate limit d_max_rate must be > 0, got {battery.d_max_rate}")
-    if not (battery.c_rc >= 0.0 and battery.c_dc >= 0.0):
-        problems.append(f"entry costs must be >= 0, got c_rc={battery.c_rc}, c_dc={battery.c_dc}")
+    if not 0.0 < battery.r_max < math.inf:
+        problems.append(f"charge rate limit r_max must be > 0 and finite, got {battery.r_max}")
+    if not 0.0 < battery.d_max_rate < math.inf:
+        problems.append(f"discharge rate limit d_max_rate must be > 0 and finite, got {battery.d_max_rate}")
+    if not (0.0 <= battery.c_rc < math.inf and 0.0 <= battery.c_dc < math.inf):
+        problems.append(f"entry costs must be >= 0 and finite, got c_rc={battery.c_rc}, c_dc={battery.c_dc}")
 
-    if not grid.e_max > 0.0:
-        problems.append(f"grid purchase limit e_max must be > 0, got {grid.e_max}")
-    if not (0.0 <= grid.p_min <= grid.p_max):
-        problems.append(f"prices must satisfy 0 <= p_min <= p_max, got p_min={grid.p_min}, p_max={grid.p_max}")
+    if not 0.0 < grid.e_max < math.inf:
+        problems.append(f"grid purchase limit e_max must be > 0 and finite, got {grid.e_max}")
+    if not (0.0 <= grid.p_min <= grid.p_max < math.inf):
+        problems.append(f"prices must satisfy 0 <= p_min <= p_max < inf, got p_min={grid.p_min}, p_max={grid.p_max}")
 
-    if not weights.alpha > 0.0:
-        problems.append(f"alpha must be > 0, got {weights.alpha}")
-    if not weights.mu > 0.0:
-        problems.append(f"mu must be > 0, got {weights.mu}")
-    if weights.v is not None and not weights.v >= 0.0:
-        problems.append(f"v must be >= 0, got {weights.v}")
+    if not 0.0 < weights.alpha < math.inf:
+        problems.append(f"alpha must be > 0 and finite, got {weights.alpha}")
+    if not 0.0 < weights.mu < math.inf:
+        problems.append(f"mu must be > 0 and finite, got {weights.mu}")
+    if weights.v is not None and not 0.0 <= weights.v < math.inf:
+        problems.append(f"v must be >= 0 and finite, got {weights.v}")
     if weights.d_avg_max < 0:
         problems.append(f"d_avg_max must be >= 0, got {weights.d_avg_max}")
     if max_task_delay is not None and weights.d_avg_max > max_task_delay:

@@ -42,24 +42,22 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
-_STATE_BLOCK = 32  # states (or backlogs) `equivalence_battery` prices per table; bounds only its memory
+_STATE_BLOCK = 32  # states `equivalence_battery` prices per energy table; bounds only its memory
+_AUX_BLOCK = 1024  # backlogs `equivalence_battery` prices per gamma table; bounds only its memory
 _BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `equivalence_battery`
 _GAMMA_STEP = 1e-4  # auxiliary gamma lattice
-_COARSE = 100  # lattice points per step of the coarse gamma scan
+_LADDER = 10  # each level of the gamma search scans 2*_LADDER + 1 points, a tenth of the last stride apart
 _MAX_NODES = 1e8  # largest frame search `lookahead_optimum` enumerates
 
 
 class SearchSpaceError(RuntimeError):
-    """The requested lattice search is too large to enumerate."""
+    """The requested lattice search is too large to enumerate. `suggested_step`
+    is None when no energy step could fit it, only a shorter frame."""
 
-    def __init__(self, nodes: float, limit: float, suggested_step: float):
-        self.nodes = nodes
-        self.limit = limit
-        self.suggested_step = suggested_step
-        super().__init__(
-            f"search space of ~{nodes:.2e} nodes exceeds the {limit:.0e} limit; "
-            f"try energy_step >= {suggested_step:.4g}"
-        )
+    def __init__(self, nodes: float, limit: float, suggested_step: float | None):
+        self.nodes, self.limit, self.suggested_step = nodes, limit, suggested_step
+        advice = f"try energy_step >= {suggested_step:.4g}" if suggested_step else "shorten experiment.frame_length"
+        super().__init__(f"search space of ~{nodes:.2e} nodes exceeds the {limit:.0e} limit; {advice}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,7 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotContext:
+class SlotContext(NamedTuple):
     """Everything the controller saw when it made a slot's decisions."""
 
     task: LoadTask | None
@@ -131,35 +128,38 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
     return best_d, best_v
 
 
-def _aux_argmins(cost: QuadraticCost, cap: float, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first argmin of h*g + vb*C(g) over the gamma lattice
-    0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap, and its value, for vb >= 0 and cap > 0.
+def _aux_argmins(cost: QuadraticCost, cap: np.ndarray, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first argmin of h*g + vb*C(g) over its gamma lattice
+    0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap, and its value, for vb >= 0 and a cap >= 0 per row.
 
-    C(g) = k*g**2 with k >= 0, so the objective is convex and two exhaustive
-    scans find the whole lattice's first argmin: every _COARSE-th point plus
-    cap, then every point between the coarse argmin's two neighbours (README,
-    "Why the two-level gamma search is exact"). One table per stage prices
-    all rows. Each row is scaled by the power of two that lifts its larger
-    coefficient into [0.5, 1), exact wherever nothing underflows, so tiny
-    coefficients (h = -5e-324 with vb = 0) do not tie every point at 0; the
-    value is returned at the original scale.
+    C(g) = k*g**2 with k >= 0, so the objective is convex and a ladder of
+    exhaustive scans finds the whole lattice's first argmin: every stride-th
+    point plus cap, then every point a tenth of the stride apart between the
+    argmin's two neighbours, down to a stride of one point (README, "Why the
+    gamma ladder is exact"). One table per level prices all rows, and a row
+    repeats its cap past its own end. Each row is scaled by the power of two
+    that lifts its larger coefficient into [0.5, 1), exact wherever nothing
+    underflows, so tiny coefficients (h = -5e-324 with vb = 0) do not tie
+    every point at 0; the value is returned at the original scale.
     """
-    n = math.ceil(cap / _GAMMA_STEP)  # point i < n is i*_GAMMA_STEP, as in np.arange(0.0, cap, _GAMMA_STEP)
+    n = np.ceil(cap / _GAMMA_STEP).astype(int)[:, None]  # point i < n is i*_GAMMA_STEP, as in np.arange(0, cap, step)
     _, exponent = np.frexp(np.maximum(np.abs(h), np.abs(vb)))
     shift = np.maximum(-exponent, 0)
     h_s, vb_s = np.ldexp(h, shift)[:, None], np.ldexp(vb, shift)[:, None]
-
-    def first_min(index: np.ndarray) -> np.ndarray:
-        g = np.where(index == n, cap, index * _GAMMA_STEP)
-        return (h_s * g + vb_s * cost.value(g)).argmin(axis=1)
-
-    coarse = np.append(np.arange(0, n, _COARSE), n)
-    j = first_min(coarse)
-    lo, hi = coarse[np.maximum(j - 1, 0)], coarse[np.minimum(j + 1, len(coarse) - 1)]
-    # past hi a row repeats hi, which a first minimum never picks over hi itself
-    window = np.minimum(lo[:, None] + np.arange(2 * _COARSE + 1), hi[:, None])
-    best = window[np.arange(len(h)), first_min(window)]
-    g = np.where(best == n, cap, best * _GAMMA_STEP)
+    rows, span = np.arange(len(h)), np.arange(2 * _LADDER + 1)
+    stride = 1
+    while 2 * _LADDER * stride < n.max():
+        stride *= _LADDER
+    first = np.zeros_like(n)  # each row's first point of the level
+    while True:
+        index = np.minimum(first + stride * span, n)
+        g = np.where(index == n, cap[:, None], index * _GAMMA_STEP)
+        j = (h_s * g + vb_s * cost.value(g)).argmin(axis=1)
+        if stride == 1:
+            break
+        # the next level spans 2*stride from the argmin's left neighbour, so it holds the right one
+        first, stride = index[rows, np.maximum(j - 1, 0)][:, None], stride // _LADDER
+    g = g[rows, j]
     return g, h * g + vb * cost.value(g)
 
 
@@ -293,16 +293,10 @@ def frames_from_run(trace: Trace, run: RunSummary, frame_length: int) -> list[Fr
     horizon = trace.horizon
     if frame_length < 1 or horizon % frame_length != 0:
         raise ValueError(f"frame length {frame_length} must divide the horizon {horizon}")
-    frames = []
-    for start in range(0, horizon, frame_length):
-        frames.append(
-            Frame(
-                start=start,
-                slots=trace.slots[start : start + frame_length],
-                boundary_b=run.records[start].b,
-            )
-        )
-    return frames
+    return [
+        Frame(start, trace.slots[start : start + frame_length], boundary_b=run.records[start].b)
+        for start in range(0, horizon, frame_length)
+    ]
 
 
 def _delay_choices(frame: Frame) -> tuple[list[tuple[int, LoadTask]], list[range]]:
@@ -320,18 +314,15 @@ def _delay_choices(frame: Frame) -> tuple[list[tuple[int, LoadTask]], list[range
 
 def _frame_options(
     frame: Frame, pairs: Sequence[tuple[int, float]], bundle: ModelBundle, h: float
-) -> tuple[list[float], _SlotFlows, np.ndarray, list[list[tuple[int, float]]]]:
+) -> tuple[list[float], _SlotFlows, np.ndarray]:
     """One table row per (frame slot index, demand) pair: the renewable serving
-    the demand, the lattice flows, each flow's purchase + entry cost, and the
-    feasible flows as (k, cost) in `_slot_flows` order."""
+    the demand, the lattice flows, and each flow's purchase + entry cost."""
     slots = [frame.slots[p] for p, _ in pairs]
     demand = np.array([d for _, d in pairs], dtype=float)
     s_w = [controller.renewable_split(d, slot.renewable) for (_, d), slot in zip(pairs, slots)]
     renewable = np.array([slot.renewable for slot in slots], dtype=float)
     flows = _slot_flows(demand - s_w, renewable - s_w, bundle.battery, bundle.grid, h)
-    cost = flows.e * np.array([[slot.price] for slot in slots], dtype=float) + flows.entry
-    options = [list(zip(flows.k[ok].tolist(), row[ok].tolist())) for ok, row in zip(flows.ok, cost)]
-    return s_w, flows, cost, options
+    return s_w, flows, flows.e * np.array([[slot.price] for slot in slots], dtype=float) + flows.entry
 
 
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
@@ -346,16 +337,15 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     functions once per frame, which is where the optimum of the frame-local
     auxiliary variables lands.
 
-    Profiles are searched in a fixed order, and each gets a cost floor before
-    its DP: the cheapest flow cost of every slot, summed in slot order from
-    0.0 as the DP sums a plan's slot costs, divided by the frame length, plus
-    the cheapest usage penalty and the profile's delay cost. Floating-point
-    + and / are monotone, so no plan of the profile totals less than its
-    floor. A profile whose floor is not below the best total so far could not
-    replace it, so its DP is skipped; the answer, ties included, is the one
-    the full search returns. A profile's DP fills only the states that can
-    still reach the net-flow target (`_dp_forward`), which leaves the target
-    row, and so the answer, bit for bit as the full table has it.
+    Profiles are searched in order of first appearance, and each gets a cost
+    floor before its DP: the cheapest flow cost of every slot, summed in slot
+    order from 0.0 as the DP sums a plan's slot costs, over the frame length,
+    plus the cheapest usage penalty and the profile's delay cost. Floating-
+    point + and / are monotone, so a profile whose floor is not below the
+    best total so far could not replace it, and its DP is skipped; the
+    answer, ties included, is the full search's. A DP fills only the states
+    that can still reach the net-flow target (`_dp_forward`), which leaves
+    the target row, and so the answer, bit for bit as the full table has it.
     """
     T = frame.length
     h = grid.energy_step
@@ -363,26 +353,6 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
 
     k_charge, k_discharge = _flow_counts(battery, h)
     k_flow = max(k_charge, k_discharge)
-
-    arrivals, choices = _delay_choices(frame)
-    delay_budget = T * weights.d_avg_max
-
-    # The demand profile of each delay combination within the budget adds each
-    # arrival's intensity over its service window, in arrival order (adding
-    # 0.0 elsewhere is exact). Profiles are deduplicated by demand; the cheapest
-    # total delay wins because the delay cost is increasing. The all-zero
-    # combination always meets the budget, so at least one profile survives.
-    combos = np.array(list(itertools.product(*choices)), dtype=int)
-    combos = combos[combos.sum(axis=1) <= delay_budget]
-    demands = np.zeros((len(combos), T))
-    for (p, task), d in zip(arrivals, combos.T):
-        served = np.arange(T) - (p + d)[:, None]  # slots into the task's service
-        demands += np.where((served >= 0) & (served < task.duration), task.intensity, 0.0)
-    profiles: dict[tuple, tuple[np.ndarray, int, tuple[int, ...]]] = {}
-    for demand, key, combo in zip(demands, map(tuple, np.round(demands, 12).tolist()), combos.tolist()):
-        kept = profiles.get(key)
-        if kept is None or sum(combo) < kept[1]:
-            profiles[key] = (demand, sum(combo), tuple(combo))
 
     # Battery offsets are indexed relative to the boundary level; the array
     # covers exactly the feasible window, so bounds are enforced by shape.
@@ -398,52 +368,91 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     if not o_lo <= o_target <= o_hi:
         raise ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
 
-    nodes = len(profiles) * T * n_off * n_use * (k_charge + k_discharge + 1)
+    # Every delay combination is counted before any is built. No energy step
+    # helps when the combinations alone, at one node per slot, pass the limit.
+    arrivals, choices = _delay_choices(frame)
+    n_combos = math.prod(len(c) for c in choices)
+    nodes = n_combos * T * n_off * n_use * (k_charge + k_discharge + 1)
     if nodes > _MAX_NODES:
-        raise SearchSpaceError(nodes, _MAX_NODES, h * (nodes / _MAX_NODES) ** (1 / 3))
+        step = None if n_combos * T > _MAX_NODES else h * (nodes / _MAX_NODES) ** (1 / 3)
+        raise SearchSpaceError(nodes, _MAX_NODES, step)
 
-    usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
-    usage_floor = float(usage_penalty.min())
+    # The demand profile of each delay combination within the budget adds each
+    # arrival's intensity over its service window, in arrival order (adding
+    # 0.0 elsewhere is exact). Profiles are deduplicated by demand, in order of
+    # first appearance, and each keeps its first combination of least total
+    # delay, the cheapest as the delay cost is increasing. The all-zero
+    # combination always meets the budget, so at least one profile survives.
+    combos = np.array(list(itertools.product(*choices)), dtype=int)
+    combos = combos[combos.sum(axis=1) <= T * weights.d_avg_max]
+    demands = np.zeros((len(combos), T))
+    for (p, task), d in zip(arrivals, combos.T):
+        served = np.arange(T) - (p + d)[:, None]  # slots into the task's service
+        demands += np.where((served >= 0) & (served < task.duration), task.intensity, 0.0)
+    keys = np.round(demands, 12)
+    order = np.lexsort((combos.sum(axis=1), *keys.T[::-1]))  # by demand, then delay; stable, so then product order
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    chosen = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
+    combos, demands = combos[chosen], demands[chosen]
 
     # A slot's flows depend only on its own demand, which many profiles share,
-    # so the frame's distinct (slot, demand) pairs are priced in one table. A
-    # slot with no feasible flow costs inf, so the floor skips its profiles.
-    rows: dict[tuple[int, float], int] = {}
-    profile_rows = [[rows.setdefault(pair, len(rows)) for pair in enumerate(d.tolist())] for d, *_ in profiles.values()]
-    s_w, flows, cost, options = _frame_options(frame, list(rows), bundle, h)
+    # so the frame's distinct (slot, demand) pairs, column by column in
+    # ascending demand, are priced in one table. A slot with no feasible flow
+    # costs inf, so the floor skips its profiles. A row's feasible (k, cost)
+    # list and k range are read only for a DP.
+    order = demands.argsort(axis=0, kind="stable")
+    column = np.take_along_axis(demands, order, axis=0)
+    new = np.r_[np.ones((1, T), dtype=bool), column[1:] != column[:-1]].T  # slot by slot: a demand's first cell
+    profile_rows = np.empty(demands.shape, dtype=int)
+    np.put_along_axis(profile_rows, order, new.cumsum().reshape(new.shape).T - 1, axis=0)
+    pairs = list(zip(np.nonzero(new)[0].tolist(), column.T[new].tolist()))
+    s_w, flows, cost = _frame_options(frame, pairs, bundle, h)
     cheapest = np.where(flows.ok, cost, np.inf).min(axis=1)
-    floors = np.zeros(len(profiles))
-    for slot_rows in np.array(profile_rows).T:
+    k_lo = np.where(flows.ok, flows.k, k_charge).min(axis=1).tolist()
+    k_hi = np.where(flows.ok, flows.k, -k_discharge).max(axis=1).tolist()
+    floors = np.zeros(len(combos))
+    for slot_rows in profile_rows.T:
         floors += cheapest[slot_rows]
+    usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
+    delay_terms = weights.alpha * bundle.costs.delay.value(combos.sum(axis=1) / T)
+    bounds = (floors / T + usage_penalty.min() + delay_terms).tolist()
 
     best_value = math.inf
-    best = None  # combo, table rows, actions, DP layers and usage index of the best plan
-    for (_, delay_sum, combo), slot_rows, floor in zip(profiles.values(), profile_rows, floors):
-        delay_term = weights.alpha * bundle.costs.delay.value(delay_sum / T)
-        if floor / T + usage_floor + delay_term >= best_value:
+    best = None  # profile, table rows, actions, DP layers and usage index of the best plan
+    options: dict[int, list[tuple[int, float]]] = {}
+    for i, bound in enumerate(bounds):
+        if bound >= best_value:
             continue
+        slot_rows = profile_rows[i].tolist()
+        for r in slot_rows:
+            if r not in options:
+                options[r] = list(zip(flows.k[flows.ok[r]].tolist(), cost[r, flows.ok[r]].tolist()))
         actions = [options[r] for r in slot_rows]
-        layers = _dp_forward(actions, n_off, n_use, o_lo, o_target)
+        lo, hi = [k_lo[r] for r in slot_rows], [k_hi[r] for r in slot_rows]
+        layers = _dp_forward(actions, lo, hi, n_off, n_use, o_lo, o_target)
         terminal = layers[-1][o_target - o_lo]
         if not np.isfinite(terminal).any():
             continue
-        totals = terminal / T + usage_penalty + delay_term
+        totals = terminal / T + usage_penalty + delay_terms[i]
         idx = int(np.argmin(totals))
         if totals[idx] < best_value:
             best_value = float(totals[idx])
-            best = (combo, slot_rows, actions, layers, idx)
+            best = (i, slot_rows, actions, layers, idx)
     if best is None:
         raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
 
-    combo, slot_rows, actions, layers, usage_idx = best
+    i, slot_rows, actions, layers, usage_idx = best
     steps = _walk_back(layers, actions, o_lo, o_target, usage_idx)
-    demand_sw = [(d, s) for (_, d), s in zip(rows, s_w)]
+    demand_sw = [(d, s) for (_, d), s in zip(pairs, s_w)]
+    combo = combos[i].tolist()
     return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, flows, slot_rows, steps)
 
 
-def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
+def _dp_forward(actions, lo, hi, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
     """Min purchase+entry cost over (battery offset, cumulative usage) states
-    on plans that can still end at offset `o_target`.
+    on plans that can still end at offset `o_target`, where slot p's feasible
+    flows are actions[p], as (k, cost), with k from lo[p] to hi[p].
 
     Returns one layer per slot boundary: layers[0] is the start state and
     layers[p + 1] the cost after slot p, so the last layer is the terminal one.
@@ -455,8 +464,6 @@ def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> li
     cells, the `o_target` row among them, take the full table's values bit
     for bit (README, "Why the DP window is exact").
     """
-    lo = [min((k for k, _ in feasible), default=0) for feasible in actions]
-    hi = [max((k for k, _ in feasible), default=0) for feasible in actions]
     reach = [max(h, -l) for l, h in zip(lo, hi)]  # largest |k|
     start, target = -o_lo, o_target - o_lo
     r_lo, r_hi, u_hi = [], [], []  # window of each layer: rows r_lo..r_hi, usages 0..u_hi
@@ -823,29 +830,23 @@ def sample_slot_states(
     price = uniform(grid_params.p_min, grid_params.p_max)
     return [
         (
-            ControllerState(z[i], x[i], h_u[i], h_d[i], battery.b_init, a_o, v),
-            SlotContext(
-                task=LoadTask(0, intensity[i], duration[i], max_delay[i]) if has_task[i] else None,
-                demand_l=s_w[i] + residual[i],
-                s_w=s_w[i],
-                renewable=s_w[i] + surplus[i],
-                price=price[i],
-            ),
+            ControllerState(z_i, x_i, h_u_i, h_d_i, battery.b_init, a_o, v),
+            SlotContext(LoadTask(0, c, d, m) if t else None, s + r, s, s + sp, p),
         )
-        for i in range(n)
+        for z_i, x_i, h_u_i, h_d_i, s, r, sp, t, c, d, m, p in zip(
+            z, x, h_u, h_d, s_w, residual, surplus, has_task, intensity, duration, max_delay, price
+        )
     ]
 
 
-def _aux_mismatches(cost: QuadraticCost, cap: float, backlogs: Sequence[tuple[float, float]], v: float) -> int:
-    """Count (h, beta) pairs whose closed-form gamma is off the lattice argmin by over one step."""
+def _aux_mismatches(cost: QuadraticCost, backlogs: Sequence[tuple[float, float, float]], v: float) -> int:
+    """Count (h, beta, cap) rows whose closed-form gamma is off the lattice argmin by over one step."""
     bad = 0
-    for lo in range(0, len(backlogs), _STATE_BLOCK):
-        block = backlogs[lo : lo + _STATE_BLOCK]
-        h, beta = (np.array(column) for column in zip(*block))
-        grid_g = _aux_argmins(cost, cap, h, v * beta)[0].tolist() if cap > 0.0 else [0.0] * len(block)
-        for (h_i, beta_i), grid_gi in zip(block, grid_g):
-            closed_g = controller.aux_solution(h_i, v, beta_i, cost, cap)
-            bad += abs(closed_g - grid_gi) > _GAMMA_STEP + 1e-9
+    for lo in range(0, len(backlogs), _AUX_BLOCK):
+        block = backlogs[lo : lo + _AUX_BLOCK]
+        h, beta, cap = (np.array(column) for column in zip(*block))
+        for (h_i, beta_i, cap_i), grid_g in zip(block, _aux_argmins(cost, cap, h, v * beta)[0].tolist()):
+            bad += abs(controller.aux_solution(h_i, v, beta_i, cost, cap_i) - grid_g) > _GAMMA_STEP + 1e-9
     return bad
 
 
@@ -863,12 +864,11 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
     weights, gamma_u_cap = bundle.weights, bundle.battery.gamma_u_cap
     samples = sample_slot_states(bundle, n_states, seed, a_o, v)
 
-    # Both searches run after the loop, a block of states per table: the energy
-    # lattices in sample order, the gamma lattices grouped by (cost, cap).
-    aux_costs = (bundle.costs.usage, bundle.costs.delay)
-    aux_groups: dict[tuple[int, float], list[tuple[float, float]]] = {}
+    # Both searches run after the loop, a block of rows per table: the energy
+    # lattices in sample order, the gamma lattices one cost family at a time.
+    usage, delay = [], []  # (h, beta, cap) of each state's gamma_u and gamma_d
     energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the closed form's value
-    schedule_bad = aux_bad = dominance_bad = slack_bad = 0
+    schedule_bad = dominance_bad = slack_bad = 0
     for state, ctx in samples:
         if ctx.task is not None:
             closed_d = controller.schedule_load(state, ctx.task, weights.mu, ctx.task.max_delay)
@@ -879,8 +879,8 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
         else:
             gamma_d_cap = float(weights.d_avg_max)
 
-        aux_groups.setdefault((0, gamma_u_cap), []).append((state.h_u, 1.0))
-        aux_groups.setdefault((1, gamma_d_cap), []).append((state.h_d, weights.alpha / weights.mu))
+        usage.append((state.h_u, 1.0, gamma_u_cap))
+        delay.append((state.h_d, weights.alpha / weights.mu, gamma_d_cap))
 
         action = controller.energy_control(
             state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid
@@ -897,8 +897,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
             dominance_bad += closed_v > grid_v + 1e-9
             slack_bad += grid_v > closed_v + _BATTERY_ENERGY_STEP * (abs(key1) + abs(key2)) + 1e-9
 
-    for (which, cap), backlogs in aux_groups.items():
-        aux_bad += _aux_mismatches(aux_costs[which], cap, backlogs, v)
+    aux_bad = _aux_mismatches(bundle.costs.usage, usage, v) + _aux_mismatches(bundle.costs.delay, delay, v)
 
     def count_check(name: str, count: int, detail: str) -> CheckResult:
         return CheckResult(name=name, passed=count == 0, achieved=float(count), bound=0.0, detail=detail)

@@ -16,6 +16,7 @@ trace to CSV and reading it back reproduces it exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,8 +47,8 @@ class LoadTask:
     def __post_init__(self):
         if self.duration < 1:
             raise ValueError(f"duration >= 1 required, got {self.duration}")
-        if not self.intensity >= 0.0:
-            raise ValueError(f"intensity >= 0 required, got {self.intensity}")
+        if not 0.0 <= self.intensity < math.inf:
+            raise ValueError(f"intensity >= 0 and finite required, got {self.intensity}")
         if self.max_delay < 0:
             raise ValueError(f"max_delay >= 0 required, got {self.max_delay}")
 
@@ -113,8 +114,6 @@ class StageProfile:
                 f"price stages must be ordered high >= mid >= low, got "
                 f"{self.price_high}, {self.price_mid}, {self.price_low}"
             )
-        if not (self.solar_std_ratio >= 0.0 and self.load_std_ratio >= 0.0):
-            raise ValueError("std-dev ratios must be >= 0")
         if self.duration_min < 1:
             raise ValueError(f"duration_min >= 1 required, got {self.duration_min}")
         if self.duration_max < self.duration_min:
@@ -127,12 +126,12 @@ class StageProfile:
             for start, end in getattr(self, name):
                 if not (0.0 <= start < end <= 24.0):
                     raise ValueError(f"{name} window [{start}, {end}] must satisfy 0 <= start < end <= 24")
-        for mean in (
-            self.solar_mean_high, self.solar_mean_mid, self.solar_mean_low,
-            self.load_mean_high, self.load_mean_mid, self.load_mean_low,
+        for name in (
+            "solar_mean_high", "solar_mean_mid", "solar_mean_low", "solar_std_ratio",
+            "load_mean_high", "load_mean_mid", "load_mean_low", "load_std_ratio",
         ):
-            if not mean >= 0.0:
-                raise ValueError("stage means must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
     def stage(self, slot: int) -> str:
         hour = (slot * self.slot_minutes / 60.0) % 24.0
@@ -199,8 +198,8 @@ def validate_trace(trace: Trace, grid: GridParams) -> list[str]:
             problems.append(
                 f"slot {s.slot}: price {s.price} outside [{grid.p_min}, {grid.p_max}]"
             )
-        if not s.renewable >= 0.0:
-            problems.append(f"slot {s.slot}: renewable {s.renewable} is negative")
+        if not 0.0 <= s.renewable < math.inf:
+            problems.append(f"slot {s.slot}: renewable {s.renewable} is negative or not finite")
     return problems
 
 
@@ -251,8 +250,8 @@ def load_trace(path: str | Path) -> Trace:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: slots must be contiguous from 0, expected {len(slots)}, got {slot}"
                 )
-            if not renewable >= 0.0:
-                raise TraceFormatError(f"{path}: line {lineno}: renewable must be >= 0, got {renewable}")
+            if not 0.0 <= renewable < math.inf:
+                raise TraceFormatError(f"{path}: line {lineno}: renewable must be >= 0 and finite, got {renewable}")
             triple = [cell.strip() for cell in row[3:6]]
             if all(cell == "" for cell in triple):
                 task = None

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -172,10 +175,27 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
         ("weights.delta_u", "delta_u"),
     ]
 ] + [
+    # and so does an infinite value: each is checked as finite and in range
+    pytest.param(key, math.inf, name, id=f"{key}=inf")
+    for key, name in [
+        ("weights.alpha", "alpha must be > 0 and finite"),
+        ("weights.v", "v must be >= 0 and finite"),
+        ("weights.mu", "mu must be > 0 and finite"),
+        ("battery.b_max", "b_max"),
+        ("battery.c_rc", "c_rc"),
+        ("battery.r_max", "r_max must be > 0 and finite"),
+        ("grid.e_max", "e_max must be > 0 and finite"),
+        ("grid.p_max", "p_max"),
+        ("experiment.oracle_energy_step", "experiment.oracle_energy_step"),
+    ]
+] + [
+    # a profile error names the mean or ratio, not only the section
     pytest.param(
-        "scenario.profile", {**SMALL_PROFILE, name: math.nan}, "scenario.profile", id=f"scenario.profile.{name}=nan"
+        "scenario.profile", {**SMALL_PROFILE, name: value}, f"scenario.profile: {name}",
+        id=f"scenario.profile.{name}={value}",
     )
     for name in ("solar_std_ratio", "load_std_ratio", "solar_mean_high", "load_mean_low")
+    for value in (math.nan, math.inf, -0.5)
 ]
 
 
@@ -205,6 +225,23 @@ class TestMalformedValues:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "charge rate limit r_max must be > 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_frame_too_long_to_enumerate_exits_2_before_building_it(self, tmp_path):
+        # Each 12-slot frame of small.yaml has 592,950,960 delay combinations, so
+        # no energy step fits. They are counted, not built: under a 2 GiB address
+        # space cap, verify exits 2 naming the frame length instead of running out.
+        path = small_config(tmp_path, **{"experiment.frame_length": 12})
+        code = ("import resource, sys; from emsched.cli import main; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); sys.exit(main(sys.argv[1:]))")
+        pythonpath = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("config error: experiment.frame_length=12: search space of ~")
+        assert "shorten experiment.frame_length" in result.stderr
         assert not (tmp_path / "out").exists()
 
     def test_a_scalar_policy_is_one_policy(self, tmp_path):

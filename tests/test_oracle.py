@@ -65,7 +65,7 @@ class TestSubproblemOracles:
         assert d == 0
 
     def test_aux_oracle_lands_on_the_interior_optimum(self):
-        g, _ = oracle._aux_argmins(QuadraticCost(0.2), 0.165, np.array([-0.4]), np.array([10.0]))
+        g, _ = oracle._aux_argmins(QuadraticCost(0.2), np.array([0.165]), np.array([-0.4]), np.array([10.0]))
         assert g[0] == pytest.approx(0.1, abs=1e-4)
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
@@ -189,7 +189,7 @@ class TestEquivalenceBattery:
         overload = bundle.grid.e_max + bundle.battery.d_max_rate + 0.01
         for i in (1, 3):
             state, ctx = samples[i]
-            samples[i] = (state._replace(slot=10 + i), replace(ctx, demand_l=ctx.s_w + overload, renewable=ctx.s_w))
+            samples[i] = (state._replace(slot=10 + i), ctx._replace(demand_l=ctx.s_w + overload, renewable=ctx.s_w))
         state, ctx = samples[1]
         row = energy_row(state, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, ctx.price)
         with pytest.raises(InfeasibleSlot) as expected:
@@ -280,7 +280,7 @@ def test_aux_closed_form_tracks_grid_search(params):
     h, v, beta, k = params
     cost = QuadraticCost(k)
     closed = controller.aux_solution(h, v, beta, cost, 0.165)
-    grid, _ = oracle._aux_argmins(cost, 0.165, np.array([h]), np.array([v * beta]))
+    grid, _ = oracle._aux_argmins(cost, np.array([0.165]), np.array([h]), np.array([v * beta]))
     assert abs(closed - grid[0]) <= 1e-4 + 1e-9
 
 
@@ -297,32 +297,44 @@ def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) ->
 
 
 def full_lattice_argmins(cost, cap, h, vb):
-    """`oracle._aux_argmins` by the exhaustive reference, one row at a time."""
-    g, value = zip(*(full_lattice_argmin(h_i, vb_i, cost, cap) for h_i, vb_i in zip(h.tolist(), vb.tolist())))
+    """`oracle._aux_argmins` by the exhaustive reference, one row (and its own cap) at a time."""
+    rows = zip(h.tolist(), vb.tolist(), cap.tolist())
+    g, value = zip(*(full_lattice_argmin(h_i, vb_i, cost, cap_i) for h_i, vb_i, cap_i in rows))
     return np.array(g), np.array(value)
 
 
-GAMMA_CAPS = (1e-4, 0.165, 6.0, 0.12345)  # the last is not a multiple of the gamma step
+GAMMA_CAPS = (0.0, 1e-4, 0.165, 6.0, 0.12345)  # the last is not a multiple of the gamma step
+TINY_BACKLOGS = (-5e-324, 5e-324, -1e-310, 0.0)  # h*g underflows on (nearly) every lattice point
+TINY_WEIGHTS = (5e-324, 1e-310, 0.0)
 
 
 @given(
-    rows=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=4),
+    rows=st.lists(
+        st.tuples(
+            st.floats(-1e6, 1e6) | st.sampled_from(TINY_BACKLOGS),
+            st.floats(0.0, 1e6) | st.sampled_from(TINY_WEIGHTS),
+            st.sampled_from(GAMMA_CAPS) | st.floats(1e-6, 6.0),
+        ),
+        min_size=1, max_size=6,
+    ),
     k=st.floats(0.0, 1e3),
-    cap=st.sampled_from(GAMMA_CAPS) | st.floats(1e-6, 6.0),
 )
-@example(rows=[(-5e-324, 0.0)], k=0.01, cap=0.165)  # h*g underflows to 0 on every lattice point
-@example(rows=[(-5e-324, 0.0), (-0.4, 10.0)], k=0.2, cap=0.165)  # rows scaled apart
-@example(rows=[(-0.4, 1.0), (0.4, 1.0)], k=0.0, cap=6.0)  # flat: a negative backlog takes the cap, a positive one 0
-@example(rows=[(0.0, 1.0), (0.0, 0.0)], k=0.2, cap=0.12345)
-@example(rows=[(-0.4, 1.0), (-1e-3, 0.5)], k=0.2, cap=1e-4)
-@example(rows=[(-2.0, 1.0), (-0.0661, 1.0)], k=0.2, cap=0.165)  # interior and at the cap
-@example(rows=[(-3.0, 1.0 / 36.0), (-1e-3, 1.0)], k=1.0, cap=6.0)
+@example(rows=[(-5e-324, 0.0, 0.165)], k=0.01)  # h*g underflows to 0 on every lattice point
+@example(rows=[(-5e-324, 0.0, 0.165), (-0.4, 10.0, 0.165)], k=0.2)  # rows scaled apart
+@example(rows=[(-0.4, 1.0, 6.0), (0.4, 1.0, 6.0)], k=0.0)  # flat: a negative backlog takes the cap, a positive one 0
+@example(rows=[(0.0, 1.0, 0.12345), (0.0, 0.0, 0.12345)], k=0.2)
+@example(rows=[(-0.4, 1.0, 1e-4), (-1e-3, 0.5, 1e-4)], k=0.2)
+@example(rows=[(-2.0, 1.0, 0.165), (-0.0661, 1.0, 0.165)], k=0.2)  # interior and at the cap
+@example(rows=[(-3.0, 1.0 / 36.0, 6.0), (-1e-3, 1.0, 6.0)], k=1.0)
+# one table, caps from 0 to 6: small caps repeat past their end through every level of the large one
+@example(rows=[(-3.0, 1.0 / 36.0, 6.0), (-0.4, 1.0, 0.0), (-2.0, 1.0, 0.12345), (-1e-3, 1.0, 1e-4)], k=1.0)
+@example(rows=[(-5e-324, 0.0, 6.0), (-5e-324, 0.0, 0.12345), (0.4, 1.0, 5.99995)], k=0.0)
 @settings(max_examples=200, deadline=None)
-def test_two_level_gamma_search_equals_the_full_lattice(rows, k, cap):
-    h, vb = (np.array(column) for column in zip(*rows))
+def test_gamma_ladder_equals_the_full_lattice(rows, k):
+    h, vb, cap = (np.array(column) for column in zip(*rows))
     cost = QuadraticCost(k)
     g, value = oracle._aux_argmins(cost, cap, h, vb)
-    assert list(zip(g.tolist(), value.tolist())) == [full_lattice_argmin(h_i, vb_i, cost, cap) for h_i, vb_i in rows]
+    assert list(zip(g.tolist(), value.tolist())) == [full_lattice_argmin(*row[:2], cost, row[2]) for row in rows]
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -330,7 +342,7 @@ def test_aux_answers_over_one_gamma_step_off_are_caught(monkeypatch, steps):
     # A closed form that answers `steps` lattice steps away from the lattice
     # argmin wherever that argmin is interior (moving inward at the cap) is
     # within the battery's one-step tolerance at one step and counted at
-    # two, by the two-level search and by the full-lattice reference alike.
+    # two, by the gamma ladder and by the full-lattice reference alike.
     bundle, shift = small_bundle(), steps * oracle._GAMMA_STEP
     moved = []
 
@@ -485,6 +497,16 @@ class TestFrameOracle:
         assert err.value.suggested_step > GridSpec().energy_step
         assert "energy_step" in str(err.value)
 
+    def test_delay_combinations_are_counted_before_any_is_built(self, small_instances, monkeypatch):
+        # A 12-slot desk frame has 592,950,960 delay combinations: past the node
+        # limit at one node per slot, so no energy step fits and none is built.
+        _, trace, summary = small_instances[0]
+        frame = frames_from_run(trace, summary, 12)[0]
+        monkeypatch.setattr(oracle.itertools, "product", lambda *a: pytest.fail("combinations were built"))
+        with pytest.raises(SearchSpaceError, match="shorten experiment.frame_length") as err:
+            lookahead_optimum(frame, small_bundle(), GridSpec(energy_step=SMALL_ENERGY_STEP))
+        assert err.value.suggested_step is None and err.value.nodes > 592_950_960 * 12
+
     def test_solutions_respect_slot_feasibility(self, small_instances):
         seed, trace, summary = small_instances[0]
         bundle = small_bundle()
@@ -546,11 +568,18 @@ def full_dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarr
     return layers
 
 
+def dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
+    """`oracle._dp_forward` with each slot's k range read from its flow list."""
+    lo, hi = [min(k for k, _ in f) for f in actions], [max(k for k, _ in f) for f in actions]
+    return oracle._dp_forward(actions, lo, hi, n_off, n_use, o_lo, o_target)
+
+
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
     """The frame search with a full-table DP (`full_dp_forward`) on every
     feasible demand profile: the reference the cost-floor skip and the DP
     window must match. Each combo's demand profile is built here, one combo
-    at a time and priced in its own table, with rows range(T); the slot
+    at a time and priced in its own table, with rows range(T), and each
+    row's feasible (k, cost) list is built here from that table; the slot
     flows, walk back and plan come from the oracle's own helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
@@ -576,7 +605,8 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     best, best_value = None, math.inf
     for demand, delay_sum, combo in profiles.values():
         pairs = list(enumerate(demand.tolist()))
-        s_w, table, _, actions = oracle._frame_options(frame, pairs, bundle, h)
+        s_w, table, cost = oracle._frame_options(frame, pairs, bundle, h)
+        actions = [list(zip(table.k[ok].tolist(), row[ok].tolist())) for ok, row in zip(table.ok, cost)]
         if not all(actions):
             continue
         layers = full_dp_forward(actions, n_off, n_use, o_lo)
@@ -618,7 +648,14 @@ class TestCostFloorSkip:
         grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
         dp_calls = []
         dp_forward, full_forward = oracle._dp_forward, full_dp_forward
-        monkeypatch.setattr(oracle, "_dp_forward", lambda *a: dp_calls.append(1) or dp_forward(*a))
+
+        def counted(actions, lo, hi, *rest):
+            # each slot's k range, read from the priced table, is its flow list's
+            assert (lo, hi) == ([min(k for k, _ in f) for f in actions], [max(k for k, _ in f) for f in actions])
+            dp_calls.append(1)
+            return dp_forward(actions, lo, hi, *rest)
+
+        monkeypatch.setattr(oracle, "_dp_forward", counted)
         monkeypatch.setitem(globals(), "full_dp_forward", lambda *a: dp_calls.append(1) or full_forward(*a))
         pruned_calls = full_calls = 0
         # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
@@ -657,6 +694,22 @@ class TestCostFloorSkip:
         sol = lookahead_optimum(frame, bundle, grid)
         assert [r.demand for r in sol.decisions] == [0.0, 0.1]
         assert sol.delays == ((0, 1), (1, 1))
+        assert sol == unpruned_lookahead(frame, bundle, grid)
+
+    def test_equal_profiles_keep_the_least_total_delay(self):
+        # The first load has zero intensity, so it leaves the same demand at
+        # every delay: delays (0, d) and (1, d) make one profile, which keeps
+        # its least total delay, the one whose delay cost is lowest.
+        bundle = ModelBundle(
+            costs=CostModel.quadratic(0.2, None, d_avg_max=2), weights=Weights(alpha=1.0, d_avg_max=2), horizon=2
+        )
+        slots = (
+            SlotInput(slot=0, price=0.118, renewable=0.0, task=LoadTask(0, 0.0, duration=1, max_delay=1)),
+            SlotInput(slot=1, price=0.063, renewable=0.0, task=LoadTask(1, 0.1, duration=2, max_delay=1)),
+        )
+        frame, grid = Frame(start=0, slots=slots, boundary_b=0.0), GridSpec(energy_step=0.005)
+        sol = lookahead_optimum(frame, bundle, grid)
+        assert sol.delays == ((0, 0), (1, 0)) and sol.delay_sum == 0
         assert sol == unpruned_lookahead(frame, bundle, grid)
 
     @pytest.mark.parametrize("alpha", [0.001, 20.0])
@@ -710,7 +763,7 @@ class TestWalkBack:
         }
         assert reachable == set(plans)
         for (o_target, u_target), flows in plans.items():
-            layers = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
+            layers = dp_forward(actions, n_off, n_use, o_lo, o_target)
             assert oracle._walk_back(layers, actions, o_lo, o_target, u_target) == flows
             # the plan costs what the DP says it costs
             cost = sum(dict(slot)[k] for slot, k in zip(actions, flows))
@@ -718,7 +771,7 @@ class TestWalkBack:
 
     def test_unreachable_end_state_is_refused(self):
         # inf + c == inf, so a walk from an unreachable state would "match"
-        layers = oracle._dp_forward(self.TWO_SLOTS, 5, 3, -2, 0)
+        layers = dp_forward(self.TWO_SLOTS, 5, 3, -2, 0)
         with pytest.raises(ValueError, match="no plan ends"):
             oracle._walk_back(layers, self.TWO_SLOTS, -2, 0, 1)
 
@@ -751,7 +804,7 @@ def dp_instances(draw):
 def test_dp_window_leaves_the_target_row_bit_for_bit(instance):
     actions, n_off, n_use, o_lo, o_target = instance
     full = full_dp_forward(actions, n_off, n_use, o_lo)
-    windowed = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
+    windowed = dp_forward(actions, n_off, n_use, o_lo, o_target)
     assert [layer.shape for layer in windowed] == [layer.shape for layer in full]
     for w, f in zip(windowed, full):
         assert ((w == f) | (w == np.inf)).all()  # a cell outside the window is inf, never a wrong value

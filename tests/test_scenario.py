@@ -124,10 +124,12 @@ class TestTraceInvariants:
                 SlotInput(slot=0, price=0.2, renewable=0.0),
                 SlotInput(slot=1, price=0.1, renewable=0.0, task=task),
                 SlotInput(slot=2, price=0.1, renewable=float("nan")),
+                SlotInput(slot=3, price=0.1, renewable=float("inf")),
             )
         )
         problems = validate_trace(trace, GridParams(p_min=0.063, p_max=0.118))
-        assert len(problems) == 2 and "slot 0" in problems[0] and "slot 2: renewable nan" in problems[1]
+        assert len(problems) == 3 and "slot 0" in problems[0] and "slot 2: renewable nan" in problems[1]
+        assert "slot 3: renewable inf" in problems[2]
 
     def test_validate_trace_empty_is_vacuously_clean(self):
         assert validate_trace(Trace(slots=()), GridParams()) == []
@@ -188,6 +190,8 @@ class TestTraceFiles:
             ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,-0.5,,,\n", "renewable"),
             ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,nan,,,\n", "line 2: renewable"),
             ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,0.0,nan,1,0\n", "line 2: intensity"),
+            ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,inf,,,\n", "line 2: renewable"),
+            ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,0.0,inf,1,0\n", "line 2: intensity"),
             ("slot,price,renewable,intensity,duration,max_delay\n0,0.1,0.0,0.1,2\n", "fields"),
         ],
     )
