@@ -199,7 +199,7 @@ def _slot_flows(
     the frame cost by -s*price, both <= 0 as validate_config enforces v >= 0
     and p_min >= 0. The (s_r, q) plane needs no search.
     """
-    residual, surplus = np.expand_dims(residual, -1), np.expand_dims(surplus, -1)
+    residual, surplus = np.asarray(residual)[..., None], np.asarray(surplus)[..., None]
     k_charge, k_discharge = _flow_counts(battery, step)
     k = np.concatenate((np.arange(k_charge + 1), -np.arange(1, k_discharge + 1)))
     flow = k * step
@@ -343,9 +343,16 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     plus the cheapest usage penalty and the profile's delay cost. Floating-
     point + and / are monotone, so a profile whose floor is not below the
     best total so far could not replace it, and its DP is skipped; the
-    answer, ties included, is the full search's. A DP fills only the states
-    that can still reach the net-flow target (`_dp_forward`), which leaves
-    the target row, and so the answer, bit for bit as the full table has it.
+    answer, ties included, is the full search's. Once there is a best plan,
+    a profile that passes its floor gets a second, tighter one from an
+    offset-only DP (`_offset_floor`): the least cost of any plan that ends
+    at the net-flow target, which is the least entry of the full DP's
+    terminal row bit for bit, over the frame length, plus the cheapest
+    usage penalty and the profile's delay cost. A profile whose second
+    floor is not below the best total is skipped the same way. A DP fills
+    only the states that can still reach the net-flow target
+    (`_dp_forward`), which leaves the target row, and so the answer, bit
+    for bit as the full table has it.
     """
     T = frame.length
     h = grid.energy_step
@@ -383,7 +390,8 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     # first appearance, and each keeps its first combination of least total
     # delay, the cheapest as the delay cost is increasing. The all-zero
     # combination always meets the budget, so at least one profile survives.
-    combos = np.array(list(itertools.product(*choices)), dtype=int)
+    flat = itertools.chain.from_iterable(itertools.product(*choices))
+    combos = np.fromiter(flat, dtype=int, count=n_combos * len(choices)).reshape(n_combos, len(choices))
     combos = combos[combos.sum(axis=1) <= T * weights.d_avg_max]
     demands = np.zeros((len(combos), T))
     for (p, task), d in zip(arrivals, combos.T):
@@ -408,15 +416,17 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     np.put_along_axis(profile_rows, order, new.cumsum().reshape(new.shape).T - 1, axis=0)
     pairs = list(zip(np.nonzero(new)[0].tolist(), column.T[new].tolist()))
     s_w, flows, cost = _frame_options(frame, pairs, bundle, h)
-    cheapest = np.where(flows.ok, cost, np.inf).min(axis=1)
+    priced = np.where(flows.ok, cost, np.inf)
+    cheapest = priced.min(axis=1)
     k_lo = np.where(flows.ok, flows.k, k_charge).min(axis=1).tolist()
     k_hi = np.where(flows.ok, flows.k, -k_discharge).max(axis=1).tolist()
     floors = np.zeros(len(combos))
     for slot_rows in profile_rows.T:
         floors += cheapest[slot_rows]
-    usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
+    usage_penalty = bundle.costs.usage.value(np.arange(n_use) * h / T)
+    least_usage = usage_penalty.min()
     delay_terms = weights.alpha * bundle.costs.delay.value(combos.sum(axis=1) / T)
-    bounds = (floors / T + usage_penalty.min() + delay_terms).tolist()
+    bounds = (floors / T + least_usage + delay_terms).tolist()
 
     best_value = math.inf
     best = None  # profile, table rows, actions, DP layers and usage index of the best plan
@@ -424,6 +434,10 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     for i, bound in enumerate(bounds):
         if bound >= best_value:
             continue
+        if best is not None:  # the offset-only floor, once there is a best total to compare it with
+            least = _offset_floor(priced[profile_rows[i]], flows.k, n_off, -o_lo, o_target - o_lo)
+            if not least / T + least_usage + delay_terms[i] < best_value:
+                continue
         slot_rows = profile_rows[i].tolist()
         for r in slot_rows:
             if r not in options:
@@ -462,7 +476,9 @@ def _dp_forward(actions, lo, hi, n_off: int, n_use: int, o_lo: int, o_target: in
     largest k, and the usages up to the sum of the largest |k| of slots < p.
     Every finite predecessor of a window cell is in the window, so window
     cells, the `o_target` row among them, take the full table's values bit
-    for bit (README, "Why the DP window is exact").
+    for bit (README, "Why the DP window is exact"). Layer 1 is written cell
+    by cell, as 0.0 plus each flow's cost, since the start state is layer
+    0's one finite cell.
     """
     reach = [max(h, -l) for l, h in zip(lo, hi)]  # largest |k|
     start, target = -o_lo, o_target - o_lo
@@ -472,21 +488,48 @@ def _dp_forward(actions, lo, hi, n_off: int, n_use: int, o_lo: int, o_target: in
         r_hi.append(min(n_off - 1, start + sum(hi[:p]), target - sum(lo[p:])))
         u_hi.append(min(n_use - 1, sum(reach[:p])))
 
-    cost = np.full((n_off, n_use), np.inf)
+    blank = np.full((n_off, n_use), np.inf)
+    cost = blank.copy()
     cost[start, 0] = 0.0
     layers = [cost]
     for p, feasible in enumerate(actions):
-        new = np.full_like(cost, np.inf)
-        for k, c in feasible:
-            a = abs(k)
-            i0, i1 = max(r_lo[p + 1], r_lo[p] + k), min(r_hi[p + 1], r_hi[p] + k) + 1
-            j1 = min(u_hi[p + 1], u_hi[p] + a) + 1
-            if i0 < i1 and a < j1:
-                dst = new[i0:i1, a:j1]
-                np.minimum(dst, cost[i0 - k : i1 - k, : j1 - a] + c, out=dst)
+        new = blank.copy()
+        if p == 0:
+            # layer 0's one finite cell is (start, 0), so each flow reaches its own cell
+            for k, c in feasible:
+                if r_lo[1] <= start + k <= r_hi[1]:
+                    new[start + k, abs(k)] = 0.0 + c
+        else:
+            for k, c in feasible:
+                a = abs(k)
+                i0, i1 = max(r_lo[p + 1], r_lo[p] + k), min(r_hi[p + 1], r_hi[p] + k) + 1
+                j1 = min(u_hi[p + 1], u_hi[p] + a) + 1
+                if i0 < i1 and a < j1:
+                    dst = new[i0:i1, a:j1]
+                    np.minimum(dst, cost[i0 - k : i1 - k, : j1 - a] + c, out=dst)
         cost = new
         layers.append(cost)
     return layers
+
+
+def _offset_floor(costs: np.ndarray, k: np.ndarray, n_off: int, start: int, target: int) -> float:
+    """The least cost of a plan from offset row `start` to row `target` of an
+    `n_off`-row battery window, where costs[p, f] prices flow k[f] in slot p
+    (inf when infeasible), summed in slot order from 0.0; inf when no plan
+    reaches `target`.
+
+    This is `_dp_forward` without the usage axis: each row holds the least
+    of the sums that `_dp_forward` spreads over that row's usages, so its
+    value at `target` is the least entry of the 2-D DP's terminal row, bit
+    for bit (README, "Why skipping profiles is exact").
+    """
+    pad = int(np.abs(k).max())
+    source = pad + np.arange(n_off) - k[:, None]  # padded row each flow leaves to reach each row
+    padded = np.full(n_off + 2 * pad, np.inf)
+    padded[pad + start] = 0.0
+    for row in costs:
+        padded[pad : pad + n_off] = (padded[source] + row[:, None]).min(axis=0)
+    return float(padded[pad + target])
 
 
 def _walk_back(layers: Sequence[np.ndarray], actions, o_lo: int, o_target: int, u_target: int) -> list[int]:

@@ -109,6 +109,13 @@ class StageProfile:
     slot_minutes: int = 5
 
     def validate(self) -> None:
+        for name in (
+            "price_high", "price_mid", "price_low",
+            "solar_mean_high", "solar_mean_mid", "solar_mean_low", "solar_std_ratio",
+            "load_mean_high", "load_mean_mid", "load_mean_low", "load_std_ratio",
+        ):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not (self.price_high >= self.price_mid >= self.price_low):
             raise ValueError(
                 f"price stages must be ordered high >= mid >= low, got "
@@ -126,12 +133,6 @@ class StageProfile:
             for start, end in getattr(self, name):
                 if not (0.0 <= start < end <= 24.0):
                     raise ValueError(f"{name} window [{start}, {end}] must satisfy 0 <= start < end <= 24")
-        for name in (
-            "solar_mean_high", "solar_mean_mid", "solar_mean_low", "solar_std_ratio",
-            "load_mean_high", "load_mean_mid", "load_mean_low", "load_std_ratio",
-        ):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
     def stage(self, slot: int) -> str:
         hour = (slot * self.slot_minutes / 60.0) % 24.0

@@ -196,6 +196,13 @@ MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [
     )
     for name in ("solar_std_ratio", "load_std_ratio", "solar_mean_high", "load_mean_low")
     for value in (math.nan, math.inf, -0.5)
+] + [
+    # so does a price stage, before the stages' order is checked
+    pytest.param(
+        "scenario.profile", {**SMALL_PROFILE, name: value}, f"scenario.profile: {name}",
+        id=f"scenario.profile.{name}={value}",
+    )
+    for name, value in (("price_high", math.inf), ("price_low", -0.05))
 ]
 
 

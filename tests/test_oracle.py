@@ -657,7 +657,7 @@ class TestCostFloorSkip:
 
         monkeypatch.setattr(oracle, "_dp_forward", counted)
         monkeypatch.setitem(globals(), "full_dp_forward", lambda *a: dp_calls.append(1) or full_forward(*a))
-        pruned_calls = full_calls = 0
+        pruned_calls = full_calls = floor_only_calls = 0
         # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
         # floor above the cheapest slot flow would skip the winning profile.
         for _, trace, summary in (inst for inst in small_instances if inst[0] in (0, 6, 11)):
@@ -668,7 +668,13 @@ class TestCostFloorSkip:
                 dp_calls.clear()
                 assert fast == unpruned_lookahead(frame, bundle, grid)
                 full_calls += len(dp_calls)
+                with monkeypatch.context() as m:  # an offset-only bound that never skips: the floor alone
+                    m.setattr(oracle, "_offset_floor", lambda *a: -math.inf)
+                    dp_calls.clear()
+                    assert lookahead_optimum(frame, bundle, grid) == fast
+                    floor_only_calls += len(dp_calls)
         assert pruned_calls < full_calls  # the skip was exercised
+        assert pruned_calls < floor_only_calls  # and so was the offset-only bound
 
     def test_every_frame_of_desk_seeds_0_to_2_at_cheap_deferral(self):
         # At alpha 0.001 deferring is cheap, so many profiles stay near the optimum.
@@ -796,10 +802,16 @@ def dp_instances(draw):
     return actions, o_hi - o_lo + 1, n_use, o_lo, o_target
 
 
+# From b_min, slot 0's discharge falls off the battery (row -1) and its
+# charge of 3 cannot come back to the target: neither is in layer 1's window.
+FIRST_SLOT_LEAVES_THE_WINDOW = ([[(0, 0.5), (-1, 0.25), (3, 1.0)], [(0, 0.0), (-2, 0.5)]], 5, 7, 0, 0)
+
+
 @given(dp_instances())
 @example(([[(0, 1.0), (1, 0.5), (-1, 0.5)]] * 2, 5, 3, -2, 0))  # TestWalkBack.TWO_SLOTS
 @example(([[(2, 0.5), (3, 0.25)], [(0, 0.0), (4, 1.0)]], 5, 9, 0, 4))  # only charges, clipped at b_min
 @example(([[(0, 0.0), (-1, 0.5), (-4, 0.5)]] * 3, 6, 13, -5, -5))  # clipped at b_max, target at b_min
+@example(FIRST_SLOT_LEAVES_THE_WINDOW)
 @settings(max_examples=300, deadline=None)
 def test_dp_window_leaves_the_target_row_bit_for_bit(instance):
     actions, n_off, n_use, o_lo, o_target = instance
@@ -813,6 +825,26 @@ def test_dp_window_leaves_the_target_row_bit_for_bit(instance):
     for u_target in np.nonzero(np.isfinite(full[-1][row]))[0].tolist():
         flows = oracle._walk_back(windowed, actions, o_lo, o_target, u_target)
         assert flows == oracle._walk_back(full, actions, o_lo, o_target, u_target)
+
+
+@given(dp_instances())
+@example(([[(1, 0.5), (2, 0.25)]] * 2, 5, 5, 0, 0))  # only charges: the start row is unreachable
+@example(FIRST_SLOT_LEAVES_THE_WINDOW)
+@settings(max_examples=300, deadline=None)
+def test_offset_floor_is_the_least_cost_of_the_target_row(instance):
+    actions, n_off, _, o_lo, o_target = instance
+    # the oracle's usage axis holds every plan's usage
+    n_use = len(actions) * max(abs(flow) for feasible in actions for flow, _ in feasible) + 1
+    k = np.arange(-4, 5)
+    costs = np.full((len(actions), len(k)), np.inf)  # inf where a slot has no such flow
+    for p, feasible in enumerate(actions):
+        for flow, c in feasible:
+            costs[p, flow + 4] = c
+    least = oracle._offset_floor(costs, k, n_off, -o_lo, o_target - o_lo)
+    row = full_dp_forward(actions, n_off, n_use, o_lo)[-1][o_target - o_lo]
+    assert np.float64(least).tobytes() == row.min().tobytes()
+    if not np.isfinite(row).any():
+        assert least == math.inf
 
 
 def same_as_unpruned(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> bool:
