@@ -380,7 +380,7 @@ def _bundle_for_point(spec: ExperimentSpec, point: SweepPoint) -> ModelBundle:
 
 def _with_max_delay(trace: Trace, max_delay: int) -> Trace:
     slots = tuple(
-        replace(s, task=replace(s.task, max_delay=max_delay) if s.task is not None else None)
+        s if s.task is None else s._replace(task=s.task._replace(max_delay=max_delay))
         for s in trace.slots
     )
     return Trace(slots=slots)

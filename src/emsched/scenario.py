@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,29 +33,40 @@ class TraceFormatError(ValueError):
     """A trace file does not conform to the CSV schema."""
 
 
-@dataclass(frozen=True)
-class LoadTask:
-    """One energy request: `intensity` kWh in each of `duration` consecutive slots.
-
-    Service may start anywhere from `arrival_slot` to `arrival_slot + max_delay`.
-    """
-
+class _LoadTaskFields(NamedTuple):
     arrival_slot: int
     intensity: float
     duration: int
     max_delay: int
 
-    def __post_init__(self):
-        if self.duration < 1:
-            raise ValueError(f"duration >= 1 required, got {self.duration}")
-        if not 0.0 <= self.intensity < math.inf:
-            raise ValueError(f"intensity >= 0 and finite required, got {self.intensity}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay >= 0 required, got {self.max_delay}")
+
+class LoadTask(_LoadTaskFields):
+    """One energy request: `intensity` kWh in each of `duration` consecutive slots.
+
+    Service may start anywhere from `arrival_slot` to `arrival_slot + max_delay`.
+    An immutable `typing.NamedTuple` that refuses a bad field however it is
+    made: by the constructor, `_make` or `_replace`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, arrival_slot: int, intensity: float, duration: int, max_delay: int):
+        if duration < 1:
+            raise ValueError(f"duration >= 1 required, got {duration}")
+        if not 0.0 <= intensity < math.inf:
+            raise ValueError(f"intensity >= 0 and finite required, got {intensity}")
+        if max_delay < 0:
+            raise ValueError(f"max_delay >= 0 required, got {max_delay}")
+        return tuple.__new__(cls, (arrival_slot, intensity, duration, max_delay))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited `_make`, which `_replace` calls, is a bare
+        # `tuple.__new__` that would skip the checks above.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SlotInput:
+class SlotInput(NamedTuple):
     slot: int
     price: float
     renewable: float
@@ -134,28 +146,27 @@ class StageProfile:
                 if not (0.0 <= start < end <= 24.0):
                     raise ValueError(f"{name} window [{start}, {end}] must satisfy 0 <= start < end <= 24")
 
-    def stage(self, slot: int) -> str:
-        hour = (slot * self.slot_minutes / 60.0) % 24.0
-        for lo, hi in self.high_hours:
-            if lo <= hour < hi:
-                return "high"
-        for lo, hi in self.mid_hours:
-            if lo <= hour < hi:
-                return "mid"
-        return "low"
-
     def _stage_arrays(self, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        price = np.empty(horizon)
-        solar = np.empty(horizon)
-        load = np.empty(horizon)
-        by_stage = {
-            "high": (self.price_high, self.solar_mean_high, self.load_mean_high),
-            "mid": (self.price_mid, self.solar_mean_mid, self.load_mean_mid),
-            "low": (self.price_low, self.solar_mean_low, self.load_mean_low),
-        }
-        for t in range(horizon):
-            price[t], solar[t], load[t] = by_stage[self.stage(t)]
-        return price, solar, load
+        """Each slot's price, solar mean and load mean, by the stage its hour
+        of day falls in; a slot in both a high and a mid window is high."""
+        hour = np.arange(horizon) * self.slot_minutes / 60.0 % 24.0
+
+        def within(windows: tuple[tuple[float, float], ...]) -> np.ndarray:
+            mask = np.zeros(horizon, dtype=bool)
+            for lo, hi in windows:
+                mask |= (lo <= hour) & (hour < hi)
+            return mask
+
+        high, mid = within(self.high_hours), within(self.mid_hours)
+
+        def by_stage(at_high: float, at_mid: float, at_low: float) -> np.ndarray:
+            return np.where(high, at_high, np.where(mid, at_mid, at_low))
+
+        return (
+            by_stage(self.price_high, self.price_mid, self.price_low),
+            by_stage(self.solar_mean_high, self.solar_mean_mid, self.solar_mean_low),
+            by_stage(self.load_mean_high, self.load_mean_mid, self.load_mean_low),
+        )
 
 
 def generate_trace(profile: StageProfile, horizon: int, seed: int) -> Trace:

@@ -556,6 +556,22 @@ class TestSweepCommand:
             assert "cannot bind" in r["error"]
             assert r["total"] == ""
 
+    def test_a_negative_delay_cap_over_a_trace_file_is_the_tasks_error(self, tmp_path):
+        """Over a trace file the sweep re-caps each loaded task with
+        `LoadTask._replace`, which refuses max_delay -1 as the constructor does."""
+        assert main(["gen-trace", "--config", str(SMALL), "--seed", "0", "--out", str(tmp_path)]) == 0
+        path = small_config(tmp_path, **{
+            "scenario.trace": str(tmp_path / "trace_seed0.csv"),
+            "experiment.sweep": {"d_avg_max": [2], "max_delay": [-1, 2]},
+            "experiment.replications": 1,
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [(r["max_delay"], r["error"]) for r in rows] == (
+            [("-1", "ValueError: max_delay >= 0 required, got -1")] * 3 + [("2", "")] * 3
+        )
+
     def test_seed_flag_shifts_every_replication(self, tmp_path):
         out1 = tmp_path / "s0"
         out2 = tmp_path / "s100"

@@ -1,8 +1,11 @@
 """Trace generation, the stage pattern, and the trace CSV round trip."""
 
-import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emsched.model import GridParams
 from emsched.scenario import (
@@ -22,6 +25,60 @@ SLOTS_PER_DAY = 288  # five-minute slots
 
 def hourly_profile(**overrides) -> StageProfile:
     return StageProfile(slot_minutes=60, **overrides)
+
+
+def stage_arrays_by_slot(profile: StageProfile, horizon: int) -> tuple[np.ndarray, ...]:
+    """The reference for `StageProfile._stage_arrays`: each slot's stage
+    looked up on its own, high windows first."""
+
+    def stage(slot: int) -> str:
+        hour = (slot * profile.slot_minutes / 60.0) % 24.0
+        for lo, hi in profile.high_hours:
+            if lo <= hour < hi:
+                return "high"
+        for lo, hi in profile.mid_hours:
+            if lo <= hour < hi:
+                return "mid"
+        return "low"
+
+    price = np.empty(horizon)
+    solar = np.empty(horizon)
+    load = np.empty(horizon)
+    by_stage = {
+        "high": (profile.price_high, profile.solar_mean_high, profile.load_mean_high),
+        "mid": (profile.price_mid, profile.solar_mean_mid, profile.load_mean_mid),
+        "low": (profile.price_low, profile.solar_mean_low, profile.load_mean_low),
+    }
+    for t in range(horizon):
+        price[t], solar[t], load[t] = by_stage[stage(t)]
+    return price, solar, load
+
+
+# Window edges: any hour, or a whole minute, so that edges often fall exactly
+# on a slot's start; 0.0 and 24.0 are drawn on purpose.
+_HOUR_EDGES = st.one_of(
+    st.floats(min_value=0.0, max_value=24.0),
+    st.integers(min_value=0, max_value=24 * 60).map(lambda minute: minute / 60.0),
+    st.sampled_from([0.0, 24.0]),
+)
+_WINDOWS = st.lists(
+    st.tuples(_HOUR_EDGES, _HOUR_EDGES).filter(lambda edges: edges[0] != edges[1]).map(sorted).map(tuple),
+    max_size=3,
+).map(tuple)
+
+
+@given(
+    slot_minutes=st.integers(min_value=1, max_value=90),
+    horizon=st.integers(min_value=1, max_value=1000),
+    high_hours=_WINDOWS,
+    mid_hours=_WINDOWS,
+)
+def test_stage_arrays_equal_the_per_slot_lookup(slot_minutes, horizon, high_hours, mid_hours):
+    profile = StageProfile(slot_minutes=slot_minutes, high_hours=high_hours, mid_hours=mid_hours)
+    profile.validate()
+    for got, want in zip(profile._stage_arrays(horizon), stage_arrays_by_slot(profile, horizon), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGeneration:
@@ -105,13 +162,35 @@ class TestTraceInvariants:
         with pytest.raises(ValueError, match="arrival_slot"):
             Trace(slots=(SlotInput(slot=0, price=0.1, renewable=0.0, task=task),))
 
-    def test_task_invariants(self):
-        with pytest.raises(ValueError, match="duration"):
-            LoadTask(arrival_slot=0, intensity=0.1, duration=0, max_delay=0)
-        with pytest.raises(ValueError, match="intensity"):
-            LoadTask(arrival_slot=0, intensity=-0.1, duration=1, max_delay=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            LoadTask(arrival_slot=0, intensity=0.1, duration=1, max_delay=-1)
+    @pytest.mark.parametrize("made_by", ["positional", "keyword", "_replace", "_make"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("duration", 0), ("intensity", -0.1), ("intensity", math.inf), ("intensity", math.nan), ("max_delay", -1)],
+    )
+    def test_task_refuses_a_bad_field_however_made(self, made_by, field, bad):
+        good = dict(arrival_slot=0, intensity=0.1, duration=1, max_delay=0)
+        values = {**good, field: bad}
+        build = {
+            "positional": lambda: LoadTask(*values.values()),
+            "keyword": lambda: LoadTask(**values),
+            "_replace": lambda: LoadTask(**good)._replace(**{field: bad}),
+            "_make": lambda: LoadTask._make(values.values()),
+        }[made_by]
+        with pytest.raises(ValueError, match=f"^{field} >= "):
+            build()
+
+    def test_task_replace_keeps_the_type_and_the_other_fields(self):
+        task = LoadTask(arrival_slot=4, intensity=0.1, duration=2, max_delay=3)
+        capped = task._replace(max_delay=0)
+        assert type(capped) is LoadTask
+        assert capped == LoadTask(arrival_slot=4, intensity=0.1, duration=2, max_delay=0)
+
+    def test_task_and_slot_fields_cannot_be_set(self):
+        task = LoadTask(arrival_slot=0, intensity=0.1, duration=1, max_delay=0)
+        slot = SlotInput(slot=0, price=0.1, renewable=0.0, task=task)
+        for target, name in [(task, "duration"), (task, "unknown"), (slot, "task"), (slot, "unknown")]:
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
 
     def test_max_task_delay_defaults_to_zero_without_tasks(self):
         trace = Trace(slots=(SlotInput(slot=0, price=0.1, renewable=0.0),))
@@ -151,7 +230,7 @@ class TestTraceFiles:
         loaded = load_trace(path)
         slot_types = {"slot": int, "price": float, "renewable": float}
         task_types = {"arrival_slot": int, "intensity": float, "duration": int, "max_delay": int}
-        assert list(task_types) == [f.name for f in dataclasses.fields(LoadTask)]
+        assert list(task_types) == list(LoadTask._fields)
         for generated, read in zip(trace.slots, loaded.slots, strict=True):
             for name, kind in slot_types.items():
                 a, b = getattr(generated, name), getattr(read, name)

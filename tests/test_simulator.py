@@ -339,7 +339,7 @@ class TestRecordFiles:
         window covers (demand is the ledger's int 0) and negative Z."""
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
         trace = replace(trace, slots=tuple(
-            replace(s, task=None) if s.slot < 3 else s for s in trace.slots
+            s._replace(task=None) if s.slot < 3 else s for s in trace.slots
         ))
         records = run_policy(trace, day_bundle(), policy="joint").records
         assert any(r.slot >= DAY_HORIZON for r in records)
