@@ -238,7 +238,7 @@ def energy_control(
 
     if e > grid.e_max + 1e-12:
         raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
-    return EnergyAction(e, q, d_rate, s_r, regime)
+    return EnergyAction._make((e, q, d_rate, s_r, regime))
 
 
 def update_queues(
@@ -254,25 +254,27 @@ def update_queues(
     means a bug in the flow accounting, not bad input, so it raises
     StateConsistencyError.
     """
-    net_flow = record.q + record.s_r - record.d_rate
+    z, x, h_u, h_d, b, a_o, v, slot = state
+    q, d_rate, s_r, delay = record.q, record.d_rate, record.s_r, record.delay
+    net_flow = q + s_r - d_rate
     shift = delta_u / horizon
-    z = state.z + net_flow - shift
-    b = state.b + net_flow
-    slot = state.slot + 1
-    drift = z - (b - (state.a_o + shift * slot))
+    z = z + net_flow - shift
+    b = b + net_flow
+    slot = slot + 1
+    drift = z - (b - (a_o + shift * slot))
     if abs(drift) > _IDENTITY_TOL:
         raise StateConsistencyError(
             f"slot {slot}: battery-queue shift identity drifted by {drift:.3e}"
         )
-    x = state.x + record.delay - d_avg_max
-    # Positional, in field order: z, x, h_u, h_d, b, a_o, v, slot.
-    return ControllerState(
+    x = x + delay - d_avg_max
+    # In field order: z, x, h_u, h_d, b, a_o, v, slot.
+    return ControllerState._make((
         z,
         0.0 if 0.0 > x else x,  # max(x, 0.0)
-        state.h_u + record.gamma_u - usage_amount(record.q, record.s_r, record.d_rate),
-        state.h_d + record.gamma_d - record.delay,
-        b, state.a_o, state.v, slot,
-    )
+        h_u + record.gamma_u - usage_amount(q, s_r, d_rate),
+        h_d + record.gamma_d - delay,
+        b, a_o, v, slot,
+    ))
 
 
 def drift_bound_G(

@@ -9,8 +9,10 @@ so the supply-demand balance holds on every simulated slot.
 
 Cost averages follow the horizon-literal definitions: purchase, entry, and
 usage sums run over slots 0..horizon-1 and are divided by the horizon, as is
-the delay sum over arrivals. Because drain-phase purchases fall outside those
-sums, the summary also carries "inclusive" variants that fold drain costs in.
+the delay sum over arrivals. The loop keeps these sums as it goes and takes
+them at the horizon; because drain-phase purchases fall outside them, the
+summary also carries "inclusive" variants, the same sums at the end of the
+drain, that fold drain costs in.
 """
 
 from __future__ import annotations
@@ -52,15 +54,16 @@ class ServiceLedger:
         self._demand: list[float] = []
 
     def add(self, task: LoadTask, delay: int) -> None:
-        if delay < 0 or delay > task.max_delay:
-            raise ValueError(f"delay {delay} outside [0, {task.max_delay}] for task at {task.arrival_slot}")
-        start = task.arrival_slot + delay
-        end = start + task.duration
+        arrival_slot, intensity, duration, max_delay = task
+        if delay < 0 or delay > max_delay:
+            raise ValueError(f"delay {delay} outside [0, {max_delay}] for task at {arrival_slot}")
+        start = arrival_slot + delay
+        end = start + duration
         demand = self._demand
         if end > len(demand):
             demand.extend([0] * (end - len(demand)))
         for t in range(start, end):
-            demand[t] += task.intensity
+            demand[t] += intensity
 
     def active_demand(self, t: int) -> float:
         return self._demand[t] if t < len(self._demand) else 0
@@ -156,26 +159,34 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
     renewable_split = controller.renewable_split
     energy_control = controller.energy_control
     update_queues = controller.update_queues
+    entry_cost = controller.entry_cost
+    usage_amount = controller.usage_amount
+    make_record = SlotRecord._make
     ledger = ServiceLedger()
     active_demand = ledger.active_demand
 
+    # Each sum runs in slot order from 0.0; the loop takes the horizon sums
+    # when it reaches the horizon, and the end of the drain leaves the
+    # inclusive ones.
+    purchase = entry = usage = delay_sum = net_flow = 0.0
     slots = trace.slots
     records: list[SlotRecord] = []
     append = records.append
     t = 0
     while True:
         if t < horizon:
-            slot = slots[t]
-            price, renewable, task = slot.price, slot.renewable, slot.task
+            _, price, renewable, task = slots[t]
         else:
             # Drain: prices repeat the trace's pattern; no renewable or arrivals.
             if t == horizon:
                 state_at_horizon = state
+                horizon_sums = (purchase, entry, usage, delay_sum, net_flow)
             elif t > 2 * horizon + 10_000:
                 raise StateConsistencyError("drain phase failed to terminate")
             if not ledger.pending_after(t - 1):
                 break
             price, renewable, task = slots[t % horizon].price, 0.0, None
+        z, x, h_u, h_d, b, _, _, _ = state
 
         delay = 0
         gamma_d_cap = d_avg_cap
@@ -184,12 +195,12 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
             delay = schedule_load(state, task, mu, d_cap)
             ledger.add(task, delay)
             gamma_d_cap = float(d_avg_max if d_avg_max < d_cap else d_cap)  # min(d_cap, d_avg_max)
-        gamma_d = aux_solution(state.h_d, v, delay_beta, delay_cost, gamma_d_cap)
+        gamma_d = aux_solution(h_d, v, delay_beta, delay_cost, gamma_d_cap)
 
         demand = active_demand(t)
         s_w = renewable_split(demand, renewable)
 
-        gamma_u = aux_solution(state.h_u, v, 1.0, usage_cost, gamma_u_cap)
+        gamma_u = aux_solution(h_u, v, 1.0, usage_cost, gamma_u_cap)
         if no_storage:
             e, q, d_rate, s_r, regime = demand - s_w, 0.0, 0.0, 0.0, "idle"
             if e > e_max + 1e-12:
@@ -201,18 +212,27 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
         if abs(balance) > _BALANCE_TOL:
             raise StateConsistencyError(f"slot {t}: supply-demand balance off by {balance:.3e}")
 
-        # Positional, in SlotRecord's field order: keyword arguments triple its cost.
-        record = SlotRecord(
+        purchase += e * price
+        entry += entry_cost(q, s_r, d_rate, battery)
+        usage += usage_amount(q, s_r, d_rate)
+        delay_sum += delay
+        net_flow += q + s_r - d_rate
+
+        # In SlotRecord's field order.
+        record = make_record((
             t, price, renewable, demand,
             e, q, d_rate, s_w, s_r, delay,
-            state.b, state.z, state.x, state.h_u, state.h_d,
+            b, z, x, h_u, h_d,
             regime, gamma_u, gamma_d,
-        )
+        ))
         append(record)
         state = update_queues(state, record, d_avg_max, delta_u, horizon)
         t += 1
 
-    return _summarize(policy, bundle, records, initial_state, state_at_horizon, state)
+    return _summarize(
+        policy, bundle, records, initial_state, state_at_horizon, state,
+        horizon_sums, (purchase, entry, usage),
+    )
 
 
 def _summarize(
@@ -222,25 +242,14 @@ def _summarize(
     initial_state: ControllerState,
     state_at_horizon: ControllerState,
     final_state: ControllerState,
+    horizon_sums: tuple[float, float, float, float, float],
+    inclusive_sums: tuple[float, float, float],
 ) -> RunSummary:
-    # Each sum runs in slot order from 0.0; the horizon sums stop at the
-    # horizon, the inclusive ones fold the drain slots in.
-    purchase = entry = usage = delay = net_flow = 0.0
-    purchase_all = entry_all = usage_all = 0.0
-    horizon = bundle.horizon
-    for r in records:
-        r_purchase = r.e * r.price
-        r_entry = controller.entry_cost(r.q, r.s_r, r.d_rate, bundle.battery)
-        r_usage = controller.usage_amount(r.q, r.s_r, r.d_rate)
-        purchase_all += r_purchase
-        entry_all += r_entry
-        usage_all += r_usage
-        if r.slot < horizon:
-            purchase += r_purchase
-            entry += r_entry
-            usage += r_usage
-            delay += r.delay
-            net_flow += r.q + r.s_r - r.d_rate
+    """Average the loop's sums: `horizon_sums` are (purchase, entry, usage,
+    delay, net flow) over slots 0..horizon-1 and `inclusive_sums` (purchase,
+    entry, usage) over every simulated slot."""
+    purchase, entry, usage, delay, net_flow = horizon_sums
+    purchase_all, entry_all, usage_all = inclusive_sums
 
     # An empty horizon has no slots to average over; every mean is zero.
     slots = max(bundle.horizon, 1)

@@ -1,6 +1,7 @@
 """Per-slot loop, service ledger, baselines, and cost accounting."""
 
 import csv
+import dataclasses
 import hashlib
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 from emsched import controller
+from emsched.controller import ControllerState, EnergyAction
 from emsched.cli import load_experiment, main
 from emsched.model import (
     CostModel,
@@ -20,7 +22,9 @@ from emsched.model import (
 from emsched.scenario import LoadTask, SlotInput, StageProfile, Trace, generate_trace
 from emsched.simulator import (
     POLICIES,
+    RunSummary,
     ServiceLedger,
+    SlotRecord,
     run_policy,
     write_records,
 )
@@ -189,6 +193,101 @@ class TestRun:
         with pytest.raises(ValueError, match="policy"):
             run_policy(flat_trace(1), small_run_bundle(1), "greedy")
         assert POLICIES == ("joint", "storage_only", "no_storage")
+
+
+def summarize_by_records(bundle: ModelBundle, records) -> dict[str, float]:
+    """The float fields of `RunSummary` computed by walking the records after
+    the run, as `simulator._summarize` did before the slot loop kept running
+    sums: the reference those sums must match bit for bit."""
+    purchase = entry = usage = delay = net_flow = 0.0
+    purchase_all = entry_all = usage_all = 0.0
+    horizon = bundle.horizon
+    for r in records:
+        r_purchase = r.e * r.price
+        r_entry = controller.entry_cost(r.q, r.s_r, r.d_rate, bundle.battery)
+        r_usage = controller.usage_amount(r.q, r.s_r, r.d_rate)
+        purchase_all += r_purchase
+        entry_all += r_entry
+        usage_all += r_usage
+        if r.slot < horizon:
+            purchase += r_purchase
+            entry += r_entry
+            usage += r_usage
+            delay += r.delay
+            net_flow += r.q + r.s_r - r.d_rate
+
+    slots = max(horizon, 1)
+    j_bar = purchase / slots
+    entry_bar = entry / slots
+    usage_avg = usage / slots
+    delay_avg = delay / slots
+    usage_cost = bundle.costs.usage.value(usage_avg)
+    delay_cost = bundle.weights.alpha * bundle.costs.delay.value(delay_avg)
+    j_bar_inc = purchase_all / slots
+    entry_bar_inc = entry_all / slots
+    usage_avg_inc = usage_all / slots
+    return {
+        "j_bar": j_bar,
+        "entry_bar": entry_bar,
+        "usage_avg": usage_avg,
+        "usage_cost": usage_cost,
+        "delay_avg": delay_avg,
+        "delay_cost": delay_cost,
+        "total": j_bar + entry_bar + usage_cost + delay_cost,
+        "j_bar_inclusive": j_bar_inc,
+        "entry_bar_inclusive": entry_bar_inc,
+        "usage_avg_inclusive": usage_avg_inc,
+        "total_inclusive": j_bar_inc + entry_bar_inc + bundle.costs.usage.value(usage_avg_inc) + delay_cost,
+        "epsilon_u": net_flow - bundle.weights.delta_u,
+    }
+
+
+class TestRunningSums:
+    """`run_policy` sums the costs inside its slot loop; every float of the
+    summary must equal, by `repr`, the one a walk over the records gives."""
+
+    FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(RunSummary) if f.type == "float")
+
+    def assert_sums_match_records(self, summary: RunSummary, bundle: ModelBundle) -> None:
+        reference = summarize_by_records(bundle, summary.records)
+        assert set(reference) == set(self.FLOAT_FIELDS)
+        assert {name: repr(getattr(summary, name)) for name in self.FLOAT_FIELDS} == {
+            name: repr(value) for name, value in reference.items()
+        }
+
+    def test_every_completing_day_run(self):
+        completed = {policy: 0 for policy in POLICIES}
+        bundle = day_bundle()
+        for seed in range(10):
+            trace = generate_trace(day_profile(), DAY_HORIZON, seed)
+            for policy in POLICIES:
+                try:
+                    summary = run_policy(trace, bundle, policy)
+                except InfeasibleSlot:
+                    continue
+                self.assert_sums_match_records(summary, bundle)
+                completed[policy] += 1
+        assert min(completed.values()) > 0, completed
+
+    def test_drain_slots_that_move_the_battery(self):
+        # At a flat low price the battery keeps charging through the drain,
+        # so every inclusive sum differs from its horizon sum.
+        task = LoadTask(arrival_slot=3, intensity=0.05, duration=4, max_delay=6)
+        trace = flat_trace(4, price=0.063, tasks={3: task})
+        bundle = small_run_bundle(4, d_avg_max=6)
+        summary = run_policy(trace, bundle, policy="joint")
+        assert summary.drain_slots > 0
+        assert summary.records[4].q > 0.0  # the first drain slot moves the battery
+        assert summary.j_bar_inclusive != summary.j_bar
+        assert summary.entry_bar_inclusive != summary.entry_bar
+        assert summary.usage_avg_inclusive != summary.usage_avg
+        assert summary.delay_avg > 0.0
+        self.assert_sums_match_records(summary, bundle)
+
+    def test_zero_slot_trace(self):
+        bundle = small_run_bundle(0)
+        summary = run_policy(Trace(slots=()), bundle, policy="joint")
+        self.assert_sums_match_records(summary, bundle)
 
 
 class TestStorageOnlyBaseline:
@@ -398,13 +497,31 @@ class TestSlotLoopHooks:
         for args, kwargs in calls["energy_control"]:
             assert len(args) == 7 and not kwargs
 
-    def test_records_and_states_are_immutable(self):
+    def test_records_and_states_are_immutable(self, monkeypatch):
+        returned = {"energy_control": [], "update_queues": []}
+        for name, values in returned.items():
+            def recorder(*args, _original=getattr(controller, name), _values=values):
+                value = _original(*args)
+                _values.append(value)
+                return value
+
+            monkeypatch.setattr(controller, name, recorder)
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
         summary = run_policy(trace, day_bundle(), policy="joint")
         with pytest.raises(AttributeError):
             summary.records[0].e = 1.0
         with pytest.raises(AttributeError):
             summary.final_state.z = 1.0
+
+        assert all(type(r) is SlotRecord for r in summary.records)
+        states = [summary.initial_state, summary.state_at_horizon, summary.final_state, *returned["update_queues"]]
+        assert len(states) == 3 + len(summary.records)
+        assert all(type(s) is ControllerState for s in states)
+        assert len(returned["energy_control"]) == len(summary.records)
+        assert all(type(a) is EnergyAction for a in returned["energy_control"])
+        # `_make` checks the arity that a bare `tuple.__new__` would not.
+        with pytest.raises(TypeError):
+            SlotRecord._make(tuple(summary.records[0])[:17])
 
 
 def _sha256(path: Path) -> str:
