@@ -295,12 +295,10 @@ def write_summary(
     summary: RunSummary,
     *,
     seed: int,
-    a_o: float,
-    v: float,
     v_max: float,
 ) -> None:
     """Key=value run summary, one entry per line."""
-    final = summary.final_state
+    initial, final = summary.initial_state, summary.final_state
     horizon_state = summary.state_at_horizon
     pairs = [
         ("policy", summary.policy),
@@ -308,8 +306,8 @@ def write_summary(
         ("horizon", summary.horizon),
         ("slots_simulated", len(summary.records)),
         ("drain_slots", summary.drain_slots),
-        ("a_o", a_o),
-        ("v", v),
+        ("a_o", initial.a_o),
+        ("v", initial.v),
         ("v_max", v_max),
         ("j_bar", summary.j_bar),
         ("entry_bar", summary.entry_bar),
@@ -340,14 +338,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = spec.seed_base
     bundle = spec.bundle
     trace = _load_or_generate(spec, seed)
-    a_o, v_max, v = controller.design_params(
+    _, v_max, _ = controller.design_params(
         bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
     policy = spec.policies[0]
     summary = run_policy(trace, bundle, policy)
     out = _resolve_out(spec)
     write_records(out / "records.csv", summary.records)
-    write_summary(out / "summary.txt", summary, seed=seed, a_o=a_o, v=v, v_max=v_max)
+    write_summary(out / "summary.txt", summary, seed=seed, v_max=v_max)
     print(
         f"run complete: policy={policy} seed={seed} "
         f"total={summary.total:.6f} monetary={summary.monetary_cost:.6f} -> {out}"
@@ -485,7 +483,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
+def run_checks(spec: ExperimentSpec) -> oracle.CheckReport:
     """Full verification battery on the joint policy's run at `spec.seed_base`."""
     seed = spec.seed_base
     bundle = spec.bundle
@@ -514,7 +512,7 @@ def run_checks(spec: ExperimentSpec) -> tuple[oracle.CheckReport, RunSummary]:
         key = "oracle_energy_step" if exc.suggested_step else "frame_length"
         raise ConfigurationError(f"experiment.{key}={getattr(spec, key)}: {exc}") from exc
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
-    return oracle.CheckReport(tuple(checks)), run
+    return oracle.CheckReport(tuple(checks))
 
 
 def write_check_report(path: Path, report: oracle.CheckReport, seed: int) -> None:
@@ -531,7 +529,7 @@ def write_check_report(path: Path, report: oracle.CheckReport, seed: int) -> Non
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load(args)
-    report, _run = run_checks(spec)
+    report = run_checks(spec)
     out = _resolve_out(spec)
     write_check_report(out / "verify_report.txt", report, spec.seed_base)
     for check in report:

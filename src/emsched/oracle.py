@@ -105,17 +105,7 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-class SlotContext(NamedTuple):
-    """Everything the controller saw when it made a slot's decisions."""
-
-    task: LoadTask | None
-    demand_l: float
-    s_w: float
-    renewable: float
-    price: float
-
-
-def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective_d_max: int) -> tuple[int, float]:
+def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective_d_max: int) -> int:
     """Enumerate the scheduling subproblem over its whole integer range."""
     d_cap = min(int(effective_d_max), task.max_delay)
     weight = mu * (state.x - state.h_d)
@@ -125,7 +115,7 @@ def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective
         v = weight * d
         if v < best_v:
             best_d, best_v = d, v
-    return best_d, best_v
+    return best_d
 
 
 def _aux_argmins(cost: QuadraticCost, cap: np.ndarray, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,8 +397,8 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     # A slot's flows depend only on its own demand, which many profiles share,
     # so the frame's distinct (slot, demand) pairs, column by column in
     # ascending demand, are priced in one table. A slot with no feasible flow
-    # costs inf, so the floor skips its profiles. A row's feasible (k, cost)
-    # list and k range are read only for a DP.
+    # costs inf, so the floor skips its profiles. Each profile that reaches a
+    # DP reads its slots' feasible (k, cost) lists from the table.
     order = demands.argsort(axis=0, kind="stable")
     column = np.take_along_axis(demands, order, axis=0)
     new = np.r_[np.ones((1, T), dtype=bool), column[1:] != column[:-1]].T  # slot by slot: a demand's first cell
@@ -418,8 +408,6 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     s_w, flows, cost = _frame_options(frame, pairs, bundle, h)
     priced = np.where(flows.ok, cost, np.inf)
     cheapest = priced.min(axis=1)
-    k_lo = np.where(flows.ok, flows.k, k_charge).min(axis=1).tolist()
-    k_hi = np.where(flows.ok, flows.k, -k_discharge).max(axis=1).tolist()
     floors = np.zeros(len(combos))
     for slot_rows in profile_rows.T:
         floors += cheapest[slot_rows]
@@ -430,7 +418,6 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
 
     best_value = math.inf
     best = None  # profile, table rows, actions, DP layers and usage index of the best plan
-    options: dict[int, list[tuple[int, float]]] = {}
     for i, bound in enumerate(bounds):
         if bound >= best_value:
             continue
@@ -439,12 +426,8 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
             if not least / T + least_usage + delay_terms[i] < best_value:
                 continue
         slot_rows = profile_rows[i].tolist()
-        for r in slot_rows:
-            if r not in options:
-                options[r] = list(zip(flows.k[flows.ok[r]].tolist(), cost[r, flows.ok[r]].tolist()))
-        actions = [options[r] for r in slot_rows]
-        lo, hi = [k_lo[r] for r in slot_rows], [k_hi[r] for r in slot_rows]
-        layers = _dp_forward(actions, lo, hi, n_off, n_use, o_lo, o_target)
+        actions = [list(zip(flows.k[flows.ok[r]].tolist(), cost[r, flows.ok[r]].tolist())) for r in slot_rows]
+        layers = _dp_forward(actions, n_off, n_use, o_lo, o_target)
         terminal = layers[-1][o_target - o_lo]
         if not np.isfinite(terminal).any():
             continue
@@ -463,10 +446,10 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, flows, slot_rows, steps)
 
 
-def _dp_forward(actions, lo, hi, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
+def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
     """Min purchase+entry cost over (battery offset, cumulative usage) states
     on plans that can still end at offset `o_target`, where slot p's feasible
-    flows are actions[p], as (k, cost), with k from lo[p] to hi[p].
+    flows are actions[p], a non-empty list of (k, cost).
 
     Returns one layer per slot boundary: layers[0] is the start state and
     layers[p + 1] the cost after slot p, so the last layer is the terminal one.
@@ -480,6 +463,8 @@ def _dp_forward(actions, lo, hi, n_off: int, n_use: int, o_lo: int, o_target: in
     by cell, as 0.0 plus each flow's cost, since the start state is layer
     0's one finite cell.
     """
+    lo = [min(k for k, _ in feasible) for feasible in actions]
+    hi = [max(k for k, _ in feasible) for feasible in actions]
     reach = [max(h, -l) for l, h in zip(lo, hi)]  # largest |k|
     start, target = -o_lo, o_target - o_lo
     r_lo, r_hi, u_hi = [], [], []  # window of each layer: rows r_lo..r_hi, usages 0..u_hi
@@ -844,8 +829,8 @@ def sample_slot_states(
     seed: int,
     a_o: float,
     v: float,
-) -> list[tuple[ControllerState, SlotContext]]:
-    """Random (queue state, slot context) pairs spanning all control regimes.
+) -> list[tuple[ControllerState, SlotInput, float]]:
+    """Random (queue state, slot, demand) triples spanning all control regimes.
 
     Residual demand and surplus renewable are never both positive (the
     renewable split guarantees that in a real run), and residual demand stays
@@ -864,7 +849,7 @@ def sample_slot_states(
 
     z, x = uniform(-1.5 * a_o - 1.0, battery.b_max), uniform(0.0, 2.0 * d_scale)
     h_u, h_d = uniform(-1.5, 1.5), uniform(-1.5 * d_scale, 1.5 * d_scale)
-    s_w = uniform(0.0, 0.25)
+    served = uniform(0.0, 0.25)  # demand and renewable both start here, so the renewable split serves it
     kind = integers(0, 3)  # 0: residual demand, 1: surplus renewable, 2: neither
     residual = [r if k == 0 else 0.0 for k, r in zip(kind, uniform(0.0, 0.9 * grid_params.e_max))]
     surplus = [r if k == 1 else 0.0 for k, r in zip(kind, uniform(0.0, 2.0 * battery.r_max))]
@@ -874,10 +859,11 @@ def sample_slot_states(
     return [
         (
             ControllerState(z_i, x_i, h_u_i, h_d_i, battery.b_init, a_o, v),
-            SlotContext(LoadTask(0, c, d, m) if t else None, s + r, s, s + sp, p),
+            SlotInput(0, p, s + sp, LoadTask(0, c, d, m) if t else None),
+            s + r,
         )
         for z_i, x_i, h_u_i, h_d_i, s, r, sp, t, c, d, m, p in zip(
-            z, x, h_u, h_d, s_w, residual, surplus, has_task, intensity, duration, max_delay, price
+            z, x, h_u, h_d, served, residual, surplus, has_task, intensity, duration, max_delay, price
         )
     ]
 
@@ -912,26 +898,27 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
     usage, delay = [], []  # (h, beta, cap) of each state's gamma_u and gamma_d
     energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the closed form's value
     schedule_bad = dominance_bad = slack_bad = 0
-    for state, ctx in samples:
-        if ctx.task is not None:
-            closed_d = controller.schedule_load(state, ctx.task, weights.mu, ctx.task.max_delay)
-            oracle_d, _ = oracle_schedule(state, ctx.task, weights.mu, ctx.task.max_delay)
-            if closed_d != oracle_d:
+    for state, slot, demand in samples:
+        task = slot.task
+        if task is not None:
+            closed_d = controller.schedule_load(state, task, weights.mu, task.max_delay)
+            if closed_d != oracle_schedule(state, task, weights.mu, task.max_delay):
                 schedule_bad += 1
-            gamma_d_cap = float(min(ctx.task.max_delay, weights.d_avg_max))
+            gamma_d_cap = float(min(task.max_delay, weights.d_avg_max))
         else:
             gamma_d_cap = float(weights.d_avg_max)
 
         usage.append((state.h_u, 1.0, gamma_u_cap))
         delay.append((state.h_d, weights.alpha / weights.mu, gamma_d_cap))
 
+        s_w = controller.renewable_split(demand, slot.renewable)
         action = controller.energy_control(
-            state, ctx.demand_l, ctx.s_w, ctx.renewable, ctx.price, bundle.battery, bundle.grid
+            state, demand, s_w, slot.renewable, slot.price, bundle.battery, bundle.grid
         )
         key2 = state.z - state.h_u
-        key1 = key2 + state.v * ctx.price
+        key1 = key2 + state.v * slot.price
         closed.append(controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery))
-        energy.append((state.slot, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, key1, key2, state.v))
+        energy.append((state.slot, demand - s_w, slot.renewable - s_w, key1, key2, state.v))
 
     for lo in range(0, len(energy), _STATE_BLOCK):
         block = energy[lo : lo + _STATE_BLOCK]

@@ -1,5 +1,6 @@
 """Every name a package module, script or test module imports is used in that
-module, every module-level private name is used somewhere in the package,
+module, every parameter of a package function is read in its body, every
+module-level private name is used somewhere in the package,
 every module-level public name is used by the package, a script or the
 benchmark, and importing the CLI loads no process-pool machinery."""
 
@@ -55,6 +56,41 @@ def test_the_scan_sees_an_unused_import():
         "    pass\n"
     )
     assert unused_imports(source) == ["Iterable (line 2)", "math (line 1)"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body, nested functions
+    included, never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        found += [f"{name}: {a.arg} (line {node.lineno})" for a in params if a.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_the_scan_sees_an_unused_parameter():
+    source = (
+        "def f(a, b, *args, c=1, **kwargs):\n"
+        "    def g(d):\n"
+        "        return a + c\n"
+        "    return g\n"
+        "\n"
+        "key = lambda row, i: row[0]\n"
+    )
+    assert unused_parameters(source) == [
+        "f: b (line 1)", "f: args (line 1)", "f: kwargs (line 1)", "g: d (line 2)", "lambda: i (line 6)",
+    ]
 
 
 def module_level_names(sources: dict[str, str]) -> dict[str, str]:

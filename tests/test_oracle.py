@@ -58,11 +58,17 @@ def energy_row(state, residual, surplus, price):
     return (state.slot, residual, surplus, key2 + state.v * price, key2, state.v)
 
 
+def sample_row(state, slot, demand):
+    """A sampled (state, slot, demand)'s row for `oracle._energy_minima`, its
+    residual and surplus taken after the renewable split as a run takes them."""
+    s_w = controller.renewable_split(demand, slot.renewable)
+    return energy_row(state, demand - s_w, slot.renewable - s_w, slot.price)
+
+
 class TestSubproblemOracles:
     def test_schedule_oracle_agrees_on_the_serve_now_example(self):
         state = make_state(z=-2.0, h_u=0.3, x=0.5, h_d=0.2)
-        d, _ = oracle_schedule(state, task_with(), mu=1.0, effective_d_max=18)
-        assert d == 0
+        assert oracle_schedule(state, task_with(), mu=1.0, effective_d_max=18) == 0
 
     def test_aux_oracle_lands_on_the_interior_optimum(self):
         g, _ = oracle._aux_argmins(QuadraticCost(0.2), np.array([0.165]), np.array([-0.4]), np.array([10.0]))
@@ -188,12 +194,11 @@ class TestEquivalenceBattery:
         samples = sample_slot_states(bundle, 5, seed=7, a_o=a_o, v=v_max)
         overload = bundle.grid.e_max + bundle.battery.d_max_rate + 0.01
         for i in (1, 3):
-            state, ctx = samples[i]
-            samples[i] = (state._replace(slot=10 + i), ctx._replace(demand_l=ctx.s_w + overload, renewable=ctx.s_w))
-        state, ctx = samples[1]
-        row = energy_row(state, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, ctx.price)
+            state, slot, demand = samples[i]
+            s_w = controller.renewable_split(demand, slot.renewable)
+            samples[i] = (state._replace(slot=10 + i), slot._replace(renewable=s_w), s_w + overload)
         with pytest.raises(InfeasibleSlot) as expected:
-            oracle._energy_minima([row], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)
+            oracle._energy_minima([sample_row(*samples[1])], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)
 
         def idle(state, demand_l, s_w, renewable, price, battery, grid):
             return controller.EnergyAction(demand_l - s_w, 0.0, 0.0, 0.0, "idle")
@@ -204,6 +209,19 @@ class TestEquivalenceBattery:
             equivalence_battery(bundle, n_states=5, seed=7)
         assert str(err.value) == str(expected.value)
         assert "slot 11:" in str(err.value)
+
+    def test_each_sampled_state_is_split_as_a_run_splits_it(self, monkeypatch):
+        # s_w is not drawn: the run's renewable split gives it, once per state,
+        # from that state's demand and renewable.
+        bundle = day_bundle()
+        a_o, _, v = controller.design_params(
+            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
+        )
+        samples = sample_slot_states(bundle, 50, seed=3, a_o=a_o, v=v)
+        calls, split = [], controller.renewable_split
+        monkeypatch.setattr(controller, "renewable_split", lambda *args: calls.append(args) or split(*args))
+        equivalence_battery(bundle, n_states=50, seed=3)
+        assert calls == [(demand, slot.renewable) for _, slot, demand in samples]
 
     @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
     def test_batched_lattice_values_equal_one_row_searches(self, monkeypatch, make_bundle):
@@ -224,11 +242,8 @@ class TestEquivalenceBattery:
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
         per_state = [
-            oracle._energy_minima(
-                [energy_row(state, ctx.demand_l - ctx.s_w, ctx.renewable - ctx.s_w, ctx.price)],
-                bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP,
-            )[2][0]
-            for state, ctx in sample_slot_states(bundle, n_states, seed, a_o, v)
+            oracle._energy_minima([sample_row(*sample)], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)[2][0]
+            for sample in sample_slot_states(bundle, n_states, seed, a_o, v)
         ]
         assert batched == per_state
 
@@ -243,20 +258,21 @@ class TestEquivalenceBattery:
         samples = sample_slot_states(bundle, 300, seed=7, a_o=a_o, v=v_max)
         assert len(samples) == 300
         kinds, tasks = set(), 0
-        for state, ctx in samples:
-            residual = ctx.demand_l - ctx.s_w
-            surplus = ctx.renewable - ctx.s_w
+        for state, slot, demand in samples:
+            s_w = controller.renewable_split(demand, slot.renewable)
+            residual = demand - s_w
+            surplus = slot.renewable - s_w
             assert not (residual > 0.0 and surplus > 0.0)
-            assert 0.0 <= residual <= 0.9 * bundle.grid.e_max + 1e-12  # demand_l - s_w rounds
+            assert 0.0 <= residual <= 0.9 * bundle.grid.e_max + 1e-12  # demand - s_w rounds
             assert surplus >= 0.0
             kinds.add((residual > 0.0, surplus > 0.0))
             assert state.b == bundle.battery.b_init
             assert (state.a_o, state.v) == (a_o, v_max)
-            assert bundle.grid.p_min <= ctx.price <= bundle.grid.p_max
-            if ctx.task is not None:
+            assert bundle.grid.p_min <= slot.price <= bundle.grid.p_max
+            if slot.task is not None:
                 tasks += 1
-                assert type(ctx.task.duration) is int and 1 <= ctx.task.duration <= 12
-                assert 0 <= ctx.task.max_delay <= 2 * max(bundle.weights.d_avg_max, 1)
+                assert type(slot.task.duration) is int and 1 <= slot.task.duration <= 12
+                assert 0 <= slot.task.max_delay <= 2 * max(bundle.weights.d_avg_max, 1)
         assert kinds == {(False, False), (True, False), (False, True)}
         assert 0 < tasks < 300
 
@@ -568,12 +584,6 @@ def full_dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarr
     return layers
 
 
-def dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:
-    """`oracle._dp_forward` with each slot's k range read from its flow list."""
-    lo, hi = [min(k for k, _ in f) for f in actions], [max(k for k, _ in f) for f in actions]
-    return oracle._dp_forward(actions, lo, hi, n_off, n_use, o_lo, o_target)
-
-
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
     """The frame search with a full-table DP (`full_dp_forward`) on every
     feasible demand profile: the reference the cost-floor skip and the DP
@@ -648,14 +658,7 @@ class TestCostFloorSkip:
         grid = GridSpec(energy_step=SMALL_ENERGY_STEP)
         dp_calls = []
         dp_forward, full_forward = oracle._dp_forward, full_dp_forward
-
-        def counted(actions, lo, hi, *rest):
-            # each slot's k range, read from the priced table, is its flow list's
-            assert (lo, hi) == ([min(k for k, _ in f) for f in actions], [max(k for k, _ in f) for f in actions])
-            dp_calls.append(1)
-            return dp_forward(actions, lo, hi, *rest)
-
-        monkeypatch.setattr(oracle, "_dp_forward", counted)
+        monkeypatch.setattr(oracle, "_dp_forward", lambda *a: dp_calls.append(1) or dp_forward(*a))
         monkeypatch.setitem(globals(), "full_dp_forward", lambda *a: dp_calls.append(1) or full_forward(*a))
         pruned_calls = full_calls = floor_only_calls = 0
         # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
@@ -769,7 +772,7 @@ class TestWalkBack:
         }
         assert reachable == set(plans)
         for (o_target, u_target), flows in plans.items():
-            layers = dp_forward(actions, n_off, n_use, o_lo, o_target)
+            layers = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
             assert oracle._walk_back(layers, actions, o_lo, o_target, u_target) == flows
             # the plan costs what the DP says it costs
             cost = sum(dict(slot)[k] for slot, k in zip(actions, flows))
@@ -777,7 +780,7 @@ class TestWalkBack:
 
     def test_unreachable_end_state_is_refused(self):
         # inf + c == inf, so a walk from an unreachable state would "match"
-        layers = dp_forward(self.TWO_SLOTS, 5, 3, -2, 0)
+        layers = oracle._dp_forward(self.TWO_SLOTS, 5, 3, -2, 0)
         with pytest.raises(ValueError, match="no plan ends"):
             oracle._walk_back(layers, self.TWO_SLOTS, -2, 0, 1)
 
@@ -816,7 +819,7 @@ FIRST_SLOT_LEAVES_THE_WINDOW = ([[(0, 0.5), (-1, 0.25), (3, 1.0)], [(0, 0.0), (-
 def test_dp_window_leaves_the_target_row_bit_for_bit(instance):
     actions, n_off, n_use, o_lo, o_target = instance
     full = full_dp_forward(actions, n_off, n_use, o_lo)
-    windowed = dp_forward(actions, n_off, n_use, o_lo, o_target)
+    windowed = oracle._dp_forward(actions, n_off, n_use, o_lo, o_target)
     assert [layer.shape for layer in windowed] == [layer.shape for layer in full]
     for w, f in zip(windowed, full):
         assert ((w == f) | (w == np.inf)).all()  # a cell outside the window is inf, never a wrong value
