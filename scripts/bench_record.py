@@ -1,15 +1,20 @@
 """Record benchmark runs, with the commit and the machine, as BENCH_<label>.json.
 
 Runs `bench/run.py` of this checkout for every (seed, workload) given and
-keeps the JSON line each run prints. With `--baseline <dir>`, a checkout of
-another commit (say the parent, made with `git clone` or `git archive`) is run
-too, in pairs that alternate which side goes first, and the file gets a
-summary per workload and end-to-end metric: each side's median and quartiles,
-the change's median over the baseline's, and how many pairs the change won.
+keeps the JSON line each run prints. One `--seeds` list serves every
+workload; or give `--seeds` once per workload, in `--workloads` order, for a
+different list each. With `--baseline <dir>`, a checkout of another commit
+(say the parent, made with `git clone` or `git archive`) is run too, in pairs
+that alternate which side goes first, and the file gets a summary per
+workload and end-to-end metric: each side's median and quartiles, the
+change's median over the baseline's, and how many of its own pairs the change
+won. Both checkouts' git state is read once, before the first run.
 
 Usage:
     python3 scripts/bench_record.py --label 8 --workloads day-sweep day-run \\
         --seeds 0 1 2 --seconds 30 [--baseline ../parent] [--out BENCH_8.json]
+    python3 scripts/bench_record.py --label 26 --workloads desk-verify day-run \\
+        --seeds 0 1 2 3 4 5 6 7 8 9 --seeds 0 1 2 --seconds 30 --baseline ../parent
 """
 
 from __future__ import annotations
@@ -30,11 +35,18 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, action="append", required=True,
+                        help="once for every workload, or once per workload in --workloads order")
     parser.add_argument("--seconds", type=float, required=True, help="passed on to bench/run.py")
     parser.add_argument("--baseline", type=Path, default=None, help="checkout to compare against")
     parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<label>.json in this checkout")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if len(args.seeds) == 1:
+        args.seeds *= len(args.workloads)
+    elif len(args.seeds) != len(args.workloads):
+        parser.error(f"{len(args.seeds)} --seeds lists for {len(args.workloads)} workloads: "
+                     "give one, or one per workload")
+    return args
 
 
 def git_state(checkout: Path) -> dict:
@@ -69,13 +81,16 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def schedule(seeds: list[int], workloads: list[str], sides: list[str]) -> list[tuple[str, str, int]]:
-    """The (side, workload, seed) runs in order: per seed, each workload's
-    sides, with the side that goes first alternating from seed to seed."""
+def schedule(seeds: list[list[int]], workloads: list[str], sides: list[str]) -> list[tuple[str, str, int]]:
+    """The (side, workload, seed) runs in order, where seeds[j] lists workload
+    j's seeds: round i runs the i-th seed of every workload that has one, each
+    workload's sides in turn, with the side that goes first alternating from
+    round to round."""
     return [
-        (side, workload, seed)
-        for i, seed in enumerate(seeds)
-        for workload in workloads
+        (side, workload, own[i])
+        for i in range(max(map(len, seeds)))
+        for workload, own in zip(workloads, seeds)
+        if i < len(own)
         for side in (sides if i % 2 else sides[::-1])
     ]
 

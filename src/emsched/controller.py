@@ -296,32 +296,26 @@ def drift_bound_G(
     )
 
 
-def lyapunov(state: ControllerState, mu: float) -> float:
-    """Quadratic size of the queue vector."""
+def lyapunov(state: ControllerState | SlotRecord, mu: float) -> float:
+    """Quadratic size of the queue vector (a record holds its slot's entering queues)."""
     return 0.5 * (state.z**2 + state.h_u**2 + mu * (state.x**2 + state.h_d**2))
 
 
-def drift_upper_bound(
-    state: ControllerState,
-    record: SlotRecord,
-    active_demand: float,
-    g: float,
-    weights: Weights,
-    horizon: int,
-) -> float:
+def drift_upper_bound(record: SlotRecord, g: float, weights: Weights, horizon: int) -> float:
     """Per-slot upper bound on lyapunov(next) - lyapunov(current).
 
-    active_demand is the total demand served this slot (it already reflects
-    the slot's own scheduling choice). Every quantity here is observable, so
-    the bound can be asserted slot by slot during a run.
+    The record holds the queues entering its slot, the slot's served demand
+    (which already reflects the slot's own scheduling choice) and the
+    decision. Every quantity here is observable, so the bound can be
+    asserted slot by slot during a run.
     """
     shift = weights.delta_u / horizon
     return (
-        state.z * (record.e + record.s_r + record.s_w - active_demand - shift)
-        + state.h_u * record.gamma_u
-        - state.h_u * (record.e + record.s_r)
-        + weights.mu * state.x * (record.delay - weights.d_avg_max)
+        record.z * (record.e + record.s_r + record.s_w - record.demand - shift)
+        + record.h_u * record.gamma_u
+        - record.h_u * (record.e + record.s_r)
+        + weights.mu * record.x * (record.delay - weights.d_avg_max)
         + g
-        - abs(state.h_u) * (record.s_w - active_demand)
-        + weights.mu * state.h_d * (record.gamma_d - record.delay)
+        - abs(record.h_u) * (record.s_w - record.demand)
+        + weights.mu * record.h_d * (record.gamma_d - record.delay)
     )

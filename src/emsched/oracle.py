@@ -14,7 +14,7 @@ The look-ahead optimizer is deliberately a lattice search, not an LP/QP: at
 desk scale it is exact within one grid step per energy coordinate and needs
 no solver to trust.
 
-Both energy searches, the equivalence battery's `_energy_minima` and the
+Both energy searches, `slot_mismatches`' `_energy_minima` and the
 frame optimizer, price one table of lattice flows per slot (`_slot_flows`),
 whose charges take the renewable surplus before the grid; v >= 0 and
 prices >= 0 make that exact.
@@ -42,9 +42,9 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
-_STATE_BLOCK = 32  # states `equivalence_battery` prices per energy table; bounds only its memory
-_AUX_BLOCK = 1024  # backlogs `equivalence_battery` prices per gamma table; bounds only its memory
-_BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `equivalence_battery`
+_STATE_BLOCK = 32  # rows `slot_mismatches` prices per energy table; bounds only its memory
+_AUX_BLOCK = 1024  # rows `slot_mismatches` prices per gamma table; bounds only its memory
+_BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `slot_mismatches`
 _GAMMA_STEP = 1e-4  # auxiliary gamma lattice
 _LADDER = 10  # each level of the gamma search scans 2*_LADDER + 1 points, a tenth of the last stride apart
 _MAX_NODES = 1e8  # largest frame search `lookahead_optimum` enumerates
@@ -105,13 +105,12 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def oracle_schedule(state: ControllerState, task: LoadTask, mu: float, effective_d_max: int) -> int:
-    """Enumerate the scheduling subproblem over its whole integer range."""
-    d_cap = min(int(effective_d_max), task.max_delay)
+def oracle_schedule(state: ControllerState | SlotRecord, task: LoadTask, mu: float) -> int:
+    """Enumerate the scheduling subproblem over its whole integer range, 0..task.max_delay."""
     weight = mu * (state.x - state.h_d)
     start_now = task.intensity * (abs(state.h_u) - state.z)
     best_d, best_v = 0, start_now
-    for d in range(1, max(d_cap, 0) + 1):
+    for d in range(1, max(task.max_delay, 0) + 1):
         v = weight * d
         if v < best_v:
             best_d, best_v = d, v
@@ -214,14 +213,10 @@ def _flow_counts(battery: BatteryParams, step: float) -> tuple[int, int]:
     return math.floor(battery.r_max / step + _FEAS_TOL), math.floor(battery.d_max_rate / step + _FEAS_TOL)
 
 
-def _energy_minima(
-    states: Sequence[tuple], battery: BatteryParams, grid: GridParams, step: float
-) -> tuple[_SlotFlows, np.ndarray, np.ndarray]:
-    """Each state's lattice flows (one row per state), and the first column to
-    minimize the per-slot bound e*key1 + s_r*key2 + v*entry in each row with
-    its value, for states (slot, residual, surplus, key1, key2, v). Ties go to
-    idle and smaller flows as in the closed-form rule. Raises `InfeasibleSlot`
-    for the first state with no feasible flow."""
+def _energy_minima(states: Sequence[tuple], battery: BatteryParams, grid: GridParams, step: float) -> np.ndarray:
+    """Each state's least per-slot bound e*key1 + s_r*key2 + v*entry over its
+    lattice flows, for states (slot, residual, surplus, key1, key2, v). Raises
+    `InfeasibleSlot` for the first state with no feasible flow."""
     slots, residual, surplus, key1, key2, v = (np.array(column) for column in zip(*states))
     flows = _slot_flows(residual, surplus, battery, grid, step)
     values = np.where(flows.ok, flows.e * key1[:, None] + flows.s_r * key2[:, None] + v[:, None] * flows.entry, np.inf)
@@ -230,7 +225,7 @@ def _energy_minima(
     if not feasible.all():
         j = int(feasible.argmin())
         raise InfeasibleSlot(int(slots[j]), float(residual[j]), grid.e_max, "grid oracle found no feasible point")
-    return flows, best, values.min(axis=1)
+    return values.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -796,19 +791,16 @@ def _audit_flows(records: Sequence[SlotRecord], b: float, battery: BatteryParams
     return excursion, balance_err, overlaps
 
 
-def _state_of_record(r: SlotRecord, template: ControllerState) -> ControllerState:
-    return template._replace(z=r.z, x=r.x, h_u=r.h_u, h_d=r.h_d, b=r.b, slot=r.slot)
-
-
 def drift_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport:
-    """Per-slot quadratic drift never exceeds its constant-plus-linear bound."""
+    """Per-slot quadratic drift never exceeds its constant-plus-linear bound.
+    Each record holds the queues entering its slot, the next record (or the
+    final state) those leaving it."""
     weights = bundle.weights
     mu = weights.mu
     worst = -math.inf
-    states = [_state_of_record(r, run.initial_state) for r in run.records] + [run.final_state]
-    for r, state, nxt in zip(run.records, states, states[1:]):
-        drift = controller.lyapunov(nxt, mu) - controller.lyapunov(state, mu)
-        bound = controller.drift_upper_bound(state, r, r.demand, g, weights, bundle.horizon)
+    for r, nxt in zip(run.records, run.records[1:] + (run.final_state,)):
+        drift = controller.lyapunov(nxt, mu) - controller.lyapunov(r, mu)
+        bound = controller.drift_upper_bound(r, g, weights, bundle.horizon)
         worst = max(worst, drift - bound)
     return CheckReport(
         (
@@ -868,78 +860,96 @@ def sample_slot_states(
     ]
 
 
-def _aux_mismatches(cost: QuadraticCost, backlogs: Sequence[tuple[float, float, float]], v: float) -> int:
-    """Count (h, beta, cap) rows whose closed-form gamma is off the lattice argmin by over one step."""
+def _gamma_d_cap(task: LoadTask | None, d_avg_max: int) -> float:
+    """The delay stand-in's cap in a slot where `task` (None if none) arrives, as `run_policy` sets it."""
+    return float(d_avg_max if task is None else min(task.max_delay, d_avg_max))
+
+
+def _aux_mismatches(cost: QuadraticCost, h: np.ndarray, vb: np.ndarray, cap: np.ndarray, gamma: np.ndarray) -> int:
+    """Count rows whose gamma is off the first argmin of h*g + vb*C(g) on the gamma lattice by over one step."""
     bad = 0
-    for lo in range(0, len(backlogs), _AUX_BLOCK):
-        block = backlogs[lo : lo + _AUX_BLOCK]
-        h, beta, cap = (np.array(column) for column in zip(*block))
-        for (h_i, beta_i, cap_i), grid_g in zip(block, _aux_argmins(cost, cap, h, v * beta)[0].tolist()):
-            bad += abs(controller.aux_solution(h_i, v, beta_i, cost, cap_i) - grid_g) > _GAMMA_STEP + 1e-9
+    for lo in range(0, len(h), _AUX_BLOCK):
+        block = slice(lo, lo + _AUX_BLOCK)
+        grid_g, _ = _aux_argmins(cost, cap[block], h[block], vb[block])
+        bad += int((np.abs(gamma[block] - grid_g) > _GAMMA_STEP + 1e-9).sum())
     return bad
 
 
-def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckReport:
-    """Closed-form rules vs grid search over randomized states.
+def slot_mismatches(
+    rows: Sequence[tuple[SlotRecord, LoadTask | None]], bundle: ModelBundle, v: float
+) -> tuple[int, int, int, int]:
+    """Count the rows whose decision brute force disagrees with: (schedule,
+    aux, energy dominance, energy slack).
 
-    The scheduling rule must match exactly; the auxiliary argmins must land
-    within one gamma step (their objectives are strictly convex); the energy
-    rule must dominate every lattice point and sit within the lattice's
-    one-step value slack.
+    A row is a record, which holds the state its slot was decided in and the
+    decision, and the task that arrived in the slot (None if none) with the
+    delay cap its rule was given; so a run's records are rows as they are,
+    with a baseline's tasks at max_delay 0. The delay must be the
+    enumeration's (`oracle_schedule`); gamma_u and gamma_d must lie within one
+    gamma step of their lattice argmins, gamma_d's cap being min(cap,
+    d_avg_max), or d_avg_max in a slot with no task, as `run_policy` has it;
+    and the flows must be no worse than any lattice flow (dominance) and
+    within the lattice's one-step value slack of the best (slack). A
+    `no_storage` record is no row: its battery is pinned idle, which a
+    lattice flow beats in every completing no-storage run of the default
+    and small configs, seeds 0-99. Raises `InfeasibleSlot` for the first row
+    with no feasible lattice flow.
     """
-    a_o, _, v = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
-    weights, gamma_u_cap = bundle.weights, bundle.battery.gamma_u_cap
-    samples = sample_slot_states(bundle, n_states, seed, a_o, v)
+    weights, battery = bundle.weights, bundle.battery
+    schedule_bad = sum(r.delay != oracle_schedule(r, task, weights.mu) for r, task in rows if task is not None)
 
-    # Both searches run after the loop, a block of rows per table: the energy
-    # lattices in sample order, the gamma lattices one cost family at a time.
-    usage, delay = [], []  # (h, beta, cap) of each state's gamma_u and gamma_d
-    energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the closed form's value
-    schedule_bad = dominance_bad = slack_bad = 0
-    for state, slot, demand in samples:
-        task = slot.task
-        if task is not None:
-            closed_d = controller.schedule_load(state, task, weights.mu, task.max_delay)
-            if closed_d != oracle_schedule(state, task, weights.mu, task.max_delay):
-                schedule_bad += 1
-            gamma_d_cap = float(min(task.max_delay, weights.d_avg_max))
-        else:
-            gamma_d_cap = float(weights.d_avg_max)
-
-        usage.append((state.h_u, 1.0, gamma_u_cap))
-        delay.append((state.h_d, weights.alpha / weights.mu, gamma_d_cap))
-
-        s_w = controller.renewable_split(demand, slot.renewable)
-        action = controller.energy_control(
-            state, demand, s_w, slot.renewable, slot.price, bundle.battery, bundle.grid
-        )
-        key2 = state.z - state.h_u
-        key1 = key2 + state.v * slot.price
-        closed.append(controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery))
-        energy.append((state.slot, demand - s_w, slot.renewable - s_w, key1, key2, state.v))
-
+    # The energy lattices are priced a block of rows per table, in row order.
+    energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the decision's value
+    for r, _ in rows:
+        key2 = r.z - r.h_u
+        key1 = key2 + v * r.price
+        closed.append(controller.energy_objective(r.e, r.q, r.d_rate, r.s_r, key1, key2, v, battery))
+        energy.append((r.slot, r.demand - r.s_w, r.renewable - r.s_w, key1, key2, v))
+    dominance_bad = slack_bad = 0
     for lo in range(0, len(energy), _STATE_BLOCK):
         block = energy[lo : lo + _STATE_BLOCK]
-        _, _, lattice = _energy_minima(block, bundle.battery, bundle.grid, _BATTERY_ENERGY_STEP)
+        lattice = _energy_minima(block, battery, bundle.grid, _BATTERY_ENERGY_STEP)
         for (*_, key1, key2, _), closed_v, grid_v in zip(block, closed[lo:], lattice.tolist()):
             dominance_bad += closed_v > grid_v + 1e-9
             slack_bad += grid_v > closed_v + _BATTERY_ENERGY_STEP * (abs(key1) + abs(key2)) + 1e-9
 
-    aux_bad = _aux_mismatches(bundle.costs.usage, usage, v) + _aux_mismatches(bundle.costs.delay, delay, v)
+    n, delay_vb = len(rows), v * (weights.alpha / weights.mu)
+    h_u, gamma_u, h_d, gamma_d = np.array([(r.h_u, r.gamma_u, r.h_d, r.gamma_d) for r, _ in rows]).reshape(n, 4).T
+    gamma_d_caps = np.array([_gamma_d_cap(task, weights.d_avg_max) for _, task in rows])
+    aux_bad = _aux_mismatches(bundle.costs.usage, h_u, np.full(n, v), np.full(n, battery.gamma_u_cap), gamma_u)
+    aux_bad += _aux_mismatches(bundle.costs.delay, h_d, np.full(n, delay_vb), gamma_d_caps, gamma_d)
+    return schedule_bad, aux_bad, dominance_bad, slack_bad
 
-    def count_check(name: str, count: int, detail: str) -> CheckResult:
-        return CheckResult(name=name, passed=count == 0, achieved=float(count), bound=0.0, detail=detail)
 
-    return CheckReport(
-        (
-            count_check("schedule_equivalence", schedule_bad, f"delay mismatches over {n_states} states"),
-            count_check("aux_equivalence", aux_bad, "auxiliary argmins off by more than one gamma step"),
-            count_check("energy_dominance", dominance_bad, "closed form beaten by a lattice point"),
-            count_check("energy_slack", slack_bad, "lattice best further than one-step value slack"),
-        )
+def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckReport:
+    """Closed-form rules vs grid search over randomized states: the rules
+    decide each sampled state into a `SlotRecord`, as a run decides its
+    slots, and `slot_mismatches` must count nothing."""
+    a_o, _, v = controller.design_params(
+        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     )
+    weights, battery, costs = bundle.weights, bundle.battery, bundle.costs
+    delay_beta, rows = weights.alpha / weights.mu, []
+    for state, slot, demand in sample_slot_states(bundle, n_states, seed, a_o, v):
+        task = slot.task
+        delay = controller.schedule_load(state, task, weights.mu, task.max_delay) if task else 0
+        s_w = controller.renewable_split(demand, slot.renewable)
+        action = controller.energy_control(state, demand, s_w, slot.renewable, slot.price, battery, bundle.grid)
+        rows.append((SlotRecord(
+            state.slot, slot.price, slot.renewable, demand, *action[:3], s_w, action.s_r, delay,
+            state.b, state.z, state.x, state.h_u, state.h_d, action.regime,
+            controller.aux_solution(state.h_u, v, 1.0, costs.usage, battery.gamma_u_cap),
+            controller.aux_solution(state.h_d, v, delay_beta, costs.delay, _gamma_d_cap(task, weights.d_avg_max)),
+        ), task))
+    return CheckReport(tuple(
+        CheckResult(name, count == 0, float(count), 0.0, detail)
+        for count, (name, detail) in zip(slot_mismatches(rows, bundle, v), (
+            ("schedule_equivalence", f"delay mismatches over {n_states} states"),
+            ("aux_equivalence", "auxiliary argmins off by more than one gamma step"),
+            ("energy_dominance", "closed form beaten by a lattice point"),
+            ("energy_slack", "lattice best further than one-step value slack"),
+        ))
+    ))
 
 
 def jensen_check(run: RunSummary, bundle: ModelBundle) -> CheckReport:

@@ -417,10 +417,8 @@ class TestDriftBound:
 
 class TestDriftUpperBound:
     def test_null_slot_bound_is_the_constant(self):
-        state = make_state(z=-2.67)
-        decision = TestUpdateQueues.decision()
-        bound = drift_upper_bound(state, decision, active_demand=0.0, g=324.0,
-                                  weights=Weights(), horizon=288)
+        decision = TestUpdateQueues.decision(z=-2.67)
+        bound = drift_upper_bound(decision, g=324.0, weights=Weights(), horizon=288)
         assert bound == pytest.approx(324.0)
 
     def test_one_step_drift_never_exceeds_bound_on_a_random_walk(self):
@@ -429,9 +427,8 @@ class TestDriftUpperBound:
         weights = Weights()
         g = drift_bound_G(BatteryParams(), weights, per_load_d_max=18, horizon=288)
         decision = TestUpdateQueues.decision(q=0.1, gamma_u=0.05, gamma_d=1.0,
-                                             delay=2, e=0.1)
+                                             delay=2, e=0.1, b=state.b, z=state.z)
         nxt = update_queues(state, decision, weights.d_avg_max, weights.delta_u, 288)
-        drift = lyapunov(nxt, weights.mu) - lyapunov(state, weights.mu)
-        bound = drift_upper_bound(state, decision, active_demand=0.0, g=g,
-                                  weights=weights, horizon=288)
+        drift = lyapunov(nxt, weights.mu) - lyapunov(decision, weights.mu)
+        bound = drift_upper_bound(decision, g=g, weights=weights, horizon=288)
         assert drift <= bound + 1e-9

@@ -27,12 +27,15 @@ from emsched.oracle import (
     margin_checks,
     oracle_schedule,
     sample_slot_states,
+    slot_mismatches,
     lookahead_bound_check,
 )
 from emsched.scenario import LoadTask, SlotInput, StageProfile, generate_trace
 from emsched.simulator import SlotRecord, run_policy
 
-from conftest import SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, SMALL_HORIZON, day_bundle, small_bundle, small_profile
+from conftest import (
+    DAY_HORIZON, SMALL_ENERGY_STEP, SMALL_FRAME_LENGTH, SMALL_HORIZON, day_bundle, day_profile, small_bundle, small_profile,
+)
 from test_controller import make_state, task_with
 
 
@@ -65,10 +68,19 @@ def sample_row(state, slot, demand):
     return energy_row(state, demand - s_w, slot.renewable - s_w, slot.price)
 
 
+def idle_record(state, slot, demand):
+    """The record of a sampled (state, slot, demand) decided idle, at delay 0 and both stand-ins 0."""
+    s_w = controller.renewable_split(demand, slot.renewable)
+    return SlotRecord(
+        state.slot, slot.price, slot.renewable, demand, demand - s_w, 0.0, 0.0, s_w, 0.0, 0,
+        state.b, state.z, state.x, state.h_u, state.h_d, "idle", 0.0, 0.0,
+    )
+
+
 class TestSubproblemOracles:
     def test_schedule_oracle_agrees_on_the_serve_now_example(self):
         state = make_state(z=-2.0, h_u=0.3, x=0.5, h_d=0.2)
-        assert oracle_schedule(state, task_with(), mu=1.0, effective_d_max=18) == 0
+        assert oracle_schedule(state, task_with(), mu=1.0) == 0
 
     def test_aux_oracle_lands_on_the_interior_optimum(self):
         g, _ = oracle._aux_argmins(QuadraticCost(0.2), np.array([0.165]), np.array([-0.4]), np.array([10.0]))
@@ -76,13 +88,15 @@ class TestSubproblemOracles:
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
         state = make_state(z=-3.0)
-        flows, best, values = oracle._energy_minima(
-            [energy_row(state, 0.1, 0.05, 0.118)], day_bundle().battery, day_bundle().grid, 1e-3
-        )
-        i = best[0]
+        bundle = day_bundle()
+        row = energy_row(state, 0.1, 0.05, 0.118)
+        values = oracle._energy_minima([row], bundle.battery, bundle.grid, 1e-3)
+        flows = oracle._slot_flows(0.1, 0.05, bundle.battery, bundle.grid, 1e-3)
+        *_, key1, key2, v = row
+        i = np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + v * flows.entry, np.inf).argmin()
         assert values[0] == pytest.approx(-0.5313, abs=1e-6)
         assert flows.k[i] > 0  # a charge
-        assert flows.s_r[0, i] == pytest.approx(0.05, abs=1e-3)
+        assert flows.s_r[i] == pytest.approx(0.05, abs=1e-3)
 
 
 def grid_before_surplus(action, residual, grid):
@@ -184,9 +198,9 @@ class TestEquivalenceBattery:
         assert report["energy_dominance"].achieved == float(len(wrong_at))
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
-    def test_an_infeasible_state_raises_as_a_one_row_search_does(self, monkeypatch):
+    def test_an_infeasible_state_raises_as_a_one_row_search_does(self):
         # States 1 and 3 need more than e_max even after the largest discharge;
-        # the battery names the first, exactly as a search of that state alone would.
+        # the comparison names the first, exactly as a search of that state alone would.
         bundle = day_bundle()
         a_o, v_max, _ = controller.design_params(
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
@@ -200,13 +214,9 @@ class TestEquivalenceBattery:
         with pytest.raises(InfeasibleSlot) as expected:
             oracle._energy_minima([sample_row(*samples[1])], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)
 
-        def idle(state, demand_l, s_w, renewable, price, battery, grid):
-            return controller.EnergyAction(demand_l - s_w, 0.0, 0.0, 0.0, "idle")
-
-        monkeypatch.setattr(oracle, "sample_slot_states", lambda *args: samples)
-        monkeypatch.setattr(controller, "energy_control", idle)
+        rows = [(idle_record(*sample), sample[1].task) for sample in samples]
         with pytest.raises(InfeasibleSlot) as err:
-            equivalence_battery(bundle, n_states=5, seed=7)
+            slot_mismatches(rows, bundle, v_max)
         assert str(err.value) == str(expected.value)
         assert "slot 11:" in str(err.value)
 
@@ -232,7 +242,7 @@ class TestEquivalenceBattery:
 
         def recorded(*args):
             result = energy_minima(*args)
-            batched.extend(result[2].tolist())
+            batched.extend(result.tolist())
             return result
 
         monkeypatch.setattr(oracle, "_energy_minima", recorded)
@@ -242,7 +252,7 @@ class TestEquivalenceBattery:
             bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
         )
         per_state = [
-            oracle._energy_minima([sample_row(*sample)], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)[2][0]
+            oracle._energy_minima([sample_row(*sample)], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)[0]
             for sample in sample_slot_states(bundle, n_states, seed, a_o, v)
         ]
         assert batched == per_state
@@ -275,6 +285,86 @@ class TestEquivalenceBattery:
                 assert 0 <= slot.task.max_delay <= 2 * max(bundle.weights.d_avg_max, 1)
         assert kinds == {(False, False), (True, False), (False, True)}
         assert 0 < tasks < 300
+
+
+def run_rows(trace, run):
+    """A run's records as `slot_mismatches` rows: each with the task that
+    arrived in its slot (None in the drain), at the delay cap the run's
+    scheduling rule was given, which is 0 for a baseline."""
+    joint = run.policy == "joint"
+    tasks = [s.task if joint or s.task is None else s.task._replace(max_delay=0) for s in trace.slots]
+    return [(r, tasks[r.slot] if r.slot < trace.horizon else None) for r in run.records]
+
+
+def next_slot_price(trace):
+    """An `energy_control` that prices each slot at the next trace slot's price."""
+    exact = controller.energy_control
+
+    def mutant(state, demand_l, s_w, renewable, price, battery, grid):
+        price = trace.slots[(state.slot + 1) % trace.horizon].price
+        return exact(state, demand_l, s_w, renewable, price, battery, grid)
+
+    return mutant
+
+
+def stale_state(trace):
+    """An `energy_control` that decides each slot on the previous slot's state (slot 0 on its own)."""
+    exact = controller.energy_control
+    seen = []
+
+    def mutant(state, *args):
+        stale = seen[-1] if seen else state
+        seen.append(state)
+        return exact(stale, *args)
+
+    return mutant
+
+
+class TestRunAudit:
+    """`slot_mismatches` on a run's own records: every slot a run decides must
+    be the brute-force minimiser the battery's sampled states are."""
+
+    def test_every_slot_of_the_day_runs_is_a_minimiser(self, day_runs):
+        bundle, profile = day_bundle(), day_profile()
+        flagged = {}
+        for seed, run in day_runs:
+            trace = generate_trace(profile, DAY_HORIZON, seed)
+            counts = slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v)
+            if counts != (0, 0, 0, 0):
+                flagged[seed] = counts
+        assert flagged == {}
+
+    @pytest.mark.parametrize("policy", ["joint", "storage_only"])
+    def test_every_slot_of_the_small_runs_is_a_minimiser(self, small_instances, policy):
+        bundle = small_bundle()
+        for seed, trace, _ in small_instances:
+            run = run_policy(trace, bundle, policy)
+            assert slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v) == (0, 0, 0, 0), seed
+
+    @pytest.mark.parametrize("mutant, n_slots, n_flagged", [
+        (next_slot_price, 518, 41),
+        (stale_state, 517, 82),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_slot_loop_mutants_are_flagged_in_every_completing_run(self, monkeypatch, mutant, n_slots, n_flagged):
+        # Each mutant feeds the rule a wrong input inside `run_policy` only; the
+        # rules themselves are exact, so the battery's sampled states miss it,
+        # and a run's records are where it shows.
+        bundle = small_bundle()
+        runs = flagged_runs = slots = flagged_slots = 0
+        for seed in range(20):
+            trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(controller, "energy_control", mutant(trace))
+                try:
+                    run = run_policy(trace, bundle, "joint")
+                except InfeasibleSlot:
+                    continue
+            schedule, aux, dominance, slack = slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v)
+            assert (schedule, aux, slack) == (0, 0, 0)
+            runs, flagged_runs = runs + 1, flagged_runs + (dominance > 0)
+            slots, flagged_slots = slots + len(run.records), flagged_slots + dominance
+        assert (flagged_runs, runs) == (17, 17)
+        assert (flagged_slots, slots) == (n_flagged, n_slots)
 
 
 @st.composite
@@ -424,7 +514,7 @@ def test_surplus_first_flows_lose_nothing_to_the_full_charge_grid(params):
     state = make_state(z=z, h_u=h_u, v=v)
     try:
         row = energy_row(state, residual, surplus, price)
-        table_min = oracle._energy_minima([row], bundle.battery, bundle.grid, step)[2][0]
+        table_min = oracle._energy_minima([row], bundle.battery, bundle.grid, step)[0]
     except InfeasibleSlot:
         table_min = math.inf
     key2 = z - h_u

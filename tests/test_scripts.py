@@ -64,7 +64,7 @@ def load_bench_record():
 
 
 def test_bench_record_alternates_the_first_side_for_each_workload():
-    runs = load_bench_record().schedule([0, 1, 2], ["a", "b"], ["change", "baseline"])
+    runs = load_bench_record().schedule([[0, 1, 2]] * 2, ["a", "b"], ["change", "baseline"])
     for workload in ("a", "b"):
         mine = [(side, seed) for side, w, seed in runs if w == workload]
         assert mine == [("baseline", 0), ("change", 0), ("change", 1), ("baseline", 1),
@@ -91,6 +91,43 @@ def test_bench_record_reads_every_checkout_before_the_first_run(tmp_path, monkey
                               "--seconds", "1", "--baseline", str(tmp_path), "--out", str(out)]) == 0
     assert calls == ["git_state"] * 2 + ["bench_run"] * 4
     assert set(json.loads(out.read_text())["checkouts"]) == {"change", "baseline"}
+
+
+def test_bench_record_takes_a_seed_list_per_workload(tmp_path, monkeypatch):
+    # 3 pairs on "a" and 1 on "b" in one record: sides alternate per seed within
+    # each workload, git state is read once before the first run, and each
+    # workload's summary counts its own pairs.
+    bench_record = load_bench_record()
+    calls = []
+    names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def git_state(checkout):
+        calls.append(("git_state",))
+        return {"commit": "0" * 40, "dirty": False}
+
+    def bench_run(checkout, workload, seed, seconds):
+        calls.append((workload, seed))
+        return {"metrics": {name: {"value": float(seed + 1)} for name in names}}
+
+    monkeypatch.setattr(bench_record, "git_state", git_state)
+    monkeypatch.setattr(bench_record, "bench_run", bench_run)
+    out = tmp_path / "BENCH_lists.json"
+    argv = ["--label", "lists", "--workloads", "a", "b", "--seeds", "5", "6", "7", "--seeds", "9",
+            "--seconds", "1", "--baseline", str(tmp_path), "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    assert calls == [("git_state",)] * 2 + [("a", 5)] * 2 + [("b", 9)] * 2 + [("a", 6)] * 2 + [("a", 7)] * 2
+    record = json.loads(out.read_text())
+    sides = {w: [(r["side"], r["seed"]) for r in record["runs"] if r["workload"] == w] for w in ("a", "b")}
+    assert sides == {
+        "a": [("baseline", 5), ("change", 5), ("change", 6), ("baseline", 6), ("baseline", 7), ("change", 7)],
+        "b": [("baseline", 9), ("change", 9)],
+    }
+    assert {w: rows[names[0]]["pairs"] for w, rows in record["summary"].items()} == {"a": 3, "b": 1}
+    assert bench_record.parse_args(["--label", "x", "--workloads", "a", "b", "--seeds", "1", "2",
+                                    "--seconds", "1"]).seeds == [[1, 2], [1, 2]]
+    with pytest.raises(SystemExit):  # two lists for three workloads
+        bench_record.parse_args(["--label", "x", "--workloads", "a", "b", "c", "--seeds", "1", "--seeds", "2",
+                                 "--seconds", "1"])
 
 
 def test_bench_record_summary_counts_pairs_won_in_each_direction():
