@@ -234,12 +234,12 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     except ValueError as exc:
         raise ConfigurationError(f"scenario.profile: {exc}") from exc
     costs = CostModel.quadratic(config.costs.k_u, config.costs.k_d, d_avg_max=config.weights.d_avg_max)
-    problems = validate_config(config.battery, config.grid, costs, config.weights, scenario.horizon)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
     bundle = ModelBundle(
         battery=config.battery, grid=config.grid, costs=costs, weights=config.weights, horizon=scenario.horizon,
     )
+    problems = validate_config(bundle)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     return ExperimentSpec(
         profile=scenario.profile,
         trace_path=scenario.trace,
@@ -338,9 +338,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = spec.seed_base
     bundle = spec.bundle
     trace = _load_or_generate(spec, seed)
-    _, v_max, _ = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
+    _, v_max, _ = controller.design_params(bundle)
     policy = spec.policies[0]
     summary = run_policy(trace, bundle, policy)
     out = _resolve_out(spec)
@@ -440,10 +438,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
         try:
             bundle = _bundle_for_point(spec, point)
             trace = trace_for(point.max_delay, spec.seed_base + replication)
-            problems = validate_config(
-                bundle.battery, bundle.grid, bundle.costs, bundle.weights,
-                bundle.horizon, max_task_delay=trace.max_task_delay(),
-            )
+            problems = validate_config(bundle, max_task_delay=trace.max_task_delay())
             if problems:
                 raise ConfigurationError("; ".join(problems))
         except (ValueError, RuntimeError) as exc:
@@ -494,9 +489,7 @@ def run_checks(spec: ExperimentSpec) -> oracle.CheckReport:
         )
     trace = _load_or_generate(spec, seed)
     run = run_policy(trace, bundle, "joint")
-    g = controller.drift_bound_G(
-        bundle.battery, bundle.weights, trace.max_task_delay(), bundle.horizon
-    )
+    g = controller.drift_bound_G(bundle, trace.max_task_delay())
 
     checks = list(oracle.equivalence_battery(bundle, spec.equivalence_states, seed))
     checks.extend(oracle.feasibility_checks(run, bundle))

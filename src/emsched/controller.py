@@ -22,14 +22,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
+    GRID_CAP_TOL,
     BatteryParams,
     ConfigurationError,
-    CostModel,
     GridParams,
     InfeasibleSlot,
+    ModelBundle,
     QuadraticCost,
     StateConsistencyError,
-    Weights,
     battery_headroom,
 )
 from .scenario import LoadTask
@@ -66,13 +66,7 @@ class EnergyAction(NamedTuple):
     regime: str
 
 
-def design_params(
-    battery: BatteryParams,
-    grid: GridParams,
-    costs: CostModel,
-    weights: Weights,
-    horizon: int,
-) -> tuple[float, float, float]:
+def design_params(bundle: ModelBundle) -> tuple[float, float, float]:
     """Compute the shift constant a_o, the largest admissible weight v_max and
     the weight v in use.
 
@@ -80,18 +74,21 @@ def design_params(
     battery inside [b_min, b_max] at every slot. Returns (a_o, v_max, v), where
     v is weights.v, defaulting to v_max, and a_o is evaluated at that v.
     """
+    battery, grid, weights = bundle.battery, bundle.grid, bundle.weights
     gamma_u = battery.gamma_u_cap
-    marginal = costs.usage.derivative(gamma_u)
-    v_max = battery_headroom(battery, weights.delta_u) / (grid.p_max + marginal)
+    marginal = bundle.costs.usage.derivative(gamma_u)
+    slope = grid.p_max + marginal
+    if not slope > 0.0:
+        raise ConfigurationError(f"V_max has no finite value: p_max + C_u'(gamma_u) = {slope:.6g} <= 0")
+    v_max = battery_headroom(battery, weights.delta_u) / slope
     if v_max <= 0.0:
         raise ConfigurationError(
             f"battery window too small for any feasible weight: v_max = {v_max:.6g} <= 0"
         )
     v = weights.v if weights.v is not None else v_max
-    delta_per_slot = weights.delta_u / horizon if horizon > 0 else 0.0
     a_o = (
         battery.b_min + v * grid.p_max + v * marginal + gamma_u + battery.d_max_rate
-        + delta_per_slot
+        + bundle.delta_per_slot
     )
     if weights.delta_u < 0.0:
         a_o -= weights.delta_u
@@ -236,19 +233,14 @@ def energy_control(
     ):
         e, q, d_rate, s_r, regime = residual, 0.0, 0.0, 0.0, "idle"
 
-    if e > grid.e_max + 1e-12:
+    if e > grid.e_max + GRID_CAP_TOL:
         raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
     return EnergyAction._make((e, q, d_rate, s_r, regime))
 
 
-def update_queues(
-    state: ControllerState,
-    record: SlotRecord,
-    d_avg_max: int,
-    delta_u: float,
-    horizon: int,
-) -> ControllerState:
-    """Advance every queue and the battery by the slot `record` describes.
+def update_queues(state: ControllerState, record: SlotRecord, d_avg_max: int, shift: float) -> ControllerState:
+    """Advance every queue and the battery by the slot `record` describes;
+    `shift` is the model's `delta_per_slot`.
 
     Re-asserts the shift identity z = b - (a_o + shift * slot); a violation
     means a bug in the flow accounting, not bad input, so it raises
@@ -257,7 +249,6 @@ def update_queues(
     z, x, h_u, h_d, b, a_o, v, slot = state
     q, d_rate, s_r, delay = record.q, record.d_rate, record.s_r, record.delay
     net_flow = q + s_r - d_rate
-    shift = delta_u / horizon
     z = z + net_flow - shift
     b = b + net_flow
     slot = slot + 1
@@ -277,17 +268,12 @@ def update_queues(
     ))
 
 
-def drift_bound_G(
-    battery: BatteryParams,
-    weights: Weights,
-    per_load_d_max: int,
-    horizon: int,
-) -> float:
+def drift_bound_G(bundle: ModelBundle, per_load_d_max: int) -> float:
     """Constant G bounding the quadratic queue-growth terms of a single slot.
 
     per_load_d_max is the largest per-load delay cap over the whole trace.
     """
-    shift = weights.delta_u / horizon
+    battery, weights, shift = bundle.battery, bundle.weights, bundle.delta_per_slot
     return (
         0.5 * max((battery.r_max - shift) ** 2, (battery.d_max_rate + shift) ** 2)
         + 0.5 * max(battery.r_max**2, battery.d_max_rate**2)
@@ -301,7 +287,7 @@ def lyapunov(state: ControllerState | SlotRecord, mu: float) -> float:
     return 0.5 * (state.z**2 + state.h_u**2 + mu * (state.x**2 + state.h_d**2))
 
 
-def drift_upper_bound(record: SlotRecord, g: float, weights: Weights, horizon: int) -> float:
+def drift_upper_bound(record: SlotRecord, g: float, bundle: ModelBundle) -> float:
     """Per-slot upper bound on lyapunov(next) - lyapunov(current).
 
     The record holds the queues entering its slot, the slot's served demand
@@ -309,7 +295,7 @@ def drift_upper_bound(record: SlotRecord, g: float, weights: Weights, horizon: i
     decision. Every quantity here is observable, so the bound can be
     asserted slot by slot during a run.
     """
-    shift = weights.delta_u / horizon
+    weights, shift = bundle.weights, bundle.delta_per_slot
     return (
         record.z * (record.e + record.s_r + record.s_w - record.demand - shift)
         + record.h_u * record.gamma_u

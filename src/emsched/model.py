@@ -11,6 +11,11 @@ import math
 from dataclasses import InitVar, dataclass
 
 
+# How far a slot's grid purchase may pass e_max, float rounding of its flows,
+# before the slot counts as over the cap.
+GRID_CAP_TOL = 1e-12
+
+
 class ConfigurationError(ValueError):
     """Raised when parameters admit no feasible controller design."""
 
@@ -149,7 +154,8 @@ class ModelBundle:
 
     @property
     def delta_per_slot(self) -> float:
-        return self.weights.delta_u / self.horizon
+        """The battery level's planned shift per slot, delta_u / horizon (0 with no slots)."""
+        return self.weights.delta_u / self.horizon if self.horizon > 0 else 0.0
 
 
 def battery_headroom(battery: BatteryParams, delta_u: float) -> float:
@@ -158,23 +164,17 @@ def battery_headroom(battery: BatteryParams, delta_u: float) -> float:
     return battery.b_max - battery.b_min - battery.r_max - battery.d_max_rate - 2.0 * battery.gamma_u_cap - abs(delta_u)
 
 
-def validate_config(
-    battery: BatteryParams,
-    grid: GridParams,
-    costs: CostModel,
-    weights: Weights,
-    horizon: int,
-    max_task_delay: int | None = None,
-) -> list[str]:
-    """Report every violated parameter invariant; an empty list means valid.
+def validate_config(bundle: ModelBundle, max_task_delay: int | None = None) -> list[str]:
+    """Report every violated parameter invariant of `bundle`; an empty list means valid.
 
-    Also reports whether the battery window leaves any room for the feasible
-    weight range (the designed v_max must be positive, i.e.
-    b_max - b_min > r_max + d_max_rate + 2*gamma_u + |delta_u|).
+    Also reports whether the feasible weight range is finite and nonempty:
+    the designed v_max must be finite (p_max + C_u'(gamma_u) > 0) and
+    positive (b_max - b_min > r_max + d_max_rate + 2*gamma_u + |delta_u|).
 
     max_task_delay, when supplied, is the largest per-load delay cap in the
     trace; the average-delay target is only effective if it does not exceed it.
     """
+    battery, grid, costs, weights, horizon = bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
     problems: list[str] = []
     if horizon < 1:
         problems.append(f"horizon must be >= 1, got {horizon}")
@@ -227,6 +227,9 @@ def validate_config(
     if weights.d_avg_max > 0 and not math.isfinite(costs.delay.derivative(float(weights.d_avg_max))):
         problems.append(f"delay-cost derivative is not finite at {weights.d_avg_max}")
 
+    slope = grid.p_max + costs.usage.derivative(gamma_u)
+    if not slope > 0.0:
+        problems.append(f"V_max has no finite value: p_max + C_u'(max(r_max, d_max_rate)) = {slope} <= 0")
     if not battery_headroom(battery, weights.delta_u) > 0.0:
         problems.append(
             "V_max <= 0: battery window b_max - b_min = "

@@ -32,6 +32,7 @@ import numpy as np
 from . import controller
 from .controller import ControllerState
 from .model import (
+    GRID_CAP_TOL,
     BatteryParams,
     GridParams,
     InfeasibleSlot,
@@ -69,13 +70,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified inequality: achieved value, bound, and the verdict."""
+    """One verified inequality, achieved <= bound, held to within `tol`."""
 
     name: str
-    passed: bool
     achieved: float
     bound: float
     detail: str = ""
+    tol: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.achieved <= self.bound + self.tol
 
     @property
     def margin(self) -> float:
@@ -178,9 +183,10 @@ def _slot_flows(
     then discharges of k*step for k = 1..k_discharge, so a first minimum
     prefers idle and smaller flows. A charge takes the surplus (>= 0) first:
     s_r = min(flow, surplus), q = flow - s_r, e = residual + q - d_rate. A
-    flow is feasible when, within _FEAS_TOL, e <= e_max, a charge <= r_max
-    and a discharge <= d_max_rate, and a discharge <= residual to float
-    rounding (1e-12), so no feasible flow buys a negative amount.
+    flow is feasible when e <= e_max within the rule's GRID_CAP_TOL, a charge
+    <= r_max and a discharge <= d_max_rate within _FEAS_TOL, and a discharge
+    <= residual to float rounding (1e-12), so no feasible flow buys a
+    negative amount.
 
     One surplus-first flow per charge amount is exact. Moving s of a fixed
     charge from the grid to the surplus lowers e by s and no battery limit
@@ -200,7 +206,7 @@ def _slot_flows(
     entry = np.where(k > 0, battery.c_rc, battery.c_dc)
     entry[0] = 0.0  # idle
     ok = (
-        (e <= grid.e_max + _FEAS_TOL)
+        (e <= grid.e_max + GRID_CAP_TOL)
         & (charge <= battery.r_max + _FEAS_TOL)
         & (d_rate <= battery.d_max_rate + _FEAS_TOL)
         & (d_rate <= residual + 1e-12)
@@ -563,7 +569,7 @@ def _frame_solution(
         b += q + s_r - d_rate
     excursion, balance_err, overlaps = _audit_flows(plan, frame.boundary_b, battery)
     if excursion > 1e-9 or balance_err > 1e-9 or overlaps or any(
-        r.e < -1e-12 or r.e > bundle.grid.e_max + 1e-9 for r in plan
+        r.e < -1e-12 or r.e > bundle.grid.e_max + GRID_CAP_TOL for r in plan
     ):
         raise RuntimeError(f"frame {frame.start}: infeasible plan {plan}")  # bug trap
     return OracleSolution(
@@ -638,7 +644,6 @@ def lookahead_bound_check(
     recompute_err = max(abs(recompute_frame_objective(sol, bundle) - sol.u_opt) for sol in frames)
     consistency = CheckResult(
         name="frame_consistency",
-        passed=recompute_err <= 1e-9,
         achieved=recompute_err,
         bound=1e-9,
         detail="frame objectives re-derived from stored decisions",
@@ -667,7 +672,6 @@ def lookahead_bound_check(
     slack = lookahead_grid_slack(bundle, max(sol.energy_step for sol in frames), frame_length)
     bound_check = CheckResult(
         name="lookahead_bound",
-        passed=lhs <= rhs + slack,
         achieved=lhs,
         bound=rhs + slack,
         detail=f"optimality gap vs mean frame optimum; grid slack {slack:.3e}",
@@ -686,24 +690,24 @@ def margin_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport
     d_bound = math.sqrt(2.0 * g / (weights.mu * horizon) + l0 / (weights.mu * horizon)) + abs(x0) / horizon
     delay_margin = CheckResult(
         name="delay_margin",
-        passed=abs(epsilon_d) <= d_bound + _FEAS_TOL,
         achieved=abs(epsilon_d),
         bound=d_bound,
         detail=f"epsilon_d={epsilon_d:.6g}",
+        tol=_FEAS_TOL,
     )
     cap_slack = CheckResult(
         name="avg_delay_margin",
-        passed=run.delay_avg - weights.d_avg_max <= d_bound + _FEAS_TOL,
         achieved=run.delay_avg - weights.d_avg_max,
         bound=d_bound,
         detail="average delay may exceed the cap by at most the margin bound",
+        tol=_FEAS_TOL,
     )
     achieved_cap = CheckResult(
         name="avg_delay_within_cap",
-        passed=run.delay_avg <= weights.d_avg_max + _FEAS_TOL,
         achieved=run.delay_avg,
         bound=float(weights.d_avg_max),
         detail="observed average delay vs the long-run cap",
+        tol=_FEAS_TOL,
     )
 
     v = run.initial_state.v
@@ -717,10 +721,10 @@ def margin_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport
     )
     usage_mismatch = CheckResult(
         name="usage_mismatch",
-        passed=abs(run.epsilon_u) <= u_bound + _FEAS_TOL,
         achieved=abs(run.epsilon_u),
         bound=u_bound,
         detail=f"epsilon_u={run.epsilon_u:.6g}",
+        tol=_FEAS_TOL,
     )
     return CheckReport((delay_margin, cap_slack, achieved_cap, usage_mismatch))
 
@@ -745,28 +749,25 @@ def feasibility_checks(run: RunSummary, bundle: ModelBundle) -> CheckReport:
         (
             CheckResult(
                 name="battery_bounds",
-                passed=bound_violation <= 1e-9,
                 achieved=bound_violation,
                 bound=0.0,
                 detail="worst excursion beyond [b_min, b_max] after any slot",
+                tol=1e-9,
             ),
             CheckResult(
                 name="balance",
-                passed=balance_err <= 1e-12,
                 achieved=balance_err,
                 bound=1e-12,
                 detail="max |E - Q + S_w + D - demand| over all slots",
             ),
             CheckResult(
                 name="exclusivity",
-                passed=exclusive == 0,
                 achieved=float(exclusive),
                 bound=0.0,
                 detail="slots charging and discharging simultaneously",
             ),
             CheckResult(
                 name="shift_identity",
-                passed=identity_err <= 1e-9,
                 achieved=identity_err,
                 bound=1e-9,
                 detail="max drift of the battery-queue shift identity",
@@ -795,21 +796,20 @@ def drift_checks(run: RunSummary, g: float, bundle: ModelBundle) -> CheckReport:
     """Per-slot quadratic drift never exceeds its constant-plus-linear bound.
     Each record holds the queues entering its slot, the next record (or the
     final state) those leaving it."""
-    weights = bundle.weights
-    mu = weights.mu
+    mu = bundle.weights.mu
     worst = -math.inf
     for r, nxt in zip(run.records, run.records[1:] + (run.final_state,)):
         drift = controller.lyapunov(nxt, mu) - controller.lyapunov(r, mu)
-        bound = controller.drift_upper_bound(r, g, weights, bundle.horizon)
+        bound = controller.drift_upper_bound(r, g, bundle)
         worst = max(worst, drift - bound)
     return CheckReport(
         (
             CheckResult(
                 name="drift_bound",
-                passed=worst <= _FEAS_TOL,
                 achieved=worst,
                 bound=0.0,
                 detail="max over slots of drift minus its upper bound",
+                tol=_FEAS_TOL,
             ),
         )
     )
@@ -925,9 +925,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
     """Closed-form rules vs grid search over randomized states: the rules
     decide each sampled state into a `SlotRecord`, as a run decides its
     slots, and `slot_mismatches` must count nothing."""
-    a_o, _, v = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
+    a_o, _, v = controller.design_params(bundle)
     weights, battery, costs = bundle.weights, bundle.battery, bundle.costs
     delay_beta, rows = weights.alpha / weights.mu, []
     for state, slot, demand in sample_slot_states(bundle, n_states, seed, a_o, v):
@@ -942,7 +940,7 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
             controller.aux_solution(state.h_d, v, delay_beta, costs.delay, _gamma_d_cap(task, weights.d_avg_max)),
         ), task))
     return CheckReport(tuple(
-        CheckResult(name, count == 0, float(count), 0.0, detail)
+        CheckResult(name, float(count), 0.0, detail)
         for count, (name, detail) in zip(slot_mismatches(rows, bundle, v), (
             ("schedule_equivalence", f"delay mismatches over {n_states} states"),
             ("aux_equivalence", "auxiliary argmins off by more than one gamma step"),
@@ -970,7 +968,6 @@ def jensen_check(run: RunSummary, bundle: ModelBundle) -> CheckReport:
         checks.append(
             CheckResult(
                 name=name,
-                passed=gap <= _FEAS_TOL,
                 achieved=gap,
                 bound=_FEAS_TOL,
                 detail="cost of mean minus mean of cost (convexity says <= 0)",

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from . import controller
 from .controller import ControllerState
-from .model import InfeasibleSlot, ModelBundle, StateConsistencyError
+from .model import GRID_CAP_TOL, InfeasibleSlot, ModelBundle, StateConsistencyError
 from .scenario import LoadTask, Trace
 
 _BALANCE_TOL = 1e-12
@@ -145,12 +145,12 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
     if trace.horizon != horizon:
         raise ValueError(f"trace horizon {trace.horizon} does not match configured horizon {horizon}")
     battery, grid, costs, weights = bundle.battery, bundle.grid, bundle.costs, bundle.weights
-    a_o, _, v = controller.design_params(battery, grid, costs, weights, horizon)
+    a_o, _, v = controller.design_params(bundle)
     state = controller.init_state(battery, a_o, v)
     initial_state = state
 
     # Read once: none of these changes during a run.
-    mu, d_avg_max, delta_u, e_max = weights.mu, weights.d_avg_max, weights.delta_u, grid.e_max
+    mu, d_avg_max, shift, e_cap = weights.mu, weights.d_avg_max, bundle.delta_per_slot, grid.e_max + GRID_CAP_TOL
     d_avg_cap, delay_beta, gamma_u_cap = float(d_avg_max), weights.alpha / mu, battery.gamma_u_cap
     delay_cost, usage_cost = costs.delay, costs.usage
     joint, no_storage = policy == "joint", policy == "no_storage"
@@ -203,8 +203,8 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
         gamma_u = aux_solution(h_u, v, 1.0, usage_cost, gamma_u_cap)
         if no_storage:
             e, q, d_rate, s_r, regime = demand - s_w, 0.0, 0.0, 0.0, "idle"
-            if e > e_max + 1e-12:
-                raise InfeasibleSlot(t, e, e_max, "no-storage baseline")
+            if e > e_cap:
+                raise InfeasibleSlot(t, e, grid.e_max, "no-storage baseline")
         else:
             e, q, d_rate, s_r, regime = energy_control(state, demand, s_w, renewable, price, battery, grid)
 
@@ -226,7 +226,7 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
             regime, gamma_u, gamma_d,
         ))
         append(record)
-        state = update_queues(state, record, d_avg_max, delta_u, horizon)
+        state = update_queues(state, record, d_avg_max, shift)
         t += 1
 
     return _summarize(

@@ -68,9 +68,7 @@ def warm_bundle(bundle: ModelBundle) -> ModelBundle:
     """Start the battery at the level the controller holds at the cheapest
     price tier, so one-day comparisons are not tilted by the stranded charge a
     cold start leaves in the battery at the end of the day."""
-    a_o, _, v = controller.design_params(
-        bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-    )
+    a_o, _, v = controller.design_params(bundle)
     level = min(bundle.battery.b_max, max(bundle.battery.b_min, a_o - v * bundle.grid.p_min))
     return replace(bundle, battery=replace(bundle.battery, b_init=level))
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from emsched.controller import design_params, drift_bound_G
-from emsched.model import BatteryParams, CostModel, GridParams, Weights
+from emsched.model import BatteryParams, CostModel, GridParams, ModelBundle, Weights
 from emsched.oracle import (
     GridSpec,
     drift_checks,
@@ -64,7 +64,7 @@ class TestEnsembleFeasibility:
 
     def test_per_slot_drift_never_exceeds_the_quadratic_bound(self, day_runs):
         bundle = day_bundle()
-        g = drift_bound_G(bundle.battery, bundle.weights, 18, DAY_HORIZON)
+        g = drift_bound_G(bundle, 18)
         assert g == pytest.approx(324.027225, abs=1e-9)
         for seed, summary in day_runs:
             report = drift_checks(summary, g, bundle)
@@ -73,7 +73,7 @@ class TestEnsembleFeasibility:
 
     def test_average_delay_respects_its_cap_and_margins(self, day_runs):
         bundle = day_bundle()
-        g = drift_bound_G(bundle.battery, bundle.weights, 18, DAY_HORIZON)
+        g = drift_bound_G(bundle, 18)
         for seed, summary in day_runs:
             report = margin_checks(summary, g, bundle)
             assert report.passed, (seed, [c for c in report if not c.passed])
@@ -95,9 +95,7 @@ class TestReferenceBound:
             started = time.perf_counter()
             frames = frames_from_run(trace, summary, SMALL_FRAME_LENGTH)
             solutions = [lookahead_optimum(f, bundle, grid) for f in frames]
-            g = drift_bound_G(
-                bundle.battery, bundle.weights, trace.max_task_delay(), bundle.horizon
-            )
+            g = drift_bound_G(bundle, trace.max_task_delay())
             report = lookahead_bound_check(summary, solutions, g, bundle, trace=trace)
             elapsed = time.perf_counter() - started
             assert report.passed, (seed, [c for c in report if not c.passed])
@@ -156,13 +154,13 @@ class TestCostShapes:
 
 class TestDesignConstants:
     def test_default_day_design_point(self):
-        a_o, v_max, _ = design_params(
+        a_o, v_max, _ = design_params(ModelBundle(
             BatteryParams(),
             GridParams(),
             CostModel.quadratic(0.2, None, d_avg_max=18),
             Weights(),
             DAY_HORIZON,
-        )
+        ))
         assert a_o == pytest.approx(2.67, abs=1e-6)
         assert v_max == pytest.approx(2.34 / 0.184, abs=1e-6)
         assert round(v_max, 4) == 12.7174

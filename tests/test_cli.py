@@ -234,6 +234,20 @@ class TestMalformedValues:
             assert err.startswith("config error: ") and "charge rate limit r_max must be > 0" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_zero_price_band_with_a_flat_usage_cost_is_named_not_a_traceback(self, tmp_path, capsys):
+        # V_max = headroom / (p_max + C_u'(max(r_max, d_max_rate))) would divide by zero
+        profile = yaml.safe_load(SMALL.read_text())["scenario"]["profile"]
+        path = small_config(tmp_path, **{
+            "scenario.profile": {**profile, "price_high": 0.0, "price_mid": 0.0, "price_low": 0.0},
+            "grid.p_min": 0.0, "grid.p_max": 0.0, "costs.k_u": 0.0,
+        })
+        for command in ("run", "sweep", "verify"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                "config error: V_max has no finite value: p_max + C_u'(max(r_max, d_max_rate)) = 0.0 <= 0\n"
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_a_frame_too_long_to_enumerate_exits_2_before_building_it(self, tmp_path):
         # Each 12-slot frame of small.yaml has 592,950,960 delay combinations, so
         # no energy step fits. They are counted, not built: under a 2 GiB address
@@ -603,10 +617,7 @@ def naive_sweep_rows(spec: ExperimentSpec) -> list[dict]:
                 row = dict.fromkeys(_SWEEP_COLUMNS)
                 row.update(point._asdict(), policy=policy, replication=replication)
                 try:
-                    problems = validate_config(
-                        bundle.battery, bundle.grid, bundle.costs, bundle.weights,
-                        base.horizon, max_task_delay=trace.max_task_delay(),
-                    )
+                    problems = validate_config(bundle, max_task_delay=trace.max_task_delay())
                     if problems:
                         raise ConfigurationError("; ".join(problems))
                     run = run_policy(trace, bundle, policy)

@@ -27,6 +27,7 @@ from emsched.model import (
     CostModel,
     GridParams,
     InfeasibleSlot,
+    ModelBundle,
     QuadraticCost,
     StateConsistencyError,
     Weights,
@@ -50,14 +51,14 @@ def task_with(intensity=0.1, duration=1, max_delay=18) -> LoadTask:
 
 class TestDesignParams:
     def test_default_constants(self):
-        a_o, v_max, v = design_params(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(), 288)
+        a_o, v_max, v = design_params(ModelBundle(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(), 288))
         assert v_max == pytest.approx(12.717391304347826, abs=1e-12)
         assert v == v_max  # weights.v None means the designed V_max
         assert a_o == pytest.approx(2.67, abs=1e-12)
 
     def test_zero_weight_strips_price_terms(self):
         a_o, _, v = design_params(
-            BatteryParams(), GridParams(), CostModel.quadratic(), Weights(v=0.0), 288
+            ModelBundle(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(v=0.0), 288)
         )
         assert v == 0.0
         assert a_o == pytest.approx(0.0 + 0.165 + 0.165)
@@ -65,14 +66,19 @@ class TestDesignParams:
     def test_no_headroom_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
             design_params(
-                BatteryParams(b_max=0.5), GridParams(), CostModel.quadratic(), Weights(), 288
+                ModelBundle(BatteryParams(b_max=0.5), GridParams(), CostModel.quadratic(), Weights(), 288)
             )
 
+    def test_no_finite_v_max_is_a_configuration_error(self):
+        free = ModelBundle(grid=GridParams(p_min=0.0, p_max=0.0), costs=CostModel.quadratic(k_u=0.0))
+        with pytest.raises(ConfigurationError, match="V_max has no finite value"):
+            design_params(free)
+
     def test_negative_level_change_widens_the_shift(self):
-        base, _, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
-                                Weights(v=0.0), 288)
-        shifted, _, _ = design_params(BatteryParams(), GridParams(), CostModel.quadratic(),
-                                   Weights(v=0.0, delta_u=-1.0), 288)
+        base, _, _ = design_params(ModelBundle(BatteryParams(), GridParams(), CostModel.quadratic(),
+                                               Weights(v=0.0), 288))
+        shifted, _, _ = design_params(ModelBundle(BatteryParams(), GridParams(), CostModel.quadratic(),
+                                                  Weights(v=0.0, delta_u=-1.0), 288))
         # a_o gains |delta_u| (minus the one-slot share already counted)
         assert shifted == pytest.approx(base - 1.0 / 288 + 1.0)
 
@@ -322,7 +328,7 @@ class TestUpdateQueues:
 
     def test_null_action_only_applies_the_level_shift(self):
         state = self.fresh()
-        nxt = update_queues(state, self.decision(), d_avg_max=2, delta_u=2.88, horizon=288)
+        nxt = update_queues(state, self.decision(), d_avg_max=2, shift=2.88 / 288)
         assert nxt.x == 0.0
         assert nxt.z == pytest.approx(state.z - 0.01)
         assert nxt.b == state.b
@@ -331,18 +337,18 @@ class TestUpdateQueues:
     def test_charging_moves_queue_and_battery_together(self):
         state = self.fresh()
         nxt = update_queues(state, self.decision(q=0.06, s_r=0.04),
-                            d_avg_max=18, delta_u=0.0, horizon=288)
+                            d_avg_max=18, shift=0.0)
         assert nxt.z == pytest.approx(state.z + 0.1)
         assert nxt.b == pytest.approx(state.b + 0.1)
 
     def test_delay_queue_accumulates_excess_over_target(self):
         state = self.fresh()
-        nxt = update_queues(state, self.decision(delay=18), d_avg_max=12, delta_u=0.0, horizon=288)
+        nxt = update_queues(state, self.decision(delay=18), d_avg_max=12, shift=0.0)
         assert nxt.x == pytest.approx(6.0)
 
     def test_delay_queue_floors_at_zero(self):
         state = self.fresh(x=1.0)
-        nxt = update_queues(state, self.decision(delay=0), d_avg_max=5, delta_u=0.0, horizon=288)
+        nxt = update_queues(state, self.decision(delay=0), d_avg_max=5, shift=0.0)
         assert nxt.x == 0.0
 
     def test_auxiliary_queues_track_their_equalities(self):
@@ -350,7 +356,7 @@ class TestUpdateQueues:
         nxt = update_queues(
             state,
             self.decision(q=0.1, gamma_u=0.04, gamma_d=2.0, delay=5),
-            d_avg_max=18, delta_u=0.0, horizon=288,
+            d_avg_max=18, shift=0.0,
         )
         assert nxt.h_u == pytest.approx(0.2 + 0.04 - 0.1)
         assert nxt.h_d == pytest.approx(-1.0 + 2.0 - 5)
@@ -358,7 +364,7 @@ class TestUpdateQueues:
     def test_corrupted_state_trips_the_identity_trap(self):
         state = self.fresh()._replace(z=1.0)  # identity no longer matches b
         with pytest.raises(StateConsistencyError, match="identity"):
-            update_queues(state, self.decision(), d_avg_max=18, delta_u=0.0, horizon=288)
+            update_queues(state, self.decision(), d_avg_max=18, shift=0.0)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -388,24 +394,24 @@ def test_delay_queue_clamp_is_builtin_max_bit_for_bit(x, delay, d_avg_max):
     state = init_state(BatteryParams(), a_o=2.67, v=10.0)._replace(x=x)
     record = SlotRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delay,
                         0.0, 0.0, 0.0, 0.0, 0.0, "idle", 0.0, 0.0)
-    nxt = update_queues(state, record, d_avg_max=d_avg_max, delta_u=0.0, horizon=288)
+    nxt = update_queues(state, record, d_avg_max=d_avg_max, shift=0.0)
     assert _bits(nxt.x) == _bits(max(x + delay - d_avg_max, 0.0))
 
 
 class TestDriftBound:
     def test_default_constant(self):
-        g = drift_bound_G(BatteryParams(), Weights(), per_load_d_max=18, horizon=288)
+        g = drift_bound_G(ModelBundle(BatteryParams(), weights=Weights(), horizon=288), per_load_d_max=18)
         assert g == pytest.approx(324.027225, abs=1e-9)
 
     def test_degenerate_inputs_vanish(self):
         battery = BatteryParams(r_max=1e-12, d_max_rate=1e-12)
-        g = drift_bound_G(battery, Weights(d_avg_max=0), per_load_d_max=0, horizon=288)
+        g = drift_bound_G(ModelBundle(battery, weights=Weights(d_avg_max=0), horizon=288), per_load_d_max=0)
         assert g == pytest.approx(0.0, abs=1e-20)
 
     def test_positive_shift_selects_discharge_branch(self):
         battery = BatteryParams()
         weights = Weights(delta_u=288 * battery.r_max)
-        g = drift_bound_G(battery, weights, per_load_d_max=18, horizon=288)
+        g = drift_bound_G(ModelBundle(battery, weights=weights, horizon=288), per_load_d_max=18)
         expected = (
             0.5 * (battery.d_max_rate + battery.r_max) ** 2
             + 0.5 * battery.r_max**2
@@ -418,17 +424,18 @@ class TestDriftBound:
 class TestDriftUpperBound:
     def test_null_slot_bound_is_the_constant(self):
         decision = TestUpdateQueues.decision(z=-2.67)
-        bound = drift_upper_bound(decision, g=324.0, weights=Weights(), horizon=288)
+        bound = drift_upper_bound(decision, g=324.0, bundle=ModelBundle(weights=Weights(), horizon=288))
         assert bound == pytest.approx(324.0)
 
     def test_one_step_drift_never_exceeds_bound_on_a_random_walk(self):
         # quick standalone spot check; run-level coverage lives in the oracle tests
         state = init_state(BatteryParams(), a_o=2.67, v=10.0)
         weights = Weights()
-        g = drift_bound_G(BatteryParams(), weights, per_load_d_max=18, horizon=288)
+        bundle = ModelBundle(BatteryParams(), weights=weights, horizon=288)
+        g = drift_bound_G(bundle, per_load_d_max=18)
         decision = TestUpdateQueues.decision(q=0.1, gamma_u=0.05, gamma_d=1.0,
                                              delay=2, e=0.1, b=state.b, z=state.z)
-        nxt = update_queues(state, decision, weights.d_avg_max, weights.delta_u, 288)
+        nxt = update_queues(state, decision, weights.d_avg_max, bundle.delta_per_slot)
         drift = lyapunov(nxt, weights.mu) - lyapunov(decision, weights.mu)
-        bound = drift_upper_bound(decision, g=g, weights=weights, horizon=288)
+        bound = drift_upper_bound(decision, g=g, bundle=bundle)
         assert drift <= bound + 1e-9

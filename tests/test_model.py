@@ -29,7 +29,7 @@ def defaults_valid(**overrides):
         horizon=288,
     )
     kwargs.update(overrides)
-    return validate_config(**kwargs)
+    return validate_config(ModelBundle(**kwargs))
 
 
 class TestQuadraticCosts:
@@ -114,8 +114,8 @@ class TestValidateConfig:
 
     def test_delay_target_must_be_reachable(self):
         problems = validate_config(
-            BatteryParams(), GridParams(), CostModel.quadratic(), Weights(d_avg_max=20),
-            horizon=288, max_task_delay=18,
+            ModelBundle(BatteryParams(), GridParams(), CostModel.quadratic(), Weights(d_avg_max=20), horizon=288),
+            max_task_delay=18,
         )
         assert any("cannot bind" in p for p in problems)
 
@@ -131,6 +131,12 @@ class TestValidateConfig:
         problems = defaults_valid(weights=Weights(alpha=0.0, mu=-1.0))
         assert any("alpha" in p for p in problems)
         assert any("mu" in p for p in problems)
+
+    def test_zero_price_band_with_flat_usage_cost_has_no_finite_v_max(self):
+        # v_max = headroom / (p_max + C_u'(gamma_u cap)) would divide by zero
+        problems = defaults_valid(grid=GridParams(p_min=0.0, p_max=0.0), costs=CostModel.quadratic(k_u=0.0))
+        assert problems == ["V_max has no finite value: p_max + C_u'(max(r_max, d_max_rate)) = 0.0 <= 0"]
+        assert defaults_valid(grid=GridParams(p_min=0.0, p_max=0.0)) == []
 
 
 class TestModelBundle:

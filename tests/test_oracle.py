@@ -136,9 +136,7 @@ class TestEquivalenceBattery:
         # usage and two delay backlogs) must be counted exactly five times,
         # however the comparisons are grouped.
         bundle = day_bundle()
-        a_o, v_max, _ = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, 200, seed=2024, a_o=a_o, v=v_max)
         wrong = {samples[i][0].h_u for i in (0, 3, 7)} | {samples[i][0].h_d for i in (1, 4)}
         assert len(wrong) == 5
@@ -177,9 +175,7 @@ class TestEquivalenceBattery:
         # state of the second block and the last state overall is counted on
         # exactly those states.
         bundle = day_bundle()
-        a_o, v_max, _ = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, n_states, seed=2024, a_o=a_o, v=v_max)
         wrong = {samples[i][0].z for i in wrong_at}
         assert len(wrong) == len(wrong_at) and n_states % oracle._STATE_BLOCK != 0
@@ -202,9 +198,7 @@ class TestEquivalenceBattery:
         # States 1 and 3 need more than e_max even after the largest discharge;
         # the comparison names the first, exactly as a search of that state alone would.
         bundle = day_bundle()
-        a_o, v_max, _ = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, 5, seed=7, a_o=a_o, v=v_max)
         overload = bundle.grid.e_max + bundle.battery.d_max_rate + 0.01
         for i in (1, 3):
@@ -224,9 +218,7 @@ class TestEquivalenceBattery:
         # s_w is not drawn: the run's renewable split gives it, once per state,
         # from that state's demand and renewable.
         bundle = day_bundle()
-        a_o, _, v = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, _, v = controller.design_params(bundle)
         samples = sample_slot_states(bundle, 50, seed=3, a_o=a_o, v=v)
         calls, split = [], controller.renewable_split
         monkeypatch.setattr(controller, "renewable_split", lambda *args: calls.append(args) or split(*args))
@@ -248,9 +240,7 @@ class TestEquivalenceBattery:
         monkeypatch.setattr(oracle, "_energy_minima", recorded)
         equivalence_battery(bundle, n_states=n_states, seed=seed)
         monkeypatch.undo()
-        a_o, _, v = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, _, v = controller.design_params(bundle)
         per_state = [
             oracle._energy_minima([sample_row(*sample)], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)[0]
             for sample in sample_slot_states(bundle, n_states, seed, a_o, v)
@@ -262,9 +252,7 @@ class TestEquivalenceBattery:
         # Each field is drawn as a column; every state must still be one the
         # closed forms can act on, and all three energy regimes must appear.
         bundle = make_bundle()
-        a_o, v_max, _ = controller.design_params(
-            bundle.battery, bundle.grid, bundle.costs, bundle.weights, bundle.horizon
-        )
+        a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, 300, seed=7, a_o=a_o, v=v_max)
         assert len(samples) == 300
         kinds, tasks = set(), 0
@@ -995,7 +983,7 @@ def solved_instance(small_instances):
         lookahead_optimum(f, bundle, GridSpec(energy_step=SMALL_ENERGY_STEP))
         for f in frames
     ]
-    g = drift_bound_G(bundle.battery, bundle.weights, trace.max_task_delay(), bundle.horizon)
+    g = drift_bound_G(bundle, trace.max_task_delay())
     return trace, summary, solutions, g, bundle
 
 
@@ -1023,7 +1011,7 @@ def checked_run():
     bundle = day_bundle()
     trace = generate_trace(StageProfile(), 288, seed=0)
     summary = run_policy(trace, bundle, policy="joint")
-    g = drift_bound_G(bundle.battery, bundle.weights, trace.max_task_delay(), bundle.horizon)
+    g = drift_bound_G(bundle, trace.max_task_delay())
     return bundle, summary, g
 
 
@@ -1093,7 +1081,7 @@ class TestRunCheckers:
 
 class TestCheckReport:
     def test_lookup_by_name(self):
-        result = CheckResult(name="x", passed=True, achieved=1.0, bound=2.0)
+        result = CheckResult(name="x", achieved=1.0, bound=2.0)
         report = CheckReport((result,))
         assert report["x"] is result
         assert result.margin == 1.0
@@ -1101,7 +1089,13 @@ class TestCheckReport:
             report["y"]
 
     def test_passed_requires_every_check(self):
-        good = CheckResult(name="a", passed=True, achieved=0.0, bound=1.0)
-        bad = CheckResult(name="b", passed=False, achieved=2.0, bound=1.0)
+        good = CheckResult(name="a", achieved=0.0, bound=1.0)
+        bad = CheckResult(name="b", achieved=2.0, bound=1.0)
         assert CheckReport((good,)).passed
         assert not CheckReport((good, bad)).passed
+
+    def test_the_verdict_is_achieved_within_tol_of_the_bound(self):
+        assert CheckResult(name="a", achieved=1.0, bound=1.0).passed
+        assert not CheckResult(name="b", achieved=1.0 + 1e-10, bound=1.0).passed
+        assert CheckResult(name="c", achieved=1.0 + 1e-10, bound=1.0, tol=1e-9).passed
+        assert not CheckResult(name="d", achieved=math.nan, bound=1.0, tol=1e-9).passed
