@@ -500,7 +500,7 @@ def run_checks(spec: ExperimentSpec) -> oracle.CheckReport:
     frames = oracle.frames_from_run(trace, run, spec.frame_length)
     grid = oracle.GridSpec(energy_step=spec.oracle_energy_step)
     try:
-        solutions = [oracle.lookahead_optimum(frame, bundle, grid) for frame in frames]
+        solutions = oracle.lookahead_optima(frames, bundle, grid)
     except oracle.SearchSpaceError as exc:  # with no suggested step, only a shorter frame fits
         key = "oracle_energy_step" if exc.suggested_step else "frame_length"
         raise ConfigurationError(f"experiment.{key}={getattr(spec, key)}: {exc}") from exc

@@ -48,16 +48,18 @@ _AUX_BLOCK = 1024  # rows `slot_mismatches` prices per gamma table; bounds only 
 _BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `slot_mismatches`
 _GAMMA_STEP = 1e-4  # auxiliary gamma lattice
 _LADDER = 10  # each level of the gamma search scans 2*_LADDER + 1 points, a tenth of the last stride apart
-_MAX_NODES = 1e8  # largest frame search `lookahead_optimum` enumerates
+_MAX_NODES = 1e8  # largest frame search `lookahead_optima` enumerates
+_BATCH_CELLS = 1 << 16  # delay-combination cells `lookahead_optima` sets up at once; bounds only its memory
 
 
 class SearchSpaceError(RuntimeError):
-    """The requested lattice search is too large to enumerate. `suggested_step`
-    is None when no energy step could fit it, only a shorter frame."""
+    """The requested lattice search of the frame at slot `frame_start` is too large
+    to enumerate. `suggested_step` is None when no energy step could fit it, only a shorter frame."""
 
-    def __init__(self, nodes: float, limit: float, suggested_step: float | None):
-        self.nodes, self.limit, self.suggested_step = nodes, limit, suggested_step
+    def __init__(self, nodes: float, limit: float, suggested_step: float | None, frame_start: int):
+        self.nodes, self.limit, self.suggested_step, self.frame_start = nodes, limit, suggested_step, frame_start
         advice = f"try energy_step >= {suggested_step:.4g}" if suggested_step else "shorten experiment.frame_length"
+        advice += f" (frame at slot {frame_start})"
         super().__init__(f"search space of ~{nodes:.2e} nodes exceeds the {limit:.0e} limit; {advice}")
 
 
@@ -290,34 +292,16 @@ def frames_from_run(trace: Trace, run: RunSummary, frame_length: int) -> list[Fr
     ]
 
 
-def _delay_choices(frame: Frame) -> tuple[list[tuple[int, LoadTask]], list[range]]:
-    """Arrival positions and the delay range for each.
-
-    Delays pushing service entirely past the frame all induce the same (empty)
-    in-frame demand, so the range stops at the first such delay; the dedup
-    step keeps the cheapest representative anyway.
-    """
-    arrivals = [(p, s.task) for p, s in enumerate(frame.slots) if s.task is not None]
-    T = frame.length
-    choices = [range(0, min(task.max_delay, T - p) + 1) for p, task in arrivals]
-    return arrivals, choices
-
-
-def _frame_options(
-    frame: Frame, pairs: Sequence[tuple[int, float]], bundle: ModelBundle, h: float
-) -> tuple[list[float], _SlotFlows, np.ndarray]:
-    """One table row per (frame slot index, demand) pair: the renewable serving
-    the demand, the lattice flows, and each flow's purchase + entry cost."""
-    slots = [frame.slots[p] for p, _ in pairs]
-    demand = np.array([d for _, d in pairs], dtype=float)
-    s_w = [controller.renewable_split(d, slot.renewable) for (_, d), slot in zip(pairs, slots)]
-    renewable = np.array([slot.renewable for slot in slots], dtype=float)
-    flows = _slot_flows(demand - s_w, renewable - s_w, bundle.battery, bundle.grid, h)
-    return s_w, flows, flows.e * np.array([[slot.price] for slot in slots], dtype=float) + flows.entry
-
-
 def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSpec()) -> OracleSolution:
-    """Exhaustively solve the frame-local reference problem on an energy lattice.
+    """Exhaustively solve the frame-local reference problem on an energy lattice:
+    the one-frame case of `lookahead_optima`."""
+    return lookahead_optima((frame,), bundle, grid)[0]
+
+
+def lookahead_optima(
+    frames: Sequence[Frame], bundle: ModelBundle, grid: GridSpec = GridSpec()
+) -> list[OracleSolution]:
+    """Exhaustively solve each frame's frame-local reference problem on an energy lattice.
 
     Search space: all per-arrival delay choices (delays whose service falls
     entirely past the frame are merged into one representative), crossed with
@@ -328,86 +312,115 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     functions once per frame, which is where the optimum of the frame-local
     auxiliary variables lands.
 
-    Profiles are searched in order of first appearance, and each gets a cost
-    floor before its DP: the cheapest flow cost of every slot, summed in slot
-    order from 0.0 as the DP sums a plan's slot costs, over the frame length,
-    plus the cheapest usage penalty and the profile's delay cost. Floating-
-    point + and / are monotone, so a profile whose floor is not below the
-    best total so far could not replace it, and its DP is skipped; the
-    answer, ties included, is the full search's. Once there is a best plan,
-    a profile that passes its floor gets a second, tighter one from an
-    offset-only DP (`_offset_floor`): the least cost of any plan that ends
-    at the net-flow target, which is the least entry of the full DP's
-    terminal row bit for bit, over the frame length, plus the cheapest
-    usage penalty and the profile's delay cost. A profile whose second
-    floor is not below the best total is skipped the same way. A DP fills
-    only the states that can still reach the net-flow target
-    (`_dp_forward`), which leaves the target row, and so the answer, bit
-    for bit as the full table has it.
+    Every frame's search space is counted before any is built. Batches of
+    frames of one length, of at most _BATCH_CELLS combination cells unless one
+    frame has more, share one set-up (`_solve_batch`). A frame that fails its
+    count raises once the frames before it are solved: errors keep frame order.
     """
-    T = frame.length
     h = grid.energy_step
-    battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
-
+    battery, weights = bundle.battery, bundle.weights
     k_charge, k_discharge = _flow_counts(battery, h)
-    k_flow = max(k_charge, k_discharge)
+    solutions, batch, cells, error = [], [], 0, None
+    for frame in frames:
+        # Battery offsets are relative to the boundary level; the DP's window is exactly the feasible one.
+        T = frame.length
+        o_lo = max(-T * k_discharge, int(math.ceil((battery.b_min - frame.boundary_b) / h - _FEAS_TOL)))
+        o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + _FEAS_TOL)))
+        target_net = T * weights.delta_u / bundle.horizon
+        # A slot with no arrival has the one delay 0. Delays pushing service past the frame
+        # all induce the same (empty) demand, so a range stops at the first; dedup keeps it.
+        choices = [range(min(s.task.max_delay, T - p) + 1 if s.task else 1) for p, s in enumerate(frame.slots)]
+        n_combos = math.prod(map(len, choices))
+        nodes = n_combos * T * (o_hi - o_lo + 1) * (T * max(k_charge, k_discharge) + 1) * (k_charge + k_discharge + 1)
+        if not o_lo <= 0 <= o_hi:
+            error = ValueError(f"frame boundary battery level {frame.boundary_b} violates the battery bounds")
+        elif not o_lo <= int(round(target_net / h)) <= o_hi:
+            error = ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
+        elif nodes > _MAX_NODES:  # no energy step helps when the combinations alone, at one node per slot, pass it
+            step = None if n_combos * T > _MAX_NODES else h * (nodes / _MAX_NODES) ** (1 / 3)
+            error = SearchSpaceError(nodes, _MAX_NODES, step, frame.start)
+        if error is not None:
+            break
+        if batch and (T != batch[0][0].length or cells + n_combos * T > _BATCH_CELLS):
+            solutions += _solve_batch(batch, bundle, h)
+            batch, cells = [], 0
+        batch.append((frame, o_lo, o_hi, choices, n_combos))
+        cells += n_combos * T
+    if batch:
+        solutions += _solve_batch(batch, bundle, h)
+    if error is not None:
+        raise error
+    return solutions
 
-    # Battery offsets are indexed relative to the boundary level; the array
-    # covers exactly the feasible window, so bounds are enforced by shape.
-    o_lo = max(-T * k_discharge, int(math.ceil((battery.b_min - frame.boundary_b) / h - _FEAS_TOL)))
-    o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + _FEAS_TOL)))
-    if not o_lo <= 0 <= o_hi:
-        raise ValueError(f"frame boundary battery level {frame.boundary_b} violates the battery bounds")
-    n_off = o_hi - o_lo + 1
-    n_use = T * k_flow + 1
 
-    target_net = T * weights.delta_u / bundle.horizon
-    o_target = int(round(target_net / h))
-    if not o_lo <= o_target <= o_hi:
-        raise ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
+def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
+    """Solve frames of one length, each given as (frame, o_lo, o_hi, delay choices, combinations).
 
-    # Every delay combination is counted before any is built. No energy step
-    # helps when the combinations alone, at one node per slot, pass the limit.
-    arrivals, choices = _delay_choices(frame)
-    n_combos = math.prod(len(c) for c in choices)
-    nodes = n_combos * T * n_off * n_use * (k_charge + k_discharge + 1)
-    if nodes > _MAX_NODES:
-        step = None if n_combos * T > _MAX_NODES else h * (nodes / _MAX_NODES) ** (1 / 3)
-        raise SearchSpaceError(nodes, _MAX_NODES, step)
+    The demand profile of each delay combination within the budget adds each
+    slot's intensity over its service window, in slot order (adding 0.0
+    where no task arrives, or outside the window, is exact). Each frame's
+    profiles are deduplicated by demand, in order of first appearance, and
+    each keeps its first combination of least total delay, the cheapest as
+    the delay cost is increasing. The all-zero combination always meets the
+    budget, so every frame keeps at least one profile.
 
-    # The demand profile of each delay combination within the budget adds each
-    # arrival's intensity over its service window, in arrival order (adding
-    # 0.0 elsewhere is exact). Profiles are deduplicated by demand, in order of
-    # first appearance, and each keeps its first combination of least total
-    # delay, the cheapest as the delay cost is increasing. The all-zero
-    # combination always meets the budget, so at least one profile survives.
-    flat = itertools.chain.from_iterable(itertools.product(*choices))
-    combos = np.fromiter(flat, dtype=int, count=n_combos * len(choices)).reshape(n_combos, len(choices))
-    combos = combos[combos.sum(axis=1) <= T * weights.d_avg_max]
-    demands = np.zeros((len(combos), T))
-    for (p, task), d in zip(arrivals, combos.T):
-        served = np.arange(T) - (p + d)[:, None]  # slots into the task's service
-        demands += np.where((served >= 0) & (served < task.duration), task.intensity, 0.0)
+    A slot's flows depend only on its own demand, which many profiles share,
+    so the batch's distinct (frame, slot, demand) rows are priced in one
+    table. A slot with no feasible flow costs inf, so the floor skips its
+    profiles. Each profile that reaches a DP reads its slots' feasible
+    (k, cost) lists from the table.
+
+    Each frame's profiles are searched in order of first appearance, and each
+    gets a cost floor before its DP: the cheapest flow cost of every slot,
+    summed in slot order from 0.0 as the DP sums a plan's slot costs, over the
+    frame length, plus the cheapest usage penalty and the profile's delay cost.
+    Floating-point + and / are monotone, so a profile whose floor is not below
+    the best total so far could not replace it, and its DP is skipped; the
+    answer, ties included, is the full search's. Once there is a best plan, a
+    profile that passes its floor gets a second, tighter one from an offset-only
+    DP (`_offset_floor`): the least cost of any plan that ends at the net-flow
+    target, which is the least entry of the full DP's terminal row bit for bit,
+    over the frame length, plus the cheapest usage penalty and the profile's
+    delay cost, and is skipped the same way. A DP fills only the states that can
+    still reach the net-flow target (`_dp_forward`), which leaves the target
+    row, and so the answer, bit for bit as the full table has it.
+    """
+    battery, weights = bundle.battery, bundle.weights
+    T = batch[0][0].length
+    n_use = T * max(_flow_counts(battery, h)) + 1
+    o_target = int(round(T * weights.delta_u / bundle.horizon / h))
+
+    counts = [n_combos for *_, n_combos in batch]
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(itertools.product(*c) for *_, c, _ in batch))
+    combos = np.fromiter(flat, dtype=int, count=sum(counts) * T).reshape(-1, T)
+    owner = np.repeat(np.arange(len(batch)), counts)  # the frame of each combination
+    kept = combos.sum(axis=1) <= T * weights.d_avg_max
+    combos, owner = combos[kept], owner[kept]
+    # (frame, slot, price/renewable/intensity/duration); a slot with no task has intensity 0.0
+    slots = np.array([[(s.price, s.renewable, *(s.task or (0, 0.0, 0))[1:3]) for s in f.slots] for f, *_ in batch])
+    demands = np.zeros(combos.shape)
+    for p in range(T):
+        served = np.arange(T) - (p + combos[:, p])[:, None]  # slots into the task's service
+        demands += np.where((served >= 0) & (served < slots[owner, p, 3, None]), slots[owner, p, 2, None], 0.0)
     keys = np.round(demands, 12)
-    order = np.lexsort((combos.sum(axis=1), *keys.T[::-1]))  # by demand, then delay; stable, so then product order
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    order = np.lexsort((combos.sum(axis=1), *keys.T[::-1], owner))  # by frame, demand, delay; stable, then product
+    keys, sorted_owner = keys[order], owner[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1) | (sorted_owner[1:] != sorted_owner[:-1])])
     chosen = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
-    combos, demands = combos[chosen], demands[chosen]
+    combos, demands, owner = combos[chosen], demands[chosen], owner[chosen]
 
-    # A slot's flows depend only on its own demand, which many profiles share,
-    # so the frame's distinct (slot, demand) pairs, column by column in
-    # ascending demand, are priced in one table. A slot with no feasible flow
-    # costs inf, so the floor skips its profiles. Each profile that reaches a
-    # DP reads its slots' feasible (k, cost) lists from the table.
-    order = demands.argsort(axis=0, kind="stable")
-    column = np.take_along_axis(demands, order, axis=0)
-    new = np.r_[np.ones((1, T), dtype=bool), column[1:] != column[:-1]].T  # slot by slot: a demand's first cell
+    # Table rows are numbered slot by slot, by frame, then ascending demand.
+    order = np.lexsort((demands, np.broadcast_to(owner[:, None], demands.shape)), axis=0)
+    column, row_frame = np.take_along_axis(demands, order, axis=0), owner[order]
+    new = np.r_[np.ones((1, T), dtype=bool), (column[1:] != column[:-1]) | (row_frame[1:] != row_frame[:-1])].T
     profile_rows = np.empty(demands.shape, dtype=int)
     np.put_along_axis(profile_rows, order, new.cumsum().reshape(new.shape).T - 1, axis=0)
-    pairs = list(zip(np.nonzero(new)[0].tolist(), column.T[new].tolist()))
-    s_w, flows, cost = _frame_options(frame, pairs, bundle, h)
-    priced = np.where(flows.ok, cost, np.inf)
+    demand, (price, renewable) = column.T[new], slots[row_frame.T[new], np.nonzero(new)[0], :2].T
+    del keys, served, demands, order, column, row_frame  # set-up intermediates the frame loop does not read
+    s_w = np.where(renewable < demand, renewable, demand)  # `controller.renewable_split`
+    flows = _slot_flows(demand - s_w, renewable - s_w, battery, bundle.grid, h)
+    demand_sw = list(zip(demand.tolist(), s_w.tolist()))
+    priced = np.where(flows.ok, flows.e * price[:, None] + flows.entry, np.inf)  # purchase + entry cost
     cheapest = priced.min(axis=1)
     floors = np.zeros(len(combos))
     for slot_rows in profile_rows.T:
@@ -417,34 +430,40 @@ def lookahead_optimum(frame: Frame, bundle: ModelBundle, grid: GridSpec = GridSp
     delay_terms = weights.alpha * bundle.costs.delay.value(combos.sum(axis=1) / T)
     bounds = (floors / T + least_usage + delay_terms).tolist()
 
-    best_value = math.inf
-    best = None  # profile, table rows, actions, DP layers and usage index of the best plan
-    for i, bound in enumerate(bounds):
-        if bound >= best_value:
-            continue
-        if best is not None:  # the offset-only floor, once there is a best total to compare it with
-            least = _offset_floor(priced[profile_rows[i]], flows.k, n_off, -o_lo, o_target - o_lo)
-            if not least / T + least_usage + delay_terms[i] < best_value:
+    solutions = []
+    first = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()  # each frame's first profile
+    for f, (frame, o_lo, o_hi, *_) in enumerate(batch):
+        n_off = o_hi - o_lo + 1
+        best_value = math.inf
+        best = None  # profile, table rows, actions, DP layers and usage index of the best plan
+        for i, bound in enumerate(bounds[first[f] : first[f + 1]], first[f]):
+            if bound >= best_value:
                 continue
-        slot_rows = profile_rows[i].tolist()
-        actions = [list(zip(flows.k[flows.ok[r]].tolist(), cost[r, flows.ok[r]].tolist())) for r in slot_rows]
-        layers = _dp_forward(actions, n_off, n_use, o_lo, o_target)
-        terminal = layers[-1][o_target - o_lo]
-        if not np.isfinite(terminal).any():
-            continue
-        totals = terminal / T + usage_penalty + delay_terms[i]
-        idx = int(np.argmin(totals))
-        if totals[idx] < best_value:
-            best_value = float(totals[idx])
-            best = (i, slot_rows, actions, layers, idx)
-    if best is None:
-        raise InfeasibleSlot(frame.start, 0.0, grid_params.e_max, "no feasible frame plan on the lattice")
+            if best is not None:  # the offset-only floor, once there is a best total to compare it with
+                least = _offset_floor(priced[profile_rows[i]], flows.k, n_off, -o_lo, o_target - o_lo)
+                if not least / T + least_usage + delay_terms[i] < best_value:
+                    continue
+            slot_rows = profile_rows[i].tolist()
+            actions = [list(zip(flows.k[flows.ok[r]].tolist(), priced[r, flows.ok[r]].tolist())) for r in slot_rows]
+            layers = _dp_forward(actions, n_off, n_use, o_lo, o_target)
+            terminal = layers[-1][o_target - o_lo]
+            if not np.isfinite(terminal).any():
+                continue
+            totals = terminal / T + usage_penalty + delay_terms[i]
+            idx = int(np.argmin(totals))
+            if totals[idx] < best_value:
+                best_value = float(totals[idx])
+                best = (i, slot_rows, actions, layers, idx)
+        if best is None:
+            raise InfeasibleSlot(frame.start, 0.0, bundle.grid.e_max, "no feasible frame plan on the lattice")
 
-    i, slot_rows, actions, layers, usage_idx = best
-    steps = _walk_back(layers, actions, o_lo, o_target, usage_idx)
-    demand_sw = [(d, s) for (_, d), s in zip(pairs, s_w)]
-    combo = combos[i].tolist()
-    return _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, flows, slot_rows, steps)
+        i, slot_rows, actions, layers, usage_idx = best
+        steps = _walk_back(layers, actions, o_lo, o_target, usage_idx)
+        arrivals = [(p, s.task) for p, s in enumerate(frame.slots) if s.task is not None]
+        combo = combos[i, [p for p, _ in arrivals]].tolist()
+        plan = _frame_solution(frame, bundle, h, best_value, arrivals, combo, demand_sw, flows, slot_rows, steps)
+        solutions.append(plan)
+    return solutions
 
 
 def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> list[np.ndarray]:

@@ -681,6 +681,13 @@ class TestVerifyCommand:
         assert len(report) == 18
         assert all(line.startswith("PASS ") for line in report[1:])
 
+    def test_the_frame_oracle_solves_every_frame_in_one_call(self, monkeypatch):
+        spec = load_experiment(SMALL)
+        calls, optima = [], cli.oracle.lookahead_optima
+        monkeypatch.setattr(cli.oracle, "lookahead_optima", lambda f, *a: calls.append(len(f)) or optima(f, *a))
+        assert cli.run_checks(spec).passed
+        assert calls == [spec.bundle.horizon // spec.frame_length]
+
     def test_overweighted_price_term_fails_the_battery_check(self, tmp_path, capsys):
         # v above the designed v_max voids the battery-bound guarantee
         path = small_config(tmp_path, **{"weights.v": 40.0})

@@ -23,6 +23,7 @@ from emsched.oracle import (
     feasibility_checks,
     frames_from_run,
     jensen_check,
+    lookahead_optima,
     lookahead_optimum,
     margin_checks,
     oracle_schedule,
@@ -665,15 +666,18 @@ def full_dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarr
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
     """The frame search with a full-table DP (`full_dp_forward`) on every
     feasible demand profile: the reference the cost-floor skip and the DP
-    window must match. Each combo's demand profile is built here, one combo
-    at a time and priced in its own table, with rows range(T), and each
-    row's feasible (k, cost) list is built here from that table; the slot
-    flows, walk back and plan come from the oracle's own helpers."""
+    window must match. The delay choices and each combo's demand profile are
+    built here, one combo at a time and priced in its own table, with rows
+    range(T), and each row's feasible (k, cost) list is built here from that
+    table; the slot flows, walk back and plan come from the oracle's own helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
     k_charge, k_discharge = oracle._flow_counts(battery, h)
-    arrivals, choices = oracle._delay_choices(frame)
+    # Delays pushing service entirely past the frame all leave the same (empty)
+    # in-frame demand, so each range stops at the first such delay.
+    arrivals = [(p, s.task) for p, s in enumerate(frame.slots) if s.task is not None]
+    choices = [range(0, min(task.max_delay, T - p) + 1) for p, task in arrivals]
     profiles = {}
     for combo in itertools.product(*choices):
         if sum(combo) > T * weights.d_avg_max:
@@ -691,9 +695,12 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     usage_penalty = np.array([bundle.costs.usage.value(j * h / T) for j in range(n_use)])
 
     best, best_value = None, math.inf
+    renewable = np.array([slot.renewable for slot in frame.slots])
+    price = np.array([[slot.price] for slot in frame.slots])
     for demand, delay_sum, combo in profiles.values():
-        pairs = list(enumerate(demand.tolist()))
-        s_w, table, cost = oracle._frame_options(frame, pairs, bundle, h)
+        s_w = [controller.renewable_split(d, slot.renewable) for d, slot in zip(demand.tolist(), frame.slots)]
+        table = oracle._slot_flows(demand - s_w, renewable - s_w, battery, grid_params, h)
+        cost = table.e * price + table.entry
         actions = [list(zip(table.k[ok].tolist(), row[ok].tolist())) for ok, row in zip(table.ok, cost)]
         if not all(actions):
             continue
@@ -742,18 +749,21 @@ class TestCostFloorSkip:
         # Seeds 6 and 11 have frames whose optimum discharges the battery, where a
         # floor above the cheapest slot flow would skip the winning profile.
         for _, trace, summary in (inst for inst in small_instances if inst[0] in (0, 6, 11)):
-            for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
+            frames, unpruned = frames_from_run(trace, summary, SMALL_FRAME_LENGTH), []
+            for frame in frames:
                 dp_calls.clear()
                 fast = lookahead_optimum(frame, bundle, grid)
                 pruned_calls += len(dp_calls)
                 dp_calls.clear()
-                assert fast == unpruned_lookahead(frame, bundle, grid)
+                unpruned.append(unpruned_lookahead(frame, bundle, grid))
+                assert fast == unpruned[-1]
                 full_calls += len(dp_calls)
                 with monkeypatch.context() as m:  # an offset-only bound that never skips: the floor alone
                     m.setattr(oracle, "_offset_floor", lambda *a: -math.inf)
                     dp_calls.clear()
                     assert lookahead_optimum(frame, bundle, grid) == fast
                     floor_only_calls += len(dp_calls)
+            assert lookahead_optima(frames, bundle, grid) == unpruned  # the whole run in one call
         assert pruned_calls < full_calls  # the skip was exercised
         assert pruned_calls < floor_only_calls  # and so was the offset-only bound
 
@@ -972,6 +982,113 @@ class TestNetFlowTarget:
         _, trace, summary = small_instances[0]
         for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH):
             assert same_as_unpruned(replace(frame, boundary_b=boundary_b), bundle, self.GRID)
+
+
+def same_as_frame_by_frame(frames: list[Frame], bundle: ModelBundle, grid: GridSpec) -> int:
+    """Assert that one `lookahead_optima` call returns what `lookahead_optimum`
+    returns frame by frame or, at the first frame it refuses, raises that
+    frame's error; then the same for the frames after it. Returns the number
+    of frames solved."""
+    solved = 0
+    while frames:
+        expected, error = [], None
+        for frame in frames:
+            try:
+                expected.append(lookahead_optimum(frame, bundle, grid))
+            except (ValueError, InfeasibleSlot) as exc:
+                error = exc
+                break
+        if error is None:
+            assert lookahead_optima(frames, bundle, grid) == expected
+        else:
+            with pytest.raises(type(error)) as raised:
+                lookahead_optima(frames, bundle, grid)
+            assert str(raised.value) == str(error)
+        solved += len(expected)
+        frames = frames[len(expected) + 1 :]
+    return solved
+
+
+def refused_and_infeasible_frames() -> tuple[Frame, Frame, ModelBundle]:
+    """A frame whose net-flow target lies below its empty battery, and a frame
+    whose 0.5 kWh load can neither wait nor be bought under e_max = 0.3."""
+    bundle = ModelBundle(
+        costs=CostModel.quadratic(0.2, None, d_avg_max=1),
+        weights=Weights(alpha=1.0, d_avg_max=1, delta_u=-0.03),  # a target of -2 steps per 2-slot frame
+        horizon=2,
+    )
+    refused = Frame(start=0, slots=(SlotInput(0, 0.063, 0.0), SlotInput(1, 0.118, 0.0)), boundary_b=0.0)
+    task = LoadTask(arrival_slot=2, intensity=0.5, duration=1, max_delay=0)
+    infeasible = Frame(start=2, slots=(SlotInput(2, 0.063, 0.0, task), SlotInput(3, 0.118, 0.0)), boundary_b=1.0)
+    return refused, infeasible, bundle
+
+
+class TestRunWidePass:
+    """`lookahead_optima` solves a run's frames with one set-up, and returns
+    what `lookahead_optimum` returns frame by frame, errors included."""
+
+    GRID = GridSpec(energy_step=SMALL_ENERGY_STEP)
+
+    @pytest.mark.parametrize("weights, solved", [
+        ({"delta_u": 0.36}, 18), ({"delta_u": -0.36}, 14), ({"alpha": 0.001}, 18),
+    ])
+    def test_whole_runs_of_desk_seeds_0_to_2(self, weights, solved):
+        # TestNetFlowTarget and TestCostFloorSkip hold these frames' solutions to the unpruned search
+        bundle = small_bundle(**weights)
+        compared = 0
+        for seed in range(3):
+            trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
+            summary = run_policy(trace, bundle, policy="joint")
+            compared += same_as_frame_by_frame(frames_from_run(trace, summary, SMALL_FRAME_LENGTH), bundle, self.GRID)
+        assert compared == solved
+
+    @pytest.mark.parametrize("delta_u, solved", [(0.0, 18), (0.36, 12), (-0.36, 11), (0.18, 18)])
+    def test_frames_from_different_boundary_levels_in_one_call(self, small_instances, delta_u, solved):
+        # desk seed 0's frames from their own level, from b_min and from under b_max, as in TestNetFlowTarget
+        bundle = small_bundle(delta_u=delta_u)
+        _, trace, summary = small_instances[0]
+        frames = [replace(frame, boundary_b=b) for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH)
+                  for b in (frame.boundary_b, 0.0, 2.95)]
+        assert same_as_frame_by_frame(frames, bundle, self.GRID) == solved  # the rest have no target in their window
+
+    def test_frames_without_loads_share_no_profile_or_row(self, small_instances):
+        # Every such frame has the one all-zero profile, whose slot rows differ only by
+        # price and renewable; the net-flow target makes each frame buy or store some.
+        _, trace, summary = small_instances[0]
+        frames = [replace(frame, slots=tuple(s._replace(task=None) for s in frame.slots))
+                  for frame in frames_from_run(trace, summary, SMALL_FRAME_LENGTH)]
+        assert same_as_frame_by_frame(frames, small_bundle(delta_u=0.36), self.GRID) == 6
+
+    def test_batches_by_size_and_length_change_nothing(self, small_instances, monkeypatch):
+        _, trace, summary = small_instances[0]
+        bundle = small_bundle()
+        frames = frames_from_run(trace, summary, SMALL_FRAME_LENGTH)
+        frames += frames_from_run(trace, summary, 2)[:3] + frames[:2]  # lengths 4, 2, then 4 again
+        one_by_one = [lookahead_optimum(frame, bundle, self.GRID) for frame in frames]
+        batches = []
+        solve_batch = oracle._solve_batch
+        monkeypatch.setattr(oracle, "_solve_batch", lambda b, *a: batches.append(len(b)) or solve_batch(b, *a))
+        assert lookahead_optima(frames, bundle, self.GRID) == one_by_one
+        assert batches == [6, 3, 2]
+        batches.clear()
+        monkeypatch.setattr(oracle, "_BATCH_CELLS", 2 * 4 * 120)  # two full 4-slot desk frames
+        assert lookahead_optima(frames, bundle, self.GRID) == one_by_one
+        assert batches == [2, 2, 2, 3, 2]
+
+    def test_errors_come_out_in_frame_order(self):
+        refused, infeasible, bundle = refused_and_infeasible_frames()
+        grid = GridSpec(energy_step=0.015)
+        with pytest.raises(InfeasibleSlot, match="no feasible frame plan"):
+            lookahead_optima([infeasible, refused], bundle, grid)
+        with pytest.raises(ValueError, match="net-flow target"):
+            lookahead_optima([refused, infeasible], bundle, grid)
+
+    def test_a_too_large_frame_is_named_after_the_frames_before_it(self, small_instances):
+        _, trace, summary = small_instances[0]
+        frames = [frames_from_run(trace, summary, SMALL_FRAME_LENGTH)[0], frames_from_run(trace, summary, 12)[1]]
+        with pytest.raises(SearchSpaceError, match=r"shorten experiment.frame_length \(frame at slot 12\)$") as err:
+            lookahead_optima(frames, small_bundle(), self.GRID)
+        assert err.value.frame_start == 12
 
 
 @pytest.fixture(scope="module")
