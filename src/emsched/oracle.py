@@ -327,6 +327,7 @@ def lookahead_optima(
         o_lo = max(-T * k_discharge, int(math.ceil((battery.b_min - frame.boundary_b) / h - _FEAS_TOL)))
         o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + _FEAS_TOL)))
         target_net = T * weights.delta_u / bundle.horizon
+        o_target = int(round(target_net / h))
         # A slot with no arrival has the one delay 0. Delays pushing service past the frame
         # all induce the same (empty) demand, so a range stops at the first; dedup keeps it.
         choices = [range(min(s.task.max_delay, T - p) + 1 if s.task else 1) for p, s in enumerate(frame.slots)]
@@ -334,7 +335,7 @@ def lookahead_optima(
         nodes = n_combos * T * (o_hi - o_lo + 1) * (T * max(k_charge, k_discharge) + 1) * (k_charge + k_discharge + 1)
         if not o_lo <= 0 <= o_hi:
             error = ValueError(f"frame boundary battery level {frame.boundary_b} violates the battery bounds")
-        elif not o_lo <= int(round(target_net / h)) <= o_hi:
+        elif not o_lo <= o_target <= o_hi:
             error = ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
         elif nodes > _MAX_NODES:  # no energy step helps when the combinations alone, at one node per slot, pass it
             step = None if n_combos * T > _MAX_NODES else h * (nodes / _MAX_NODES) ** (1 / 3)
@@ -344,7 +345,7 @@ def lookahead_optima(
         if batch and (T != batch[0][0].length or cells + n_combos * T > _BATCH_CELLS):
             solutions += _solve_batch(batch, bundle, h)
             batch, cells = [], 0
-        batch.append((frame, o_lo, o_hi, choices, n_combos))
+        batch.append((frame, o_lo, o_hi, o_target, choices, n_combos))
         cells += n_combos * T
     if batch:
         solutions += _solve_batch(batch, bundle, h)
@@ -354,7 +355,7 @@ def lookahead_optima(
 
 
 def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
-    """Solve frames of one length, each given as (frame, o_lo, o_hi, delay choices, combinations).
+    """Solve frames of one length, each given as (frame, o_lo, o_hi, o_target, delay choices, combinations).
 
     The demand profile of each delay combination within the budget adds each
     slot's intensity over its service window, in slot order (adding 0.0
@@ -388,7 +389,6 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
     battery, weights = bundle.battery, bundle.weights
     T = batch[0][0].length
     n_use = T * max(_flow_counts(battery, h)) + 1
-    o_target = int(round(T * weights.delta_u / bundle.horizon / h))
 
     counts = [n_combos for *_, n_combos in batch]
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(itertools.product(*c) for *_, c, _ in batch))
@@ -432,7 +432,7 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
 
     solutions = []
     first = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()  # each frame's first profile
-    for f, (frame, o_lo, o_hi, *_) in enumerate(batch):
+    for f, (frame, o_lo, o_hi, o_target, *_) in enumerate(batch):
         n_off = o_hi - o_lo + 1
         best_value = math.inf
         best = None  # profile, table rows, actions, DP layers and usage index of the best plan

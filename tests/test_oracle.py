@@ -1083,7 +1083,7 @@ class TestRunWidePass:
         with pytest.raises(ValueError, match="net-flow target"):
             lookahead_optima([refused, infeasible], bundle, grid)
 
-    def test_a_too_large_frame_is_named_after_the_frames_before_it(self, small_instances):
+    def test_a_too_large_frame_is_named_by_its_start_slot(self, small_instances):
         _, trace, summary = small_instances[0]
         frames = [frames_from_run(trace, summary, SMALL_FRAME_LENGTH)[0], frames_from_run(trace, summary, 12)[1]]
         with pytest.raises(SearchSpaceError, match=r"shorten experiment.frame_length \(frame at slot 12\)$") as err:
