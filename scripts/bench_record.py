@@ -8,7 +8,8 @@ different list each. With `--baseline <dir>`, a checkout of another commit
 that alternate which side goes first, and the file gets a summary per
 workload and end-to-end metric: each side's median and quartiles, the
 change's median over the baseline's, and how many of its own pairs the change
-won. Both checkouts' git state is read once, before the first run.
+won. Both checkouts' git state is read once, before the first run. After
+writing the file it prints that summary, one line per workload and metric.
 
 Usage:
     python3 scripts/bench_record.py --label 8 --workloads day-sweep day-run \\
@@ -128,6 +129,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and metric: the baseline's median [q1, q3] -> the
+    change's median, their ratio and the pairs the change won."""
+    lines = []
+    for workload, rows in summary.items():
+        for metric, row in rows.items():
+            base, change = row["baseline"], row["change"]
+            lines.append(
+                f"{workload} {metric}: {base['median']:.6g} [{base['q1']:.6g}, {base['q3']:.6g}]"
+                f" -> {change['median']:.6g} ({row['change_over_baseline']:.3f}x,"
+                f" {row['change_wins']} of {row['pairs']} pairs won, {row['better']} is better)"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"change": REPO}
@@ -158,6 +174,8 @@ def main(argv=None) -> int:
     out = args.out or REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {len(runs)} runs -> {out}")
+    for line in summary_lines(record.get("summary", {})):
+        print(line)
     return 0
 
 

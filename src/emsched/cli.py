@@ -504,6 +504,9 @@ def run_checks(spec: ExperimentSpec) -> oracle.CheckReport:
     except oracle.SearchSpaceError as exc:  # with no suggested step, only a shorter frame fits
         key = "oracle_energy_step" if exc.suggested_step else "frame_length"
         raise ConfigurationError(f"experiment.{key}={getattr(spec, key)}: {exc}") from exc
+    except oracle.FrameWindowError as exc:  # the run left the window only if v > v_max
+        key = "delta_u" if exc.target else "v"
+        raise ConfigurationError(f"weights.{key}={getattr(bundle.weights, key)}: {exc}") from exc
     checks.extend(oracle.lookahead_bound_check(run, solutions, g, bundle, trace=trace))
     return oracle.CheckReport(tuple(checks))
 

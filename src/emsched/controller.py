@@ -111,10 +111,11 @@ def schedule_load(state: ControllerState, task: LoadTask, mu: float, effective_d
     nonzero delay; the answer is always 0, 1, or the cap. Ties go to
     immediate service.
     """
-    d_cap = task.max_delay if task.max_delay < effective_d_max else effective_d_max
+    _, intensity, _, max_delay = task
+    d_cap = max_delay if max_delay < effective_d_max else effective_d_max
     if d_cap <= 0:
         return 0
-    omega_o = -task.intensity * (state.z - abs(state.h_u))
+    omega_o = -intensity * (state.z - abs(state.h_u))
     backlog = state.x - state.h_d
     if backlog >= 0.0:
         return 0 if omega_o <= mu * backlog else 1
@@ -226,10 +227,11 @@ def energy_control(
         d_rate = d_max_rate if d_max_rate < residual else residual
         e, q, s_r, regime = residual - d_rate, 0.0, 0.0, "discharge"
 
-    idle_value = energy_objective(residual, 0.0, 0.0, 0.0, key1, key2, v, battery)
+    # Idle is energy_objective(residual, 0.0, 0.0, 0.0, ...) less its terms
+    # 0.0*key2 and v*0.0, which add only signed zeros: no `<` below changes.
     if not (
-        energy_objective(e, q, d_rate, s_r, key1, key2, v, battery) < idle_value
-        and (q > 0.0 or s_r > 0.0 or d_rate > 0.0)
+        (q > 0.0 or s_r > 0.0 or d_rate > 0.0)
+        and energy_objective(e, q, d_rate, s_r, key1, key2, v, battery) < residual * key1
     ):
         e, q, d_rate, s_r, regime = residual, 0.0, 0.0, 0.0, "idle"
 
@@ -262,7 +264,7 @@ def update_queues(state: ControllerState, record: SlotRecord, d_avg_max: int, sh
     return ControllerState._make((
         z,
         0.0 if 0.0 > x else x,  # max(x, 0.0)
-        h_u + record.gamma_u - usage_amount(q, s_r, d_rate),
+        h_u + record.gamma_u - abs(net_flow),  # usage_amount(q, s_r, d_rate)
         h_d + record.gamma_d - delay,
         b, a_o, v, slot,
     ))

@@ -63,6 +63,16 @@ class SearchSpaceError(RuntimeError):
         super().__init__(f"search space of ~{nodes:.2e} nodes exceeds the {limit:.0e} limit; {advice}")
 
 
+class FrameWindowError(ValueError):
+    """The battery window of the frame at slot `frame_start` holds no plan: the
+    frame's boundary level (`target` False) or its net-flow target (`target`
+    True) lies outside it."""
+
+    def __init__(self, message: str, frame_start: int, target: bool):
+        self.frame_start, self.target = frame_start, target
+        super().__init__(f"{message} (frame at slot {frame_start})")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Energy lattice resolution of the frame look-ahead search."""
@@ -334,9 +344,13 @@ def lookahead_optima(
         n_combos = math.prod(map(len, choices))
         nodes = n_combos * T * (o_hi - o_lo + 1) * (T * max(k_charge, k_discharge) + 1) * (k_charge + k_discharge + 1)
         if not o_lo <= 0 <= o_hi:
-            error = ValueError(f"frame boundary battery level {frame.boundary_b} violates the battery bounds")
+            error = FrameWindowError(
+                f"frame boundary battery level {frame.boundary_b} violates the battery bounds", frame.start, False
+            )
         elif not o_lo <= o_target <= o_hi:
-            error = ValueError(f"frame net-flow target {target_net} kWh is outside the battery window")
+            error = FrameWindowError(
+                f"frame net-flow target {target_net} kWh is outside the battery window", frame.start, True
+            )
         elif nodes > _MAX_NODES:  # no energy step helps when the combinations alone, at one node per slot, pass it
             step = None if n_combos * T > _MAX_NODES else h * (nodes / _MAX_NODES) ** (1 / 3)
             error = SearchSpaceError(nodes, _MAX_NODES, step, frame.start)

@@ -160,10 +160,9 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
     energy_control = controller.energy_control
     update_queues = controller.update_queues
     entry_cost = controller.entry_cost
-    usage_amount = controller.usage_amount
     make_record = SlotRecord._make
     ledger = ServiceLedger()
-    active_demand = ledger.active_demand
+    add_task, active_demand = ledger.add, ledger.active_demand
 
     # Each sum runs in slot order from 0.0; the loop takes the horizon sums
     # when it reaches the horizon, and the end of the drain leaves the
@@ -193,7 +192,7 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
         if task is not None:
             d_cap = task.max_delay if joint else 0
             delay = schedule_load(state, task, mu, d_cap)
-            ledger.add(task, delay)
+            add_task(task, delay)
             gamma_d_cap = float(d_avg_max if d_avg_max < d_cap else d_cap)  # min(d_cap, d_avg_max)
         gamma_d = aux_solution(h_d, v, delay_beta, delay_cost, gamma_d_cap)
 
@@ -214,9 +213,10 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
 
         purchase += e * price
         entry += entry_cost(q, s_r, d_rate, battery)
-        usage += usage_amount(q, s_r, d_rate)
+        net = q + s_r - d_rate
+        usage += abs(net)  # controller.usage_amount(q, s_r, d_rate)
         delay_sum += delay
-        net_flow += q + s_r - d_rate
+        net_flow += net
 
         # In SlotRecord's field order.
         record = make_record((

@@ -706,6 +706,30 @@ class TestVerifyCommand:
         assert "try energy_step >= 0.008845" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, target", [
+        ({"weights.delta_u": -0.36}, -0.06),  # b_init is b_min
+        ({"weights.delta_u": 0.36, "battery.b_init": 3.0}, 0.06),  # b_init is b_max
+    ], ids=["below-b_min", "above-b_max"])
+    def test_an_unreachable_frame_target_is_a_config_error(self, tmp_path, capsys, overrides, target):
+        path = small_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0  # the run itself completes
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: weights.delta_u={overrides['weights.delta_u']}: frame net-flow target {target} kWh"
+            " is outside the battery window (frame at slot 0)\n"
+        )
+        assert not (out / "verify_report.txt").exists()
+
+    def test_a_run_that_leaves_the_battery_window_is_named_by_its_weight(self, tmp_path, capsys):
+        # far above v_max the run leaves the battery window at a frame boundary
+        path = small_config(tmp_path, **{"weights.v": 500.0})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: weights.v=500.0: frame boundary battery level ")
+        assert err.endswith(" violates the battery bounds (frame at slot 20)\n") and err.count("\n") == 1
+
     def test_residual_just_below_a_lattice_discharge_passes(self, tmp_path):
         # sampled state 168 once failed energy_dominance on a lattice
         # discharge that bought -3.6e-10 kWh

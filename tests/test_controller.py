@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
+from emsched import controller
 from emsched.controller import (
     ControllerState,
     aux_solution,
@@ -20,6 +20,7 @@ from emsched.controller import (
     renewable_split,
     schedule_load,
     update_queues,
+    usage_amount,
 )
 from emsched.model import (
     BatteryParams,
@@ -34,6 +35,8 @@ from emsched.model import (
 )
 from emsched.scenario import LoadTask
 from emsched.simulator import SlotRecord
+
+from conftest import day_bundle
 
 
 def make_state(**overrides) -> ControllerState:
@@ -396,6 +399,62 @@ def test_delay_queue_clamp_is_builtin_max_bit_for_bit(x, delay, d_avg_max):
                         0.0, 0.0, 0.0, 0.0, 0.0, "idle", 0.0, 0.0)
     nxt = update_queues(state, record, d_avg_max=d_avg_max, shift=0.0)
     assert _bits(nxt.x) == _bits(max(x + delay - d_avg_max, 0.0))
+
+
+@given(residual=FINITE, key1=FINITE, key2=FINITE, v=st.floats(0.0, 1e6))
+@example(residual=0.0, key1=-0.0, key2=-1.0, v=0.0)
+@example(residual=-0.0, key1=0.0, key2=-0.0, v=10.0)
+@example(residual=-0.0, key1=-0.0, key2=2.0, v=0.0)
+@example(residual=0, key1=-3.0, key2=-3.5, v=12.7)  # demand int 0 with no renewable
+def test_idle_value_is_energy_objective_of_the_idle_action(residual, key1, key2, v):
+    # energy_control prices idle as residual * key1; the terms it drops add only signed zeros
+    assert residual * key1 == energy_objective(residual, 0.0, 0.0, 0.0, key1, key2, v, BatteryParams())
+
+
+FLOWS = st.floats(0.0, 1.0)
+
+
+@given(h_u=FINITE, gamma_u=FINITE, q=FLOWS, s_r=FLOWS, d_rate=FLOWS)
+@example(h_u=-0.0, gamma_u=0.0, q=0.0, s_r=0.0, d_rate=0.0)
+@example(h_u=0.0, gamma_u=-0.0, q=-0.0, s_r=0.0, d_rate=-0.0)
+@example(h_u=0.5, gamma_u=0.0, q=0.1, s_r=0.065, d_rate=0.165)  # a net flow of (nearly) zero
+@example(h_u=-0.2, gamma_u=0.04, q=0.0, s_r=0.0, d_rate=0.165)
+def test_usage_queue_update_is_usage_amount_bit_for_bit(h_u, gamma_u, q, s_r, d_rate):
+    state = init_state(BatteryParams(), a_o=2.67, v=10.0)._replace(h_u=h_u)
+    record = SlotRecord(0, 0.0, 0.0, 0.0, 0.0, q, d_rate, 0.0, s_r, 0,
+                        0.0, 0.0, 0.0, h_u, 0.0, "idle", gamma_u, 0.0)
+    nxt = update_queues(state, record, d_avg_max=0, shift=0.0)
+    assert _bits(nxt.h_u) == _bits(h_u + gamma_u - usage_amount(q, s_r, d_rate))
+
+
+def test_every_day_run_decision_is_the_one_pricing_idle_by_energy_objective(day_runs, monkeypatch):
+    # Replays each slot of the day ensemble: energy_control returns the record's
+    # flows, and it leaves idle exactly when it priced a moving candidate below
+    # energy_objective of the idle action, as the rule read before idle became
+    # residual * key1.
+    bundle = day_bundle()
+    battery, grid = bundle.battery, bundle.grid
+    priced = []
+
+    def recording(*args):
+        priced.append(energy_objective(*args))
+        return priced[-1]
+
+    monkeypatch.setattr(controller, "energy_objective", recording)
+    slots = moved = 0
+    for _, run in day_runs:
+        a_o, v = run.initial_state.a_o, run.initial_state.v
+        for r in run.records:
+            priced.clear()
+            state = ControllerState(r.z, r.x, r.h_u, r.h_d, r.b, a_o, v, r.slot)
+            action = energy_control(state, r.demand, r.s_w, r.renewable, r.price, battery, grid)
+            assert action == (r.e, r.q, r.d_rate, r.s_r, r.regime)
+            key2 = r.z - r.h_u
+            key1 = key2 + v * r.price
+            idle = energy_objective(r.demand - r.s_w, 0.0, 0.0, 0.0, key1, key2, v, battery)
+            assert (r.regime != "idle") == (len(priced) == 1 and priced[0] < idle), (r.slot, r.regime)
+            slots, moved = slots + 1, moved + (r.regime != "idle")
+    assert 0 < moved < slots
 
 
 class TestDriftBound:

@@ -146,3 +146,31 @@ def test_bench_record_summary_counts_pairs_won_in_each_direction():
     assert summary["rate"]["change_wins"] == 2 and summary["ms"]["change_wins"] == 1  # ties win nothing
     assert summary["rate"]["change"] == {"median": 20.0, "q1": 15.0, "q3": 25.0}
     assert summary["rate"]["change_over_baseline"] == 2.0
+    assert bench_record.summary_lines({"w": summary}) == [
+        "w rate: 10 [10, 10] -> 20 (2.000x, 2 of 3 pairs won, higher is better)",
+        "w ms: 5 [5, 5] -> 5 (1.000x, 1 of 3 pairs won, lower is better)",
+    ]
+
+
+def test_bench_record_prints_one_summary_line_per_workload_and_metric(tmp_path, monkeypatch, capsys):
+    bench_record = load_bench_record()
+    names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+    values = {"baseline": [4.0, 2.0, 3.0], "change": [1.0, 3.0, 2.0]}
+
+    def bench_run(checkout, workload, seed, seconds):
+        side = "change" if checkout == bench_record.REPO else "baseline"
+        return {"metrics": {name: {"value": values[side][seed]} for name in names}}
+
+    monkeypatch.setattr(bench_record, "git_state", lambda checkout: {"commit": "0" * 40, "dirty": False})
+    monkeypatch.setattr(bench_record, "bench_run", bench_run)
+    argv = ["--label", "lines", "--workloads", "w", "--seeds", "0", "1", "2", "--seconds", "1",
+            "--baseline", str(tmp_path), "--out", str(tmp_path / "BENCH_lines.json")]
+    assert bench_record.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-len(names) - 1].startswith("wrote 6 runs -> ")
+    expected = {"higher": "1 of 3 pairs won", "lower": "2 of 3 pairs won"}  # 4->1 and 2->3 and 3->2
+    better = {m["name"]: m["better"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert printed[-len(names):] == [
+        f"w {name}: 3 [2.5, 3.5] -> 2 (0.667x, {expected[better[name]]}, {better[name]} is better)"
+        for name in names
+    ]
