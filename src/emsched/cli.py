@@ -81,17 +81,18 @@ class SweepPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepAxes:
-    """Cartesian sweep grid; each axis defaults to a single baseline value."""
+    """Cartesian sweep grid. An axis the config leaves out is None until
+    `load_experiment` fills it with the config's own single value."""
 
-    d_avg_max: tuple[int, ...] = (18,)
-    max_delay: tuple[int, ...] = (18,)
-    b_max: tuple[float, ...] = (3.0,)
-    alpha: tuple[float, ...] = (1.0,)
-    mu: tuple[float, ...] = (1.0,)
+    d_avg_max: tuple[int, ...] | None = None
+    max_delay: tuple[int, ...] | None = None
+    b_max: tuple[float, ...] | None = None
+    alpha: tuple[float, ...] | None = None
+    mu: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         for f in dataclass_fields(self):
-            if len(getattr(self, f.name)) == 0:
+            if getattr(self, f.name) == ():
                 raise ConfigurationError(f"sweep axis {f.name!r} must not be empty")
 
     def points(self) -> list[SweepPoint]:
@@ -240,6 +241,10 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     problems = validate_config(bundle)
     if problems:
         raise ConfigurationError("; ".join(problems))
+    weights = config.weights
+    own = SweepPoint(weights.d_avg_max, scenario.profile.max_delay, config.battery.b_max, weights.alpha, weights.mu)
+    axes = (getattr(exp.sweep, axis) or (value,) for axis, value in zip(own._fields, own))
+    exp = replace(exp, sweep=SweepAxes(*axes))
     return ExperimentSpec(
         profile=scenario.profile,
         trace_path=scenario.trace,

@@ -58,14 +58,6 @@ class ControllerState(NamedTuple):
     slot: int = 0
 
 
-class EnergyAction(NamedTuple):
-    e: float
-    q: float
-    d_rate: float
-    s_r: float
-    regime: str
-
-
 def design_params(bundle: ModelBundle) -> tuple[float, float, float]:
     """Compute the shift constant a_o, the largest admissible weight v_max and
     the weight v in use.
@@ -172,8 +164,8 @@ def energy_objective(
 ) -> float:
     """Queue-weighted per-slot value of the energy flows (lower is better).
 
-    The flows come first in `EnergyAction`'s order, so an action `a` is
-    priced as `energy_objective(*a[:4], key1, key2, v, battery)`.
+    The flows come first in the order `energy_control` returns them, so an
+    action `a` is priced as `energy_objective(*a[:4], key1, key2, v, battery)`.
     """
     return e * key1 + s_r * key2 + v * entry_cost(q, s_r, d_rate, battery)
 
@@ -186,8 +178,9 @@ def energy_control(
     price: float,
     battery: BatteryParams,
     grid: GridParams,
-) -> EnergyAction:
-    """Choose the grid purchase and battery flows for this slot.
+) -> tuple[float, float, float, float, str]:
+    """Choose the grid purchase and battery flows for this slot: returns
+    (e, q, d_rate, s_r, regime).
 
     The sign pattern of key2 = z - h_u and key1 = key2 + v*price selects the
     battery regime to consider: key1 <= 0 favors charging, key2 >= 0 favors
@@ -237,7 +230,7 @@ def energy_control(
 
     if e > grid.e_max + GRID_CAP_TOL:
         raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
-    return EnergyAction._make((e, q, d_rate, s_r, regime))
+    return e, q, d_rate, s_r, regime
 
 
 def update_queues(state: ControllerState, record: SlotRecord, d_avg_max: int, shift: float) -> ControllerState:

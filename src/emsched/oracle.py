@@ -339,7 +339,7 @@ def lookahead_optima(
         target_net = T * weights.delta_u / bundle.horizon
         o_target = int(round(target_net / h))
         # A slot with no arrival has the one delay 0. Delays pushing service past the frame
-        # all induce the same (empty) demand, so a range stops at the first; dedup keeps it.
+        # all induce the same (empty) demand, so a range stops at the first, the least delay.
         choices = [range(min(s.task.max_delay, T - p) + 1 if s.task else 1) for p, s in enumerate(frame.slots)]
         n_combos = math.prod(map(len, choices))
         nodes = n_combos * T * (o_hi - o_lo + 1) * (T * max(k_charge, k_discharge) + 1) * (k_charge + k_discharge + 1)
@@ -373,32 +373,30 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
 
     The demand profile of each delay combination within the budget adds each
     slot's intensity over its service window, in slot order (adding 0.0
-    where no task arrives, or outside the window, is exact). Each frame's
-    profiles are deduplicated by demand, in order of first appearance, and
-    each keeps its first combination of least total delay, the cheapest as
-    the delay cost is increasing. The all-zero combination always meets the
-    budget, so every frame keeps at least one profile.
+    where no task arrives, or outside the window, is exact). The all-zero
+    combination always meets the budget, so every frame has at least one.
 
-    A slot's flows depend only on its own demand, which many profiles share,
-    so the batch's distinct (frame, slot, demand) rows are priced in one
-    table. A slot with no feasible flow costs inf, so the floor skips its
-    profiles. Each profile that reaches a DP reads its slots' feasible
-    (k, cost) lists from the table.
+    A slot's flows depend only on its own demand, which many combinations
+    share, so the batch's distinct (frame, slot, demand) rows are priced in
+    one table. A slot with no feasible flow costs inf, so the floor skips its
+    combinations. Each combination that reaches a DP reads its slots'
+    feasible (k, cost) lists from the table.
 
-    Each frame's profiles are searched in order of first appearance, and each
-    gets a cost floor before its DP: the cheapest flow cost of every slot,
-    summed in slot order from 0.0 as the DP sums a plan's slot costs, over the
-    frame length, plus the cheapest usage penalty and the profile's delay cost.
-    Floating-point + and / are monotone, so a profile whose floor is not below
-    the best total so far could not replace it, and its DP is skipped; the
-    answer, ties included, is the full search's. Once there is a best plan, a
-    profile that passes its floor gets a second, tighter one from an offset-only
-    DP (`_offset_floor`): the least cost of any plan that ends at the net-flow
-    target, which is the least entry of the full DP's terminal row bit for bit,
-    over the frame length, plus the cheapest usage penalty and the profile's
-    delay cost, and is skipped the same way. A DP fills only the states that can
-    still reach the net-flow target (`_dp_forward`), which leaves the target
-    row, and so the answer, bit for bit as the full table has it.
+    Each frame's combinations are searched in product order, and each gets a
+    cost floor before its DP: the cheapest flow cost of every slot, summed in
+    slot order from 0.0 as the DP sums a plan's slot costs, over the frame
+    length, plus the combination's delay cost (the cheapest usage penalty,
+    k·0², is 0.0 and adds nothing). Floating-point + and / are monotone, so a
+    combination whose floor is not below the best total so far could not
+    replace it, and its DP is skipped; the answer, ties included, is the full
+    search's: the first plan of least total in product order. Once there is a
+    best plan, a combination that passes its floor gets a second, tighter one
+    from an offset-only DP (`_offset_floor`): the least cost of any plan that
+    ends at the net-flow target, which is the least entry of the full DP's
+    terminal row bit for bit, over the frame length, plus the combination's
+    delay cost, and is skipped the same way. A DP fills only the states that
+    can still reach the net-flow target (`_dp_forward`), which leaves the
+    target row, and so the answer, bit for bit as the full table has it.
     """
     battery, weights = bundle.battery, bundle.weights
     T = batch[0][0].length
@@ -416,12 +414,6 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
     for p in range(T):
         served = np.arange(T) - (p + combos[:, p])[:, None]  # slots into the task's service
         demands += np.where((served >= 0) & (served < slots[owner, p, 3, None]), slots[owner, p, 2, None], 0.0)
-    keys = np.round(demands, 12)
-    order = np.lexsort((combos.sum(axis=1), *keys.T[::-1], owner))  # by frame, demand, delay; stable, then product
-    keys, sorted_owner = keys[order], owner[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1) | (sorted_owner[1:] != sorted_owner[:-1])])
-    chosen = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
-    combos, demands, owner = combos[chosen], demands[chosen], owner[chosen]
 
     # Table rows are numbered slot by slot, by frame, then ascending demand.
     order = np.lexsort((demands, np.broadcast_to(owner[:, None], demands.shape)), axis=0)
@@ -430,7 +422,7 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
     profile_rows = np.empty(demands.shape, dtype=int)
     np.put_along_axis(profile_rows, order, new.cumsum().reshape(new.shape).T - 1, axis=0)
     demand, (price, renewable) = column.T[new], slots[row_frame.T[new], np.nonzero(new)[0], :2].T
-    del keys, served, demands, order, column, row_frame  # set-up intermediates the frame loop does not read
+    del served, demands, order, column, row_frame  # set-up intermediates the frame loop does not read
     s_w = np.where(renewable < demand, renewable, demand)  # `controller.renewable_split`
     flows = _slot_flows(demand - s_w, renewable - s_w, battery, bundle.grid, h)
     demand_sw = list(zip(demand.tolist(), s_w.tolist()))
@@ -440,22 +432,21 @@ def _solve_batch(batch, bundle: ModelBundle, h: float) -> list[OracleSolution]:
     for slot_rows in profile_rows.T:
         floors += cheapest[slot_rows]
     usage_penalty = bundle.costs.usage.value(np.arange(n_use) * h / T)
-    least_usage = usage_penalty.min()
     delay_terms = weights.alpha * bundle.costs.delay.value(combos.sum(axis=1) / T)
-    bounds = (floors / T + least_usage + delay_terms).tolist()
+    bounds = (floors / T + delay_terms).tolist()
 
     solutions = []
-    first = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()  # each frame's first profile
+    first = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()  # each frame's first combination
     for f, (frame, o_lo, o_hi, o_target, *_) in enumerate(batch):
         n_off = o_hi - o_lo + 1
         best_value = math.inf
-        best = None  # profile, table rows, actions, DP layers and usage index of the best plan
+        best = None  # combination, table rows, actions, DP layers and usage index of the best plan
         for i, bound in enumerate(bounds[first[f] : first[f + 1]], first[f]):
             if bound >= best_value:
                 continue
             if best is not None:  # the offset-only floor, once there is a best total to compare it with
                 least = _offset_floor(priced[profile_rows[i]], flows.k, n_off, -o_lo, o_target - o_lo)
-                if not least / T + least_usage + delay_terms[i] < best_value:
+                if not least / T + delay_terms[i] < best_value:
                     continue
             slot_rows = profile_rows[i].tolist()
             actions = [list(zip(flows.k[flows.ok[r]].tolist(), priced[r, flows.ok[r]].tolist())) for r in slot_rows]
@@ -965,10 +956,12 @@ def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckR
         task = slot.task
         delay = controller.schedule_load(state, task, weights.mu, task.max_delay) if task else 0
         s_w = controller.renewable_split(demand, slot.renewable)
-        action = controller.energy_control(state, demand, s_w, slot.renewable, slot.price, battery, bundle.grid)
+        e, q, d_rate, s_r, regime = controller.energy_control(
+            state, demand, s_w, slot.renewable, slot.price, battery, bundle.grid
+        )
         rows.append((SlotRecord(
-            state.slot, slot.price, slot.renewable, demand, *action[:3], s_w, action.s_r, delay,
-            state.b, state.z, state.x, state.h_u, state.h_d, action.regime,
+            state.slot, slot.price, slot.renewable, demand, e, q, d_rate, s_w, s_r, delay,
+            state.b, state.z, state.x, state.h_u, state.h_d, regime,
             controller.aux_solution(state.h_u, v, 1.0, costs.usage, battery.gamma_u_cap),
             controller.aux_solution(state.h_d, v, delay_beta, costs.delay, _gamma_d_cap(task, weights.d_avg_max)),
         ), task))

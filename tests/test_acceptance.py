@@ -13,6 +13,8 @@ import pytest
 
 from emsched.controller import design_params, drift_bound_G
 from emsched.model import BatteryParams, CostModel, GridParams, ModelBundle, Weights
+from emsched.scenario import generate_trace
+from emsched.simulator import run_policy
 from emsched.oracle import (
     GridSpec,
     drift_checks,
@@ -34,6 +36,7 @@ from conftest import (
     SMALL_ENERGY_STEP,
     SMALL_FRAME_LENGTH,
     day_bundle,
+    day_profile,
     small_bundle,
 )
 
@@ -150,6 +153,22 @@ class TestCostShapes:
             light = ensemble_means[("total_vs_mu", cap, 1.0)]
             heavy = ensemble_means[("total_vs_mu", cap, 10.0)]
             assert heavy >= light, cap
+
+
+class TestAlphaThreshold:
+    """Why the known red fails (ROADMAP item 3): at the day config's V =
+    V_max the joint policy's delays do not respond to alpha below alpha* =
+    d_avg_max**2 / (2 V), and follow it above."""
+
+    def test_delays_ignore_alpha_below_the_threshold_and_fall_above_it(self):
+        _, _, v = design_params(day_bundle())
+        assert 1.0 < 18**2 / (2 * v) < 20.0  # alpha* ~ 12.7
+        for seed in (0, 2, 3):
+            trace = generate_trace(day_profile(), DAY_HORIZON, seed)
+            low, unit, high = (run_policy(trace, day_bundle(alpha=a), "joint") for a in (0.001, 1.0, 20.0))
+            assert [r.delay for r in low.records] == [r.delay for r in unit.records], seed
+            assert round(low.delay_avg, 4) == round(unit.delay_avg, 4) == 8.9410, seed
+            assert high.delay_avg < 0.2, (seed, high.delay_avg)
 
 
 class TestDesignConstants:

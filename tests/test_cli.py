@@ -553,6 +553,27 @@ class TestSweepCommand:
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sweep", [None, {"alpha": 0.25}], ids=["no_sweep", "alpha_only"])
+    def test_absent_axes_sweep_the_configs_own_values(self, tmp_path, sweep):
+        # small.yaml has d_avg_max 6 and profile max_delay 6; an absent axis
+        # is that single value, and the joint row is the run of the same config.
+        cfg = yaml.safe_load(SMALL.read_text())
+        cfg["experiment"].update(policies=["joint"], replications=1)
+        del cfg["experiment"]["sweep"]
+        if sweep is not None:
+            cfg["experiment"]["sweep"] = sweep
+        run_config, sweep_config = tmp_path / "run.yaml", tmp_path / "sweep.yaml"
+        sweep_config.write_text(yaml.safe_dump(cfg))
+        alpha = cfg["weights"]["alpha"] = 1.0 if sweep is None else sweep["alpha"]
+        run_config.write_text(yaml.safe_dump(cfg))
+        assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["run", "--config", str(run_config), "--out", str(tmp_path / "run")]) == 0
+        (row,) = csv.DictReader(open(tmp_path / "sweep" / "sweep.csv"))
+        point = {axis: row[axis] for axis in ("d_avg_max", "max_delay", "b_max", "alpha", "mu")}
+        assert point == {"d_avg_max": "6", "max_delay": "6", "b_max": "3.0", "alpha": str(alpha), "mu": "1.0"}
+        assert row["error"] == ""
+        assert float(row["total"]) == read_summary(tmp_path / "run" / "summary.txt")["total"]
+
     def test_infeasible_points_become_error_rows(self, tmp_path, capsys):
         # target average delay above the per-load cap: rejected per point
         path = small_config(tmp_path, **{

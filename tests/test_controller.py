@@ -202,47 +202,47 @@ class TestEnergyControl:
 
     def test_cheap_price_charges_and_stores_surplus(self):
         state = make_state(z=-3.0)
-        action = energy_control(state, 0.1, 0.0, 0.05, 0.118, self.BATTERY, self.GRID)
-        assert action.regime == "charge"
-        assert action.s_r == pytest.approx(0.05)
-        assert action.q == pytest.approx(0.115)
-        assert action.e == pytest.approx(0.215)
+        e, q, d_rate, s_r, regime = energy_control(state, 0.1, 0.0, 0.05, 0.118, self.BATTERY, self.GRID)
+        assert regime == "charge"
+        assert s_r == pytest.approx(0.05)
+        assert q == pytest.approx(0.115)
+        assert e == pytest.approx(0.215)
         key2 = state.z - state.h_u
         key1 = key2 + state.v * 0.118
-        assert energy_objective(*action[:4], key1, key2, state.v, self.BATTERY) == pytest.approx(-0.5313, abs=1e-9)
+        value = energy_objective(e, q, d_rate, s_r, key1, key2, state.v, self.BATTERY)
+        assert value == pytest.approx(-0.5313, abs=1e-9)
 
     def test_no_residual_no_surplus_idles(self):
         state = make_state(z=1.0)
         action = energy_control(state, 0.05, 0.05, 0.05, 0.1, self.BATTERY, self.GRID)
-        assert action.regime == "idle"
         assert action == (0.0, 0.0, 0.0, 0.0, "idle")
 
     def test_high_queue_discharges_into_residual_demand(self):
         state = make_state(z=0.5)
-        action = energy_control(state, 0.2, 0.0, 0.0, 0.118, self.BATTERY, self.GRID)
-        assert action.regime == "discharge"
-        assert action.d_rate == pytest.approx(0.165)
-        assert action.e == pytest.approx(0.035)
+        e, _, d_rate, _, regime = energy_control(state, 0.2, 0.0, 0.0, 0.118, self.BATTERY, self.GRID)
+        assert regime == "discharge"
+        assert d_rate == pytest.approx(0.165)
+        assert e == pytest.approx(0.035)
 
     def test_discharge_entry_fee_can_keep_the_battery_idle(self):
         pricey = replace(self.BATTERY, c_dc=1.0)
         state = make_state(z=0.5)
-        action = energy_control(state, 0.2, 0.0, 0.0, 0.118, pricey, self.GRID)
-        assert action.regime == "idle"
-        assert action.e == pytest.approx(0.2)
+        e, *_, regime = energy_control(state, 0.2, 0.0, 0.0, 0.118, pricey, self.GRID)
+        assert regime == "idle"
+        assert e == pytest.approx(0.2)
 
     def test_value_ties_resolve_to_idle(self):
         state = make_state(z=0.0, v=0.0)
-        action = energy_control(state, 0.1, 0.0, 0.0, 0.118, self.BATTERY, self.GRID)
-        assert action.regime == "idle"
+        *_, regime = energy_control(state, 0.1, 0.0, 0.0, 0.118, self.BATTERY, self.GRID)
+        assert regime == "idle"
 
     def test_mixed_band_stores_surplus_without_buying(self):
         # key1 > 0 > key2: charging from the grid is a loss but free surplus is not
         state = make_state(z=-0.5)
-        action = energy_control(state, 0.05, 0.05, 0.25, 0.118, self.BATTERY, self.GRID)
-        assert action.regime == "charge"
-        assert action.q == 0.0
-        assert action.s_r == pytest.approx(0.165)
+        _, q, _, s_r, regime = energy_control(state, 0.05, 0.05, 0.25, 0.118, self.BATTERY, self.GRID)
+        assert regime == "charge"
+        assert q == 0.0
+        assert s_r == pytest.approx(0.165)
 
     def test_unservable_demand_is_a_hard_error(self):
         state = make_state(z=2.0)
@@ -271,12 +271,12 @@ def slot_situations(draw):
 def test_energy_control_respects_flow_limits_and_balance(situation):
     state, demand_l, s_w, renewable, price = situation
     battery, grid = BatteryParams(), GridParams()
-    action = energy_control(state, demand_l, s_w, renewable, price, battery, grid)
-    assert -1e-12 <= action.e <= grid.e_max + 1e-12
-    assert -1e-12 <= action.q + action.s_r <= battery.r_max + 1e-12
-    assert -1e-12 <= action.d_rate <= battery.d_max_rate + 1e-12
-    assert (action.q + action.s_r) * action.d_rate == 0.0  # never both directions
-    assert action.e - action.q + s_w + action.d_rate == pytest.approx(demand_l, abs=1e-12)
+    e, q, d_rate, s_r, _ = energy_control(state, demand_l, s_w, renewable, price, battery, grid)
+    assert -1e-12 <= e <= grid.e_max + 1e-12
+    assert -1e-12 <= q + s_r <= battery.r_max + 1e-12
+    assert -1e-12 <= d_rate <= battery.d_max_rate + 1e-12
+    assert (q + s_r) * d_rate == 0.0  # never both directions
+    assert e - q + s_w + d_rate == pytest.approx(demand_l, abs=1e-12)
 
 
 def _scales_exactly(situation) -> bool:

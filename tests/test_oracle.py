@@ -102,14 +102,16 @@ class TestSubproblemOracles:
 
 def grid_before_surplus(action, residual, grid):
     """The same charge, bought from the grid as far as e_max allows."""
-    charge = action.q + action.s_r
+    _, q, d_rate, s_r, regime = action
+    charge = q + s_r
     q = min(charge, max(grid.e_max - residual, 0.0))
-    return action._replace(e=residual + q, q=q, s_r=charge - q)
+    return residual + q, q, d_rate, charge - q, regime
 
 
 def half_discharge(action, residual, grid):
     """Half the discharge the rule chose."""
-    return action._replace(e=action.e + action.d_rate / 2, d_rate=action.d_rate / 2)
+    e, q, d_rate, s_r, regime = action
+    return e + d_rate / 2, q, d_rate / 2, s_r, regime
 
 
 class TestEquivalenceBattery:
@@ -188,7 +190,8 @@ class TestEquivalenceBattery:
                 return action
             # a purchase 10 kWh off in the direction that raises e*key1
             key1 = state.z - state.h_u + state.v * price
-            return action._replace(e=action.e + math.copysign(10.0, key1))
+            e, *flows = action
+            return e + math.copysign(10.0, key1), *flows
 
         monkeypatch.setattr(controller, "energy_control", sometimes_wrong)
         report = equivalence_battery(bundle, n_states=n_states, seed=2024)
@@ -665,11 +668,12 @@ def full_dp_forward(actions, n_off: int, n_use: int, o_lo: int) -> list[np.ndarr
 
 def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> oracle.OracleSolution:
     """The frame search with a full-table DP (`full_dp_forward`) on every
-    feasible demand profile: the reference the cost-floor skip and the DP
-    window must match. The delay choices and each combo's demand profile are
-    built here, one combo at a time and priced in its own table, with rows
-    range(T), and each row's feasible (k, cost) list is built here from that
-    table; the slot flows, walk back and plan come from the oracle's own helpers."""
+    budget-feasible delay combination, in product order: the reference the
+    cost-floor skip and the DP window must match. The delay choices and each
+    combo's demand profile are built here, one combo at a time and priced in
+    its own table, with rows range(T), and each row's feasible (k, cost) list
+    is built here from that table; the slot flows, walk back and plan come
+    from the oracle's own helpers."""
     T, h = frame.length, grid.energy_step
     battery, grid_params, weights = bundle.battery, bundle.grid, bundle.weights
     tol = oracle._FEAS_TOL
@@ -678,16 +682,6 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     # in-frame demand, so each range stops at the first such delay.
     arrivals = [(p, s.task) for p, s in enumerate(frame.slots) if s.task is not None]
     choices = [range(0, min(task.max_delay, T - p) + 1) for p, task in arrivals]
-    profiles = {}
-    for combo in itertools.product(*choices):
-        if sum(combo) > T * weights.d_avg_max:
-            continue
-        demand = np.zeros(T)
-        for (p, task), d in zip(arrivals, combo):
-            demand[p + d : p + d + task.duration] += task.intensity
-        key = tuple(np.round(demand, 12))
-        if key not in profiles or sum(combo) < profiles[key][1]:
-            profiles[key] = (demand, sum(combo), combo)
     o_lo = max(-T * k_discharge, int(math.ceil((battery.b_min - frame.boundary_b) / h - tol)))
     o_hi = min(T * k_charge, int(math.floor((battery.b_max - frame.boundary_b) / h + tol)))
     n_off, n_use = o_hi - o_lo + 1, T * max(k_charge, k_discharge) + 1
@@ -697,7 +691,13 @@ def unpruned_lookahead(frame: Frame, bundle: ModelBundle, grid: GridSpec) -> ora
     best, best_value = None, math.inf
     renewable = np.array([slot.renewable for slot in frame.slots])
     price = np.array([[slot.price] for slot in frame.slots])
-    for demand, delay_sum, combo in profiles.values():
+    for combo in itertools.product(*choices):
+        delay_sum = sum(combo)
+        if delay_sum > T * weights.d_avg_max:
+            continue
+        demand = np.zeros(T)
+        for (p, task), d in zip(arrivals, combo):
+            demand[p + d : p + d + task.duration] += task.intensity
         s_w = [controller.renewable_split(d, slot.renewable) for d, slot in zip(demand.tolist(), frame.slots)]
         table = oracle._slot_flows(demand - s_w, renewable - s_w, battery, grid_params, h)
         cost = table.e * price + table.entry
@@ -779,7 +779,8 @@ class TestCostFloorSkip:
 
     def test_equal_delay_sums_keep_the_first_combo(self):
         # Delays (1, 1) and (2, 0) both leave demand only in slot 1, at the same
-        # delay sum; that profile wins, and product order puts (1, 1) first.
+        # delay sum, so their totals tie; that demand wins, and of tied
+        # combinations the search keeps the first in product order, (1, 1).
         bundle = ModelBundle(
             costs=CostModel.quadratic(0.2, None, d_avg_max=2), weights=Weights(alpha=0.012, d_avg_max=2), horizon=2
         )
@@ -795,8 +796,9 @@ class TestCostFloorSkip:
 
     def test_equal_profiles_keep_the_least_total_delay(self):
         # The first load has zero intensity, so it leaves the same demand at
-        # every delay: delays (0, d) and (1, d) make one profile, which keeps
-        # its least total delay, the one whose delay cost is lowest.
+        # every delay: delays (0, d) and (1, d) leave one profile, and (1, d)
+        # costs more delay. Product order searches (0, d) first, and the strict
+        # < keeps it, the least total delay of its profile.
         bundle = ModelBundle(
             costs=CostModel.quadratic(0.2, None, d_avg_max=2), weights=Weights(alpha=1.0, d_avg_max=2), horizon=2
         )

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from emsched import controller
-from emsched.controller import ControllerState, EnergyAction
+from emsched.controller import ControllerState
 from emsched.cli import load_experiment, main
 from emsched.model import (
     CostModel,
@@ -518,7 +518,7 @@ class TestSlotLoopHooks:
         assert len(states) == 3 + len(summary.records)
         assert all(type(s) is ControllerState for s in states)
         assert len(returned["energy_control"]) == len(summary.records)
-        assert all(type(a) is EnergyAction for a in returned["energy_control"])
+        assert all(type(a) is tuple and len(a) == 5 for a in returned["energy_control"])
         # `_make` checks the arity that a bare `tuple.__new__` would not.
         with pytest.raises(TypeError):
             SlotRecord._make(tuple(summary.records[0])[:17])
