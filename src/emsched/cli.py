@@ -73,7 +73,7 @@ _TYPE_NAMES = {
 
 class SweepPoint(NamedTuple):
     d_avg_max: int
-    max_delay: int
+    max_delay: int | None  # None: the trace file's own caps
     b_max: float
     alpha: float
     mu: float
@@ -82,10 +82,11 @@ class SweepPoint(NamedTuple):
 @dataclass(frozen=True)
 class SweepAxes:
     """Cartesian sweep grid. An axis the config leaves out is None until
-    `load_experiment` fills it with the config's own single value."""
+    `load_experiment` fills it with the config's own single value; over a
+    trace file, max_delay's is None, which keeps the file's own caps."""
 
     d_avg_max: tuple[int, ...] | None = None
-    max_delay: tuple[int, ...] | None = None
+    max_delay: tuple[int | None, ...] | None = None
     b_max: tuple[float, ...] | None = None
     alpha: tuple[float, ...] | None = None
     mu: tuple[float, ...] | None = None
@@ -242,7 +243,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if problems:
         raise ConfigurationError("; ".join(problems))
     weights = config.weights
-    own = SweepPoint(weights.d_avg_max, scenario.profile.max_delay, config.battery.b_max, weights.alpha, weights.mu)
+    max_delay = None if scenario.trace else scenario.profile.max_delay
+    own = SweepPoint(weights.d_avg_max, max_delay, config.battery.b_max, weights.alpha, weights.mu)
     axes = (getattr(exp.sweep, axis) or (value,) for axis, value in zip(own._fields, own))
     exp = replace(exp, sweep=SweepAxes(*axes))
     return ExperimentSpec(
@@ -426,16 +428,16 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     simulated once, under the first valid point with its key, and its columns
     fill the row of every point that shares the key: a baseline's run is
     shared by all points with the same b_max. Each trace is made once per
-    (max_delay, replication), from the trace file when there is one.
+    (max_delay, replication), from the trace file if any (None keeps its caps).
     """
     points = spec.sweep.points()
     loaded = functools.cache(lambda seed: _load_or_generate(spec, seed))
 
     @functools.cache
-    def trace_for(max_delay: int, seed: int) -> Trace:
+    def trace_for(max_delay: int | None, seed: int) -> Trace:
         if spec.trace_path is None:
             return _load_or_generate(replace(spec, profile=replace(spec.profile, max_delay=max_delay)), seed)
-        return _with_max_delay(loaded(seed), max_delay)
+        return loaded(seed) if max_delay is None else _with_max_delay(loaded(seed), max_delay)
 
     errors: dict[tuple[int, int], dict] = {}  # (point index, replication) -> error columns
     jobs: dict[tuple, tuple[Trace, ModelBundle, str]] = {}  # run key -> its run

@@ -2,7 +2,7 @@
 
 Three layers of independent verification live here:
 
-* per-slot grid searches over each control subproblem, used to confirm the
+* per-slot searches over each control subproblem, used to confirm the
   closed-form rules are actual minimizers,
 * an exhaustive short-frame look-ahead optimizer (non-causal, sees the whole
   frame) that lower-bounds what any policy could pay on that frame under the
@@ -12,12 +12,12 @@ Three layers of independent verification live here:
 
 The look-ahead optimizer is deliberately a lattice search, not an LP/QP: at
 desk scale it is exact within one grid step per energy coordinate and needs
-no solver to trust.
+no solver to trust. Its lattice flows per slot (`_slot_flows`) take the
+renewable surplus before the grid; v >= 0 and prices >= 0 make that exact.
 
-Both energy searches, `slot_mismatches`' `_energy_minima` and the
-frame optimizer, price one table of lattice flows per slot (`_slot_flows`),
-whose charges take the renewable surplus before the grid; v >= 0 and
-prices >= 0 make that exact.
+A single slot's energy decision needs no lattice: its per-slot bound is
+linear in each direction's flow, so `_energy_minima` prices the five points
+where its exact minimum lies.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
-_STATE_BLOCK = 32  # rows `slot_mismatches` prices per energy table; bounds only its memory
-_AUX_BLOCK = 1024  # rows `slot_mismatches` prices per gamma table; bounds only its memory
-_BATTERY_ENERGY_STEP = 1e-3  # energy lattice of `slot_mismatches`
 _GAMMA_STEP = 1e-4  # auxiliary gamma lattice
 _LADDER = 10  # each level of the gamma search scans 2*_LADDER + 1 points, a tenth of the last stride apart
 _MAX_NODES = 1e8  # largest frame search `lookahead_optima` enumerates
@@ -188,7 +185,7 @@ def _slot_flows(
     grid: GridParams,
     step: float,
 ) -> _SlotFlows:
-    """Every lattice energy flow of each slot: the one enumeration both oracles price.
+    """Every lattice energy flow of each slot, as the frame oracle prices them.
 
     1-D `residual` and `surplus` give a row per slot, bit for bit the scalar
     call's. The order is fixed: idle, then charges of k*step for k = 1..k_charge,
@@ -231,19 +228,25 @@ def _flow_counts(battery: BatteryParams, step: float) -> tuple[int, int]:
     return math.floor(battery.r_max / step + _FEAS_TOL), math.floor(battery.d_max_rate / step + _FEAS_TOL)
 
 
-def _energy_minima(states: Sequence[tuple], battery: BatteryParams, grid: GridParams, step: float) -> np.ndarray:
-    """Each state's least per-slot bound e*key1 + s_r*key2 + v*entry over its
-    lattice flows, for states (slot, residual, surplus, key1, key2, v). Raises
-    `InfeasibleSlot` for the first state with no feasible flow."""
-    slots, residual, surplus, key1, key2, v = (np.array(column) for column in zip(*states))
-    flows = _slot_flows(residual, surplus, battery, grid, step)
-    values = np.where(flows.ok, flows.e * key1[:, None] + flows.s_r * key2[:, None] + v[:, None] * flows.entry, np.inf)
-    best = values.argmin(axis=1)
-    feasible = flows.ok[np.arange(len(states)), best]
-    if not feasible.all():
-        j = int(feasible.argmin())
-        raise InfeasibleSlot(int(slots[j]), float(residual[j]), grid.e_max, "grid oracle found no feasible point")
-    return values.min(axis=1)
+def _energy_minima(residual, surplus, key1, key2, v: float, battery: BatteryParams, grid: GridParams) -> np.ndarray:
+    """Each slot's exact least e*key1 + s_r*key2 + v*entry over its feasible
+    flows, inf if none, for 1-D residual, surplus, key1 and key2. The bound is
+    linear in each direction's flow, and a charge bends only once it has taken
+    the surplus (first, as `_slot_flows` argues), so the minimum is at one of
+    five points, a column each: idle; a charge of min(surplus, r_max) from the
+    surplus, and the same topped up from the grid to min(r_max, surplus +
+    e_max - residual); a discharge of min(d_max_rate, residual); and the
+    forced discharge residual - e_max, if in (0, d_max_rate]. A point is
+    feasible when e <= e_max + GRID_CAP_TOL; no battery level is known here."""
+    zero = np.zeros_like(residual)
+    s_r = np.minimum(surplus, battery.r_max)
+    top_up = np.maximum(np.minimum(battery.r_max - s_r, grid.e_max - residual), 0.0)
+    s_r, q = np.column_stack((zero, s_r, s_r, zero, zero)), np.column_stack((zero, zero, top_up, zero, zero))
+    d_rate = np.column_stack((zero, zero, zero, np.minimum(battery.d_max_rate, residual), residual - grid.e_max))
+    e = residual[:, None] + q - d_rate
+    entry = np.where(q + s_r > 0.0, battery.c_rc, 0.0) + np.where(d_rate > 0.0, battery.c_dc, 0.0)
+    ok = (e <= grid.e_max + GRID_CAP_TOL) & (0.0 <= d_rate) & (d_rate <= battery.d_max_rate)
+    return np.where(ok, e * key1[:, None] + s_r * key2[:, None] + v * entry, np.inf).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -891,12 +894,8 @@ def _gamma_d_cap(task: LoadTask | None, d_avg_max: int) -> float:
 
 def _aux_mismatches(cost: QuadraticCost, h: np.ndarray, vb: np.ndarray, cap: np.ndarray, gamma: np.ndarray) -> int:
     """Count rows whose gamma is off the first argmin of h*g + vb*C(g) on the gamma lattice by over one step."""
-    bad = 0
-    for lo in range(0, len(h), _AUX_BLOCK):
-        block = slice(lo, lo + _AUX_BLOCK)
-        grid_g, _ = _aux_argmins(cost, cap[block], h[block], vb[block])
-        bad += int((np.abs(gamma[block] - grid_g) > _GAMMA_STEP + 1e-9).sum())
-    return bad
+    grid_g, _ = _aux_argmins(cost, cap, h, vb)
+    return int((np.abs(gamma - grid_g) > _GAMMA_STEP + 1e-9).sum())
 
 
 def slot_mismatches(
@@ -912,30 +911,28 @@ def slot_mismatches(
     enumeration's (`oracle_schedule`); gamma_u and gamma_d must lie within one
     gamma step of their lattice argmins, gamma_d's cap being min(cap,
     d_avg_max), or d_avg_max in a slot with no task, as `run_policy` has it;
-    and the flows must be no worse than any lattice flow (dominance) and
-    within the lattice's one-step value slack of the best (slack). A
-    `no_storage` record is no row: its battery is pinned idle, which a
-    lattice flow beats in every completing no-storage run of the default
-    and small configs, seeds 0-99. Raises `InfeasibleSlot` for the first row
-    with no feasible lattice flow.
+    and the flows' value must be no worse than the exact minimum
+    (`_energy_minima`, dominance) and no better (slack, a flow outside the
+    feasible set), within 1e-9. A `no_storage` record is no row: its battery
+    is pinned idle, which a feasible flow beats in every completing
+    no-storage run of the default and small configs, seeds 0-99. Raises
+    `InfeasibleSlot` for the first row with no feasible flow.
     """
-    weights, battery = bundle.weights, bundle.battery
+    weights, battery, grid = bundle.weights, bundle.battery, bundle.grid
     schedule_bad = sum(r.delay != oracle_schedule(r, task, weights.mu) for r, task in rows if task is not None)
 
-    # The energy lattices are priced a block of rows per table, in row order.
-    energy, closed = [], []  # (slot, residual, surplus, key1, key2, v) and the decision's value
+    energy = []  # (residual, surplus, key1, key2, the decision's value)
     for r, _ in rows:
         key2 = r.z - r.h_u
         key1 = key2 + v * r.price
-        closed.append(controller.energy_objective(r.e, r.q, r.d_rate, r.s_r, key1, key2, v, battery))
-        energy.append((r.slot, r.demand - r.s_w, r.renewable - r.s_w, key1, key2, v))
-    dominance_bad = slack_bad = 0
-    for lo in range(0, len(energy), _STATE_BLOCK):
-        block = energy[lo : lo + _STATE_BLOCK]
-        lattice = _energy_minima(block, battery, bundle.grid, _BATTERY_ENERGY_STEP)
-        for (*_, key1, key2, _), closed_v, grid_v in zip(block, closed[lo:], lattice.tolist()):
-            dominance_bad += closed_v > grid_v + 1e-9
-            slack_bad += grid_v > closed_v + _BATTERY_ENERGY_STEP * (abs(key1) + abs(key2)) + 1e-9
+        closed = controller.energy_objective(r.e, r.q, r.d_rate, r.s_r, key1, key2, v, battery)
+        energy.append((r.demand - r.s_w, r.renewable - r.s_w, key1, key2, closed))
+    residual, surplus, key1, key2, closed = np.array(energy).reshape(-1, 5).T
+    exact = _energy_minima(residual, surplus, key1, key2, v, battery, grid)
+    if np.isinf(exact).any():
+        j = int(np.isinf(exact).argmax())
+        raise InfeasibleSlot(rows[j][0].slot, float(residual[j]), grid.e_max, "grid oracle found no feasible point")
+    dominance_bad, slack_bad = int((closed > exact + 1e-9).sum()), int((closed < exact - 1e-9).sum())
 
     n, delay_vb = len(rows), v * (weights.alpha / weights.mu)
     h_u, gamma_u, h_d, gamma_d = np.array([(r.h_u, r.gamma_u, r.h_d, r.gamma_d) for r, _ in rows]).reshape(n, 4).T

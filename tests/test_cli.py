@@ -574,6 +574,26 @@ class TestSweepCommand:
         assert row["error"] == ""
         assert float(row["total"]) == read_summary(tmp_path / "run" / "summary.txt")["total"]
 
+    def test_an_absent_max_delay_axis_keeps_a_trace_files_caps(self, tmp_path):
+        # The file is generated at max_delay 7, over small.yaml's profile 6;
+        # with no axis given, the sweep's joint row is the run of the config,
+        # which schedules to the file's caps (0.166804, not 0.226600 at cap 6).
+        cfg = yaml.safe_load(SMALL.read_text())
+        cfg["scenario"]["profile"]["max_delay"] = 7
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["gen-trace", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]) == 0
+        cfg = yaml.safe_load(SMALL.read_text())
+        cfg["scenario"]["trace"] = str(tmp_path / "trace_seed0.csv")
+        cfg["experiment"].update(policies=["joint"], replications=1)
+        del cfg["experiment"]["sweep"]
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        (row,) = csv.DictReader(open(tmp_path / "sweep" / "sweep.csv"))
+        assert (row["max_delay"], row["error"]) == ("", "")
+        assert float(row["total"]) == read_summary(tmp_path / "run" / "summary.txt")["total"]
+
     def test_infeasible_points_become_error_rows(self, tmp_path, capsys):
         # target average delay above the per-load cap: rejected per point
         path = small_config(tmp_path, **{

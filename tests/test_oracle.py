@@ -55,18 +55,23 @@ def two_slot_frame(alpha: float) -> tuple[Frame, ModelBundle]:
     return Frame(start=0, slots=slots, boundary_b=0.0), bundle
 
 
-def energy_row(state, residual, surplus, price):
-    """A state's row for `oracle._energy_minima`, keyed as `equivalence_battery`
-    keys it: (slot, residual, surplus, key1, key2, v)."""
+def energy_keys(state, price):
+    """A state's (key1, key2) at `price`, keyed as `slot_mismatches` keys a record."""
     key2 = state.z - state.h_u
-    return (state.slot, residual, surplus, key2 + state.v * price, key2, state.v)
+    return key2 + state.v * price, key2
 
 
-def sample_row(state, slot, demand):
-    """A sampled (state, slot, demand)'s row for `oracle._energy_minima`, its
-    residual and surplus taken after the renewable split as a run takes them."""
-    s_w = controller.renewable_split(demand, slot.renewable)
-    return energy_row(state, demand - s_w, slot.renewable - s_w, slot.price)
+def exact_minimum(residual, surplus, key1, key2, v, bundle):
+    """`oracle._energy_minima` of one slot."""
+    columns = (np.array([value]) for value in (residual, surplus, key1, key2))
+    return float(oracle._energy_minima(*columns, v, bundle.battery, bundle.grid)[0])
+
+
+def lattice_minimum(residual, surplus, key1, key2, v, bundle, step):
+    """The least per-slot bound e*key1 + s_r*key2 + v*entry over one slot's
+    `oracle._slot_flows` lattice, inf when no lattice flow is feasible."""
+    flows = oracle._slot_flows(residual, surplus, bundle.battery, bundle.grid, step)
+    return float(np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + v * flows.entry, np.inf).min())
 
 
 def idle_record(state, slot, demand):
@@ -88,16 +93,15 @@ class TestSubproblemOracles:
         assert g[0] == pytest.approx(0.1, abs=1e-4)
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
-        state = make_state(z=-3.0)
-        bundle = day_bundle()
-        row = energy_row(state, 0.1, 0.05, 0.118)
-        values = oracle._energy_minima([row], bundle.battery, bundle.grid, 1e-3)
-        flows = oracle._slot_flows(0.1, 0.05, bundle.battery, bundle.grid, 1e-3)
-        *_, key1, key2, v = row
-        i = np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + v * flows.entry, np.inf).argmin()
-        assert values[0] == pytest.approx(-0.5313, abs=1e-6)
-        assert flows.k[i] > 0  # a charge
-        assert flows.s_r[i] == pytest.approx(0.05, abs=1e-3)
+        # the surplus 0.05 topped up from the grid to r_max, as the rule charges
+        state, bundle = make_state(z=-3.0), day_bundle()
+        key1, key2 = energy_keys(state, 0.118)
+        exact = exact_minimum(0.1, 0.05, key1, key2, state.v, bundle)
+        action = controller.energy_control(state, 0.1, 0.0, 0.05, 0.118, bundle.battery, bundle.grid)
+        assert exact == pytest.approx(-0.5313, abs=1e-6)
+        assert action[1:4] == pytest.approx((0.115, 0.0, 0.05))
+        assert exact == controller.energy_objective(*action[:4], key1, key2, state.v, bundle.battery)
+        assert exact == lattice_minimum(0.1, 0.05, key1, key2, state.v, bundle, 1e-3)
 
 
 def grid_before_surplus(action, residual, grid):
@@ -168,20 +172,27 @@ class TestEquivalenceBattery:
         assert not report.passed
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
-    @pytest.mark.parametrize("n_states, wrong_at", [
-        (2 * oracle._STATE_BLOCK + 5, (0, oracle._STATE_BLOCK - 1, oracle._STATE_BLOCK, 2 * oracle._STATE_BLOCK + 4)),
-        (oracle._STATE_BLOCK - 7, (0, oracle._STATE_BLOCK - 8)),
-    ], ids=["several_blocks", "one_partial_block"])
-    def test_energy_mismatches_are_counted_across_block_boundaries(self, monkeypatch, n_states, wrong_at):
-        # The lattice is priced a block of states at a time; a closed form that
-        # is wrong on the first and last state of the first block, the first
-        # state of the second block and the last state overall is counted on
-        # exactly those states.
-        bundle = day_bundle()
+    def test_a_flow_outside_the_feasible_set_is_caught_as_slack(self, monkeypatch):
+        # 0.05 kWh more bought and charged in every grid-charging decision is a
+        # charge past r_max, whose value no feasible flow reaches.
+        exact = controller.energy_control
+
+        def overcharge(state, demand_l, s_w, renewable, price, battery, grid):
+            e, q, d_rate, s_r, regime = exact(state, demand_l, s_w, renewable, price, battery, grid)
+            return (e + 0.05, q + 0.05, d_rate, s_r, regime) if q > 0.0 else (e, q, d_rate, s_r, regime)
+
+        monkeypatch.setattr(controller, "energy_control", overcharge)
+        report = equivalence_battery(day_bundle(), n_states=300, seed=2024)
+        assert (report["energy_slack"].achieved, report["energy_dominance"].achieved) == (131.0, 0.0)
+
+    def test_energy_mismatches_are_counted_per_state(self, monkeypatch):
+        # A closed form that is wrong on four known states (the first, the last
+        # and two between) is counted on exactly those states.
+        bundle, n_states, wrong_at = day_bundle(), 69, (0, 5, 40, 68)
         a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, n_states, seed=2024, a_o=a_o, v=v_max)
         wrong = {samples[i][0].z for i in wrong_at}
-        assert len(wrong) == len(wrong_at) and n_states % oracle._STATE_BLOCK != 0
+        assert len(wrong) == len(wrong_at)
         exact = controller.energy_control
 
         def sometimes_wrong(state, demand_l, s_w, renewable, price, battery, grid):
@@ -198,9 +209,9 @@ class TestEquivalenceBattery:
         assert report["energy_dominance"].achieved == float(len(wrong_at))
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
-    def test_an_infeasible_state_raises_as_a_one_row_search_does(self):
+    def test_an_infeasible_state_raises_for_the_first_such_row(self):
         # States 1 and 3 need more than e_max even after the largest discharge;
-        # the comparison names the first, exactly as a search of that state alone would.
+        # the comparison names the first, with its residual demand.
         bundle = day_bundle()
         a_o, v_max, _ = controller.design_params(bundle)
         samples = sample_slot_states(bundle, 5, seed=7, a_o=a_o, v=v_max)
@@ -209,14 +220,12 @@ class TestEquivalenceBattery:
             state, slot, demand = samples[i]
             s_w = controller.renewable_split(demand, slot.renewable)
             samples[i] = (state._replace(slot=10 + i), slot._replace(renewable=s_w), s_w + overload)
-        with pytest.raises(InfeasibleSlot) as expected:
-            oracle._energy_minima([sample_row(*samples[1])], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)
-
         rows = [(idle_record(*sample), sample[1].task) for sample in samples]
         with pytest.raises(InfeasibleSlot) as err:
             slot_mismatches(rows, bundle, v_max)
-        assert str(err.value) == str(expected.value)
-        assert "slot 11:" in str(err.value)
+        assert str(err.value) == (
+            "slot 11: required grid purchase 0.475000 kWh exceeds E_max=0.300000 (grid oracle found no feasible point)"
+        )
 
     def test_each_sampled_state_is_split_as_a_run_splits_it(self, monkeypatch):
         # s_w is not drawn: the run's renewable split gives it, once per state,
@@ -228,28 +237,6 @@ class TestEquivalenceBattery:
         monkeypatch.setattr(controller, "renewable_split", lambda *args: calls.append(args) or split(*args))
         equivalence_battery(bundle, n_states=50, seed=3)
         assert calls == [(demand, slot.renewable) for _, slot, demand in samples]
-
-    @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
-    def test_batched_lattice_values_equal_one_row_searches(self, monkeypatch, make_bundle):
-        bundle = make_bundle()
-        n_states, seed = 3 * oracle._STATE_BLOCK + 11, 31
-        batched = []
-        energy_minima = oracle._energy_minima
-
-        def recorded(*args):
-            result = energy_minima(*args)
-            batched.extend(result.tolist())
-            return result
-
-        monkeypatch.setattr(oracle, "_energy_minima", recorded)
-        equivalence_battery(bundle, n_states=n_states, seed=seed)
-        monkeypatch.undo()
-        a_o, _, v = controller.design_params(bundle)
-        per_state = [
-            oracle._energy_minima([sample_row(*sample)], bundle.battery, bundle.grid, oracle._BATTERY_ENERGY_STEP)[0]
-            for sample in sample_slot_states(bundle, n_states, seed, a_o, v)
-        ]
-        assert batched == per_state
 
     @pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
     def test_sampled_states_admit_feasible_actions(self, make_bundle):
@@ -460,6 +447,16 @@ def test_aux_answers_over_one_gamma_step_off_are_caught(monkeypatch, steps):
     assert pruned == reference == (0.0 if steps == 1 else float(n_moved))
 
 
+@pytest.mark.parametrize("alpha, counts", [(1.0, (0, 0)), (0.5, (11, 48)), (4.0, (29, 112))])
+def test_an_aux_rule_that_ignores_beta_is_caught_where_alpha_is_not_mu(monkeypatch, alpha, counts):
+    # gamma_d's weight is v*alpha/mu; a rule that weighs it by v alone is the
+    # exact rule at alpha = mu, and off elsewhere (day, then small bundle).
+    exact = controller.aux_solution
+    monkeypatch.setattr(controller, "aux_solution", lambda h, v, beta, cost, cap: exact(h, v, 1.0, cost, cap))
+    for make_bundle, count in zip((day_bundle, small_bundle), counts):
+        assert equivalence_battery(make_bundle(alpha=alpha), 300, 2024)["aux_equivalence"].achieved == count
+
+
 def explicit_energy_grid_min(residual, surplus, key1, key2, v, battery, grid, step):
     """The per-slot energy bound minimised over idle, every (s_r, q) charge and
     every discharge whose amounts are multiples of `step`."""
@@ -503,14 +500,8 @@ def test_surplus_first_flows_lose_nothing_to_the_full_charge_grid(params):
     (s_r, q) plane: the shared flow table's minimum is never above it."""
     z, h_u, v, residual, surplus, price, step = params
     bundle = day_bundle()
-    state = make_state(z=z, h_u=h_u, v=v)
-    try:
-        row = energy_row(state, residual, surplus, price)
-        table_min = oracle._energy_minima([row], bundle.battery, bundle.grid, step)[0]
-    except InfeasibleSlot:
-        table_min = math.inf
-    key2 = z - h_u
-    key1 = key2 + v * price
+    key1, key2 = energy_keys(make_state(z=z, h_u=h_u, v=v), price)
+    table_min = lattice_minimum(residual, surplus, key1, key2, v, bundle, step)
     grid_min = explicit_energy_grid_min(residual, surplus, key1, key2, v, bundle.battery, bundle.grid, step)
     if math.isinf(grid_min):
         assert math.isinf(table_min)
@@ -530,6 +521,26 @@ def test_a_grid_first_flow_table_fails_the_surplus_first_property(monkeypatch):
     monkeypatch.setattr(oracle, "_slot_flows", grid_first)
     with pytest.raises(AssertionError):
         test_surplus_first_flows_lose_nothing_to_the_full_charge_grid()
+
+
+@given(energy_slots())
+@example((-2.0, 0.0, 10.0, 0.0, 0.1, 0.1, 0.015))  # charging from the surplus pays
+@example((-2.0, 0.0, 10.0, 0.4, 0.0, 0.1, 0.015))  # forced: the least discharge that meets e_max
+@example((2.0, 0.0, 10.0, 0.5, 0.0, 0.1, 0.015))  # no discharge meets e_max
+@settings(max_examples=150, deadline=None)
+def test_the_exact_minimum_is_within_one_lattice_step_of_the_lattice(params):
+    """A brute force that owes nothing to the five points: every lattice flow
+    is feasible, so none beats the exact minimum, and one lies within a step
+    of each of its points; no lattice flow is feasible where no point is."""
+    z, h_u, v, residual, surplus, price, step = params
+    bundle = day_bundle()
+    key1, key2 = energy_keys(make_state(z=z, h_u=h_u, v=v), price)
+    exact = exact_minimum(residual, surplus, key1, key2, v, bundle)
+    lattice = lattice_minimum(residual, surplus, key1, key2, v, bundle, step)
+    if math.isinf(exact):
+        assert math.isinf(lattice)
+    elif math.isfinite(lattice):
+        assert exact <= lattice <= exact + step * (abs(key1) + abs(key2)) + 1e-9
 
 
 def test_no_feasible_flow_buys_a_negative_amount():
