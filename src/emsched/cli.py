@@ -243,7 +243,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if problems:
         raise ConfigurationError("; ".join(problems))
     weights = config.weights
-    max_delay = None if scenario.trace else scenario.profile.max_delay
+    max_delay = scenario.profile.max_delay if scenario.trace is None else None
     own = SweepPoint(weights.d_avg_max, max_delay, config.battery.b_max, weights.alpha, weights.mu)
     axes = (getattr(exp.sweep, axis) or (value,) for axis, value in zip(own._fields, own))
     exp = replace(exp, sweep=SweepAxes(*axes))

@@ -173,8 +173,9 @@ class TestEquivalenceBattery:
         assert report["schedule_equivalence"].passed and report["aux_equivalence"].passed
 
     def test_a_flow_outside_the_feasible_set_is_caught_as_slack(self, monkeypatch):
-        # 0.05 kWh more bought and charged in every grid-charging decision is a
-        # charge past r_max, whose value no feasible flow reaches.
+        # 0.05 kWh more bought and charged in every grid-charging decision takes
+        # the charge past r_max or the purchase past e_max: a value no feasible
+        # flow reaches.
         exact = controller.energy_control
 
         def overcharge(state, demand_l, s_w, renewable, price, battery, grid):
