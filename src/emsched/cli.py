@@ -86,7 +86,7 @@ class SweepAxes:
     trace file, max_delay's is None, which keeps the file's own caps."""
 
     d_avg_max: tuple[int, ...] | None = None
-    max_delay: tuple[int | None, ...] | None = None
+    max_delay: tuple[int, ...] | None = None
     b_max: tuple[float, ...] | None = None
     alpha: tuple[float, ...] | None = None
     mu: tuple[float, ...] | None = None

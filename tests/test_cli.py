@@ -135,6 +135,8 @@ MALFORMED = [
     ("experiment.replications", "x", "experiment.replications"),
     ("experiment.z0_mode", "bogus", "experiment.z0_mode"),
     ("experiment.sweep", {"d_avg_max": [4.7]}, "experiment.sweep.d_avg_max"),
+    # a config cannot ask for a trace file's own caps: only an absent axis keeps them
+    ("experiment.sweep", {"max_delay": [None]}, "experiment.sweep.max_delay"),
     ("scenario.profile", {"price_high": 0.05}, "scenario.profile"),
 ]
 MALFORMED_CASES = [pytest.param(*case, id=case[2]) for case in MALFORMED] + [

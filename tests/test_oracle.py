@@ -541,7 +541,10 @@ def test_the_exact_minimum_is_within_one_lattice_step_of_the_lattice(params):
     if math.isinf(exact):
         assert math.isinf(lattice)
     elif math.isfinite(lattice):
-        assert exact <= lattice <= exact + step * (abs(key1) + abs(key2)) + 1e-9
+        # the lattice admits a flow up to its feasibility tolerances past r_max
+        # and e_max, where the exact points stop; 1e-9 covers either edge
+        assert exact <= lattice + 1e-9 * max(1.0, abs(key1) + abs(key2))
+        assert lattice <= exact + step * (abs(key1) + abs(key2)) + 1e-9
 
 
 def test_no_feasible_flow_buys_a_negative_amount():
