@@ -119,18 +119,6 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def oracle_schedule(state: ControllerState | SlotRecord, task: LoadTask, mu: float) -> int:
-    """Enumerate the scheduling subproblem over its whole integer range, 0..task.max_delay."""
-    weight = mu * (state.x - state.h_d)
-    start_now = task.intensity * (abs(state.h_u) - state.z)
-    best_d, best_v = 0, start_now
-    for d in range(1, max(task.max_delay, 0) + 1):
-        v = weight * d
-        if v < best_v:
-            best_d, best_v = d, v
-    return best_d
-
-
 def _aux_argmins(cost: QuadraticCost, cap: np.ndarray, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first argmin of h*g + vb*C(g) over its gamma lattice
     0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap, and its value, for vb >= 0 and a cap >= 0 per row.
@@ -244,9 +232,16 @@ def _energy_minima(residual, surplus, key1, key2, v: float, battery: BatteryPara
     s_r, q = np.column_stack((zero, s_r, s_r, zero, zero)), np.column_stack((zero, zero, top_up, zero, zero))
     d_rate = np.column_stack((zero, zero, zero, np.minimum(battery.d_max_rate, residual), residual - grid.e_max))
     e = residual[:, None] + q - d_rate
-    entry = np.where(q + s_r > 0.0, battery.c_rc, 0.0) + np.where(d_rate > 0.0, battery.c_dc, 0.0)
     ok = (e <= grid.e_max + GRID_CAP_TOL) & (0.0 <= d_rate) & (d_rate <= battery.d_max_rate)
-    return np.where(ok, e * key1[:, None] + s_r * key2[:, None] + v * entry, np.inf).min(axis=1)
+    return np.where(ok, _slot_bound(e, q, d_rate, s_r, key1[:, None], key2[:, None], v, battery), np.inf).min(axis=1)
+
+
+def _slot_bound(e, q, d_rate, s_r, key1, key2, v: float, battery: BatteryParams) -> np.ndarray:
+    """The per-slot bound e*key1 + s_r*key2 + v*entry of energy flows given as
+    arrays, with one fee per direction the battery moves: bit for bit
+    `controller.energy_objective` of each element, as the oracle's own sum."""
+    entry = np.where(q + s_r > 0.0, battery.c_rc, 0.0) + np.where(d_rate > 0.0, battery.c_dc, 0.0)
+    return e * key1 + s_r * key2 + v * entry
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +508,19 @@ def _dp_forward(actions, n_off: int, n_use: int, o_lo: int, o_target: int) -> li
                 if r_lo[1] <= start + k <= r_hi[1]:
                     new[start + k, abs(k)] = 0.0 + c
         else:
+            # The source layer is inf outside its window, so every flow reads a slice of the
+            # window's one view. Ends are exclusive; `x if x < y else y` is min(x, y), without a call.
+            s_lo, s_end, s_use = r_lo[p], r_hi[p] + 1, u_hi[p] + 1
+            d_lo, d_end, d_use = r_lo[p + 1], r_hi[p + 1] + 1, u_hi[p + 1] + 1
+            window = cost[s_lo:s_end, :s_use]
             for k, c in feasible:
-                a = abs(k)
-                i0, i1 = max(r_lo[p + 1], r_lo[p] + k), min(r_hi[p + 1], r_hi[p] + k) + 1
-                j1 = min(u_hi[p + 1], u_hi[p] + a) + 1
+                a = k if k > 0 else -k
+                i0 = s_lo + k if s_lo + k > d_lo else d_lo
+                i1 = s_end + k if s_end + k < d_end else d_end
+                j1 = s_use + a if s_use + a < d_use else d_use
                 if i0 < i1 and a < j1:
                     dst = new[i0:i1, a:j1]
-                    np.minimum(dst, cost[i0 - k : i1 - k, : j1 - a] + c, out=dst)
+                    np.minimum(dst, window[i0 - k - s_lo : i1 - k - s_lo, : j1 - a] + c, out=dst)
         cost = new
         layers.append(cost)
     return layers
@@ -887,11 +888,6 @@ def sample_slot_states(
     ]
 
 
-def _gamma_d_cap(task: LoadTask | None, d_avg_max: int) -> float:
-    """The delay stand-in's cap in a slot where `task` (None if none) arrives, as `run_policy` sets it."""
-    return float(d_avg_max if task is None else min(task.max_delay, d_avg_max))
-
-
 def _aux_mismatches(cost: QuadraticCost, h: np.ndarray, vb: np.ndarray, cap: np.ndarray, gamma: np.ndarray) -> int:
     """Count rows whose gamma is off the first argmin of h*g + vb*C(g) on the gamma lattice by over one step."""
     grid_g, _ = _aux_argmins(cost, cap, h, vb)
@@ -907,36 +903,46 @@ def slot_mismatches(
     A row is a record, which holds the state its slot was decided in and the
     decision, and the task that arrived in the slot (None if none) with the
     delay cap its rule was given; so a run's records are rows as they are,
-    with a baseline's tasks at max_delay 0. The delay must be the
-    enumeration's (`oracle_schedule`); gamma_u and gamma_d must lie within one
-    gamma step of their lattice argmins, gamma_d's cap being min(cap,
-    d_avg_max), or d_avg_max in a slot with no task, as `run_policy` has it;
-    and the flows' value must be no worse than the exact minimum
-    (`_energy_minima`, dominance) and no better (slack, a flow outside the
-    feasible set), within 1e-9. A `no_storage` record is no row: its battery
-    is pinned idle, which a feasible flow beats in every completing
-    no-storage run of the default and small configs, seeds 0-99. Raises
-    `InfeasibleSlot` for the first row with no feasible flow.
+    with a baseline's tasks at max_delay 0. The rows are judged as columns,
+    one array per record field. The delay must be the first argmin of its
+    slot's scheduling objective over every delay 0..cap, a row of one table;
+    gamma_u and gamma_d must lie within one gamma step of their lattice
+    argmins, gamma_d's cap being min(cap, d_avg_max), or d_avg_max in a slot
+    with no task, as `run_policy` has it; and the flows' value
+    (`_slot_bound`) must be no worse than the exact minimum (`_energy_minima`,
+    dominance) and no better (slack, a flow outside the feasible set), within
+    1e-9. A `no_storage` record is no row: its battery is pinned idle, which a
+    feasible flow beats in every completing no-storage run of the default and
+    small configs, seeds 0-99. Raises `InfeasibleSlot` for the first row with
+    no feasible flow.
     """
     weights, battery, grid = bundle.weights, bundle.battery, bundle.grid
-    schedule_bad = sum(r.delay != oracle_schedule(r, task, weights.mu) for r, task in rows if task is not None)
+    records, tasks = zip(*rows)
+    fields = list(zip(*records))
+    del fields[SlotRecord._fields.index("regime")]  # the one field that is not a number
+    (_, price, renewable, demand, e, q, d_rate, s_w, s_r, delay, _, z, x, h_u, h_d, gamma_u, gamma_d) = np.array(fields)
 
-    energy = []  # (residual, surplus, key1, key2, the decision's value)
-    for r, _ in rows:
-        key2 = r.z - r.h_u
-        key1 = key2 + v * r.price
-        closed = controller.energy_objective(r.e, r.q, r.d_rate, r.s_r, key1, key2, v, battery)
-        energy.append((r.demand - r.s_w, r.renewable - r.s_w, key1, key2, closed))
-    residual, surplus, key1, key2, closed = np.array(energy).reshape(-1, 5).T
-    exact = _energy_minima(residual, surplus, key1, key2, v, battery, grid)
+    # Scheduling: start now at intensity*(|h_u| - z), or wait d >= 1 slots at mu*(x - h_d)*d.
+    arrived = np.array([task is not None for task in tasks])
+    _, intensity, _, cap = np.array([task for task in tasks if task is not None]).reshape(-1, 4).T
+    d = np.arange(max(int(cap.max(initial=0)), 0) + 1)
+    table = np.where(d <= cap[:, None], weights.mu * (x[arrived] - h_d[arrived])[:, None] * d, np.inf)
+    table[:, 0] = intensity * (np.abs(h_u[arrived]) - z[arrived])
+    schedule_bad = int((table.argmin(axis=1) != delay[arrived]).sum())
+
+    key2 = z - h_u
+    key1 = key2 + v * price
+    residual = demand - s_w
+    closed = _slot_bound(e, q, d_rate, s_r, key1, key2, v, battery)
+    exact = _energy_minima(residual, renewable - s_w, key1, key2, v, battery, grid)
     if np.isinf(exact).any():
         j = int(np.isinf(exact).argmax())
-        raise InfeasibleSlot(rows[j][0].slot, float(residual[j]), grid.e_max, "grid oracle found no feasible point")
+        raise InfeasibleSlot(records[j].slot, float(residual[j]), grid.e_max, "grid oracle found no feasible point")
     dominance_bad, slack_bad = int((closed > exact + 1e-9).sum()), int((closed < exact - 1e-9).sum())
 
     n, delay_vb = len(rows), v * (weights.alpha / weights.mu)
-    h_u, gamma_u, h_d, gamma_d = np.array([(r.h_u, r.gamma_u, r.h_d, r.gamma_d) for r, _ in rows]).reshape(n, 4).T
-    gamma_d_caps = np.array([_gamma_d_cap(task, weights.d_avg_max) for _, task in rows])
+    gamma_d_caps = np.full(n, float(weights.d_avg_max))
+    gamma_d_caps[arrived] = np.minimum(cap, weights.d_avg_max)
     aux_bad = _aux_mismatches(bundle.costs.usage, h_u, np.full(n, v), np.full(n, battery.gamma_u_cap), gamma_u)
     aux_bad += _aux_mismatches(bundle.costs.delay, h_d, np.full(n, delay_vb), gamma_d_caps, gamma_d)
     return schedule_bad, aux_bad, dominance_bad, slack_bad
@@ -945,23 +951,31 @@ def slot_mismatches(
 def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckReport:
     """Closed-form rules vs grid search over randomized states: the rules
     decide each sampled state into a `SlotRecord`, as a run decides its
-    slots, and `slot_mismatches` must count nothing."""
+    slots, and `slot_mismatches` must count nothing. The rules are looked up
+    on `controller` once, when the call starts, as `run_policy` looks them up."""
     a_o, _, v = controller.design_params(bundle)
-    weights, battery, costs = bundle.weights, bundle.battery, bundle.costs
-    delay_beta, rows = weights.alpha / weights.mu, []
+    weights, battery, grid, costs = bundle.weights, bundle.battery, bundle.grid, bundle.costs
+    schedule_load, renewable_split = controller.schedule_load, controller.renewable_split
+    energy_control, aux_solution = controller.energy_control, controller.aux_solution
+    mu, d_avg_max, delay_beta = weights.mu, weights.d_avg_max, weights.alpha / weights.mu
+    usage_cost, delay_cost, gamma_u_cap = costs.usage, costs.delay, battery.gamma_u_cap
+    make_record, rows = SlotRecord._make, []
     for state, slot, demand in sample_slot_states(bundle, n_states, seed, a_o, v):
-        task = slot.task
-        delay = controller.schedule_load(state, task, weights.mu, task.max_delay) if task else 0
-        s_w = controller.renewable_split(demand, slot.renewable)
-        e, q, d_rate, s_r, regime = controller.energy_control(
-            state, demand, s_w, slot.renewable, slot.price, battery, bundle.grid
-        )
-        rows.append((SlotRecord(
-            state.slot, slot.price, slot.renewable, demand, e, q, d_rate, s_w, s_r, delay,
-            state.b, state.z, state.x, state.h_u, state.h_d, regime,
-            controller.aux_solution(state.h_u, v, 1.0, costs.usage, battery.gamma_u_cap),
-            controller.aux_solution(state.h_d, v, delay_beta, costs.delay, _gamma_d_cap(task, weights.d_avg_max)),
-        ), task))
+        z, x, h_u, h_d, b, _, _, t = state
+        _, price, renewable, task = slot
+        if task is None:
+            delay, gamma_d_cap = 0, float(d_avg_max)
+        else:
+            max_delay = task.max_delay
+            delay = schedule_load(state, task, mu, max_delay)
+            gamma_d_cap = float(max_delay if max_delay < d_avg_max else d_avg_max)  # min(max_delay, d_avg_max)
+        s_w = renewable_split(demand, renewable)
+        e, q, d_rate, s_r, regime = energy_control(state, demand, s_w, renewable, price, battery, grid)
+        rows.append((make_record((
+            t, price, renewable, demand, e, q, d_rate, s_w, s_r, delay, b, z, x, h_u, h_d, regime,
+            aux_solution(h_u, v, 1.0, usage_cost, gamma_u_cap),
+            aux_solution(h_d, v, delay_beta, delay_cost, gamma_d_cap),
+        )), task))
     return CheckReport(tuple(
         CheckResult(name, float(count), 0.0, detail)
         for count, (name, detail) in zip(slot_mismatches(rows, bundle, v), (

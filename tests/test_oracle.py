@@ -26,7 +26,6 @@ from emsched.oracle import (
     lookahead_optima,
     lookahead_optimum,
     margin_checks,
-    oracle_schedule,
     sample_slot_states,
     slot_mismatches,
     lookahead_bound_check,
@@ -72,6 +71,52 @@ def lattice_minimum(residual, surplus, key1, key2, v, bundle, step):
     `oracle._slot_flows` lattice, inf when no lattice flow is feasible."""
     flows = oracle._slot_flows(residual, surplus, bundle.battery, bundle.grid, step)
     return float(np.where(flows.ok, flows.e * key1 + flows.s_r * key2 + v * flows.entry, np.inf).min())
+
+
+def oracle_schedule(state, task, mu):
+    """Enumerate the scheduling subproblem over its whole integer range,
+    0..task.max_delay, one delay at a time: a strict-< scan keeps the first
+    least value."""
+    weight = mu * (state.x - state.h_d)
+    start_now = task.intensity * (abs(state.h_u) - state.z)
+    best_d, best_v = 0, start_now
+    for d in range(1, max(task.max_delay, 0) + 1):
+        v = weight * d
+        if v < best_v:
+            best_d, best_v = d, v
+    return best_d
+
+
+def row_by_row_mismatches(rows, bundle, v):
+    """`slot_mismatches` one row at a time, as a reference for its columns:
+    each delay against `oracle_schedule`, and each record's flows priced by
+    `controller.energy_objective`."""
+    weights, battery, grid = bundle.weights, bundle.battery, bundle.grid
+    schedule_bad = sum(r.delay != oracle_schedule(r, task, weights.mu) for r, task in rows if task is not None)
+
+    energy = []  # (residual, surplus, key1, key2, the decision's value)
+    for r, _ in rows:
+        key2 = r.z - r.h_u
+        key1 = key2 + v * r.price
+        closed = controller.energy_objective(r.e, r.q, r.d_rate, r.s_r, key1, key2, v, battery)
+        energy.append((r.demand - r.s_w, r.renewable - r.s_w, key1, key2, closed))
+    residual, surplus, key1, key2, closed = np.array(energy).reshape(-1, 5).T
+    exact = oracle._energy_minima(residual, surplus, key1, key2, v, battery, grid)
+    if np.isinf(exact).any():
+        j = int(np.isinf(exact).argmax())
+        raise InfeasibleSlot(rows[j][0].slot, float(residual[j]), grid.e_max, "grid oracle found no feasible point")
+    dominance_bad, slack_bad = int((closed > exact + 1e-9).sum()), int((closed < exact - 1e-9).sum())
+
+    n, d_avg_max = len(rows), weights.d_avg_max
+    h_u, gamma_u, h_d, gamma_d = np.array([(r.h_u, r.gamma_u, r.h_d, r.gamma_d) for r, _ in rows]).reshape(n, 4).T
+    gamma_d_caps = np.array([float(d_avg_max if task is None else min(task.max_delay, d_avg_max)) for _, task in rows])
+    aux_bad = oracle._aux_mismatches(
+        bundle.costs.usage, h_u, np.full(n, v), np.full(n, bundle.battery.gamma_u_cap), gamma_u
+    )
+    aux_bad += oracle._aux_mismatches(
+        bundle.costs.delay, h_d, np.full(n, v * (weights.alpha / weights.mu)), gamma_d_caps, gamma_d
+    )
+    return schedule_bad, aux_bad, dominance_bad, slack_bad
 
 
 def idle_record(state, slot, demand):
@@ -345,6 +390,62 @@ class TestRunAudit:
             slots, flagged_slots = slots + len(run.records), flagged_slots + dominance
         assert (flagged_runs, runs) == (17, 17)
         assert (flagged_slots, slots) == (n_flagged, n_slots)
+
+
+def battery_rows(bundle, n_states, seed):
+    """The (record, task) rows `equivalence_battery` decides and judges."""
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "slot_mismatches", lambda judged, *_: rows.extend(judged) or (0, 0, 0, 0))
+        equivalence_battery(bundle, n_states, seed)
+    return rows
+
+
+# How a sampled row is perturbed before both comparators judge it.
+PERTURBATIONS = {
+    "keep": lambda r, task, _: (r, task),
+    "delay_up": lambda r, task, _: (r._replace(delay=r.delay + 1), task),
+    "delay_down": lambda r, task, _: (r._replace(delay=r.delay - 1), task),
+    "scale_e": lambda r, task, f: (r._replace(e=r.e * f), task),
+    "shift_gamma_u": lambda r, task, f: (r._replace(gamma_u=r.gamma_u + (f - 1.0) * 1e-3), task),
+    "shift_gamma_d": lambda r, task, f: (r._replace(gamma_d=r.gamma_d + (f - 1.0) * 1e-3), task),
+    "no_task": lambda r, task, _: (r, None),
+    "cap_0": lambda r, task, _: (r, task and task._replace(max_delay=0)),
+    "tie": lambda r, task, _: (r._replace(x=r.h_d, z=abs(r.h_u)), task),  # every delay's value is 0
+}
+
+
+@st.composite
+def perturbed_rows(draw):
+    """Battery rows of the desk or day bundle, each perturbed or kept."""
+    bundle = draw(st.sampled_from([small_bundle(), day_bundle()]))
+    n = draw(st.integers(1, 40))
+    rows = battery_rows(bundle, n, draw(st.integers(0, 2**16)))
+    kinds = st.sampled_from(sorted(PERTURBATIONS))
+    factors = st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, 1.2, 1.6])
+    rows = [PERTURBATIONS[draw(kinds)](r, task, draw(factors)) for r, task in rows]
+    return bundle, rows
+
+
+@given(perturbed_rows())
+@settings(max_examples=60, deadline=None)
+def test_the_columnar_comparator_counts_as_the_row_by_row_one(instance):
+    bundle, rows = instance
+    v = controller.design_params(bundle)[2]
+    assert slot_mismatches(rows, bundle, v) == row_by_row_mismatches(rows, bundle, v)
+
+
+@pytest.mark.parametrize("make_bundle", [small_bundle, day_bundle], ids=["desk", "day"])
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_every_perturbation_of_every_row_counts_as_the_row_by_row_one(make_bundle, kind):
+    bundle = make_bundle()
+    v = controller.design_params(bundle)[2]
+    for factor in (0.5, 1.001, 2.0):
+        rows = [PERTURBATIONS[kind](r, task, factor) for r, task in battery_rows(bundle, 300, 2024)]
+        counts = slot_mismatches(rows, bundle, v)
+        assert counts == row_by_row_mismatches(rows, bundle, v)
+        if kind == "keep":
+            assert counts == (0, 0, 0, 0)
 
 
 @st.composite
