@@ -10,7 +10,8 @@ The per-slot problem separates, and every piece has a closed-form solution:
   per-load cap);
 * aux_solution picks the auxiliary stand-in for a time-averaged cost term;
 * energy_control picks the grid/battery energy flows by comparing one
-  candidate action per battery regime against staying idle.
+  candidate action per battery regime against staying idle, and discharges
+  as much as the grid cap forces when neither keeps the purchase within it.
 
 Queue state is a value: `ControllerState` is an immutable NamedTuple, and
 every operation is state-in/state-out and pure, so independent runs can
@@ -190,10 +191,12 @@ def energy_control(
     taken only if it moves some energy and beats staying idle strictly; ties
     stay idle.
 
-    Raises InfeasibleSlot when the chosen action needs a grid purchase above
-    e_max. The regime is picked before that limit is checked, so a raise does
-    not mean that no admissible action exists: a forced discharge may still
-    cover the excess (ROADMAP item 1).
+    When the chosen action needs a grid purchase above e_max (within
+    GRID_CAP_TOL), the slot is forced: the battery discharges at least
+    residual - e_max and at most min(d_max_rate, residual, b - b_min), the
+    most when key1 > 0 and the least otherwise, since the bound is linear in
+    the discharge there. Raises InfeasibleSlot only when that interval is
+    empty, so that no action keeps the purchase within e_max.
     """
     residual = demand_l - s_w
     surplus = renewable - s_w
@@ -229,7 +232,14 @@ def energy_control(
         e, q, d_rate, s_r, regime = residual, 0.0, 0.0, 0.0, "idle"
 
     if e > grid.e_max + GRID_CAP_TOL:
-        raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
+        # Forced: only a discharge in [residual - e_max, min(d_max_rate, residual, b - b_min)]
+        # keeps the purchase within e_max. There the bound is e*key1 + v*c_dc, linear in d.
+        lo = residual - grid.e_max
+        hi = min(d_max_rate, residual, state.b - battery.b_min)
+        if residual - hi > grid.e_max + GRID_CAP_TOL:
+            raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
+        d_rate = lo if key1 <= 0.0 and lo < hi else hi
+        e, q, s_r, regime = residual - d_rate, 0.0, 0.0, "forced"
     return e, q, d_rate, s_r, regime
 
 

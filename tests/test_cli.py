@@ -15,7 +15,7 @@ import yaml
 from emsched import cli
 from emsched.cli import _SWEEP_COLUMNS, ExperimentSpec, SweepAxes, load_experiment, main, run_sweep
 from emsched.model import ConfigurationError, CostModel, validate_config
-from emsched.scenario import Trace, generate_trace, load_trace, save_trace
+from emsched.scenario import LoadTask, Trace, generate_trace, load_trace, save_trace
 from emsched.simulator import run_policy
 
 REPO = Path(__file__).resolve().parent.parent
@@ -313,14 +313,27 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path)]) == 2
         assert "must be a mapping" in capsys.readouterr().err
 
-    def test_infeasible_seed_exits_3(self, tmp_path, capsys):
-        # seed 8 spikes demand above e_max on the desk-scale profile
+    def test_infeasible_trace_exits_3(self, tmp_path, capsys):
+        # Slot 11 of the trace file must serve 0.5 kWh at once, with no
+        # renewable: more than e_max (0.3) plus the largest discharge (0.165).
+        spec = load_experiment(SMALL)
+        slots = list(generate_trace(spec.profile, spec.bundle.horizon, 0).slots)
+        slots[11] = slots[11]._replace(renewable=0.0, task=LoadTask(11, 0.5, 1, 0))
+        save_trace(Trace(slots=tuple(slots)), tmp_path / "spike.csv")
+        path = small_config(tmp_path, **{"scenario.trace": str(tmp_path / "spike.csv")})
         for command in ("run", "verify"):
-            rc = main([command, "--config", str(SMALL), "--seed", "8",
-                       "--out", str(tmp_path / command)])
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / command)])
             assert rc == 3
-            assert "infeasible run" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("infeasible run: slot 11: required grid purchase ")
             assert not (tmp_path / command).exists()
+
+    def test_seed_8_that_aborted_before_the_grid_cap_rule_exits_0(self, tmp_path, capsys):
+        # seed 8 spikes demand above e_max on the desk-scale profile; a forced discharge covers it
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(SMALL), "--seed", "8", "--out", str(tmp_path / command)]) == 0
+        assert "forced" in {row["regime"] for row in csv.DictReader(open(tmp_path / "run" / "records.csv"))}
+        assert "all 17 checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "sweep", "verify", "gen-trace"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):

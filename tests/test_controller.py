@@ -23,6 +23,7 @@ from emsched.controller import (
     usage_amount,
 )
 from emsched.model import (
+    GRID_CAP_TOL,
     BatteryParams,
     ConfigurationError,
     CostModel,
@@ -250,6 +251,65 @@ class TestEnergyControl:
             energy_control(state, 0.5, 0.0, 0.0, 0.118, self.BATTERY, self.GRID)
 
 
+class TestForcedDischarge:
+    """Residual demand 0.4 over e_max 0.3: no regime's candidate, nor idle,
+    keeps the purchase within e_max, so a discharge in [0.1, min(0.165, 0.4,
+    b - b_min)] is forced, and the rule takes an end of it."""
+
+    BATTERY, GRID, RESIDUAL = BatteryParams(), GridParams(), 0.4
+
+    def forced(self, state, battery=BATTERY):
+        return energy_control(state, self.RESIDUAL, 0.0, 0.0, 0.118, battery, self.GRID)
+
+    def test_a_charging_state_discharges_the_least(self):
+        e, q, d_rate, s_r, regime = self.forced(make_state(z=-3.0, b=1.0))  # key1 <= 0
+        assert (e, q, d_rate, s_r, regime) == (self.RESIDUAL - d_rate, 0.0, self.RESIDUAL - 0.3, 0.0, "forced")
+        assert e <= self.GRID.e_max + GRID_CAP_TOL
+
+    def test_a_discharging_state_that_idled_discharges_the_most(self):
+        # key1 > 0, but a 1.0 discharge fee keeps the regime's candidate idle
+        pricey = replace(self.BATTERY, c_dc=1.0)
+        assert self.forced(make_state(z=0.5, b=2.0), pricey) == (self.RESIDUAL - 0.165, 0.0, 0.165, 0.0, "forced")
+
+    def test_the_battery_level_bounds_the_discharge(self):
+        pricey = replace(self.BATTERY, c_dc=1.0)
+        assert self.forced(make_state(z=0.5, b=0.12), pricey) == (self.RESIDUAL - 0.12, 0.0, 0.12, 0.0, "forced")
+
+    def test_an_empty_interval_is_infeasible(self):
+        # 0.05 kWh left in the battery leaves 0.35 to buy
+        with pytest.raises(InfeasibleSlot, match="slot 4: required grid purchase 0.400000"):
+            self.forced(make_state(z=-3.0, b=0.05, slot=4))
+
+
+@given(
+    z=st.floats(-6.0, 3.0), h_u=st.floats(-2.0, 2.0), v=st.floats(0.0, 12.7), b=st.floats(0.0, 3.0),
+    residual=st.floats(0.0, 0.6), price=st.floats(0.063, 0.118), c_dc=st.sampled_from([0.001, 1.0]),
+)
+@settings(max_examples=300)
+def test_the_rule_aborts_only_where_no_discharge_covers_the_grid_cap(z, h_u, v, b, residual, price, c_dc):
+    battery, grid = BatteryParams(c_dc=c_dc), GridParams()
+    state = make_state(z=z, h_u=h_u, v=v, b=b)
+    hi = min(battery.d_max_rate, residual, b - battery.b_min)
+    try:
+        e, q, d_rate, s_r, regime = energy_control(state, residual, 0.0, 0.0, price, battery, grid)
+    except InfeasibleSlot:
+        assert residual - hi > grid.e_max + GRID_CAP_TOL
+        return
+    assert e <= grid.e_max + GRID_CAP_TOL and e == residual + q - d_rate
+    if residual > grid.e_max + GRID_CAP_TOL:
+        assert regime in ("forced", "discharge")
+    if regime == "forced":
+        # The forced discharge takes the cheaper end of its interval. Where the
+        # interval is empty by less than GRID_CAP_TOL, it takes hi, the one flow
+        # within every battery limit.
+        lo = residual - grid.e_max
+        ends = (lo, hi) if lo < hi else (hi,)
+        assert (q, s_r) == (0.0, 0.0) and d_rate in ends
+        key1 = z - h_u + v * price
+        values = [energy_objective(residual - d, 0.0, d, 0.0, key1, 0.0, v, battery) for d in ends]
+        assert energy_objective(e, q, d_rate, s_r, key1, 0.0, v, battery) == min(values)
+
+
 @st.composite
 def slot_situations(draw):
     state = make_state(
@@ -431,7 +491,7 @@ def test_every_day_run_decision_is_the_one_pricing_idle_by_energy_objective(day_
     # Replays each slot of the day ensemble: energy_control returns the record's
     # flows, and it leaves idle exactly when it priced a moving candidate below
     # energy_objective of the idle action, as the rule read before idle became
-    # residual * key1.
+    # residual * key1; or when it is forced, because idle buys more than e_max.
     bundle = day_bundle()
     battery, grid = bundle.battery, bundle.grid
     priced = []
@@ -441,7 +501,7 @@ def test_every_day_run_decision_is_the_one_pricing_idle_by_energy_objective(day_
         return priced[-1]
 
     monkeypatch.setattr(controller, "energy_objective", recording)
-    slots = moved = 0
+    slots = moved = forced = 0
     for _, run in day_runs:
         a_o, v = run.initial_state.a_o, run.initial_state.v
         for r in run.records:
@@ -452,9 +512,13 @@ def test_every_day_run_decision_is_the_one_pricing_idle_by_energy_objective(day_
             key2 = r.z - r.h_u
             key1 = key2 + v * r.price
             idle = energy_objective(r.demand - r.s_w, 0.0, 0.0, 0.0, key1, key2, v, battery)
-            assert (r.regime != "idle") == (len(priced) == 1 and priced[0] < idle), (r.slot, r.regime)
+            if r.regime == "forced":
+                assert r.demand - r.s_w > grid.e_max + GRID_CAP_TOL, r.slot
+                forced += 1
+            else:
+                assert (r.regime != "idle") == (len(priced) == 1 and priced[0] < idle), (r.slot, r.regime)
             slots, moved = slots + 1, moved + (r.regime != "idle")
-    assert 0 < moved < slots
+    assert 0 < forced < moved < slots
 
 
 class TestDriftBound:

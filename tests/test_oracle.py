@@ -367,8 +367,8 @@ class TestRunAudit:
             assert slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v) == (0, 0, 0, 0), seed
 
     @pytest.mark.parametrize("mutant, n_slots, n_flagged", [
-        (next_slot_price, 518, 41),
-        (stale_state, 517, 82),
+        (next_slot_price, 608, 45),
+        (stale_state, 608, 91),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_slot_loop_mutants_are_flagged_in_every_completing_run(self, monkeypatch, mutant, n_slots, n_flagged):
         # Each mutant feeds the rule a wrong input inside `run_policy` only; the
@@ -380,15 +380,12 @@ class TestRunAudit:
             trace = generate_trace(small_profile(), SMALL_HORIZON, seed)
             with monkeypatch.context() as patch:
                 patch.setattr(controller, "energy_control", mutant(trace))
-                try:
-                    run = run_policy(trace, bundle, "joint")
-                except InfeasibleSlot:
-                    continue
+                run = run_policy(trace, bundle, "joint")
             schedule, aux, dominance, slack = slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v)
             assert (schedule, aux, slack) == (0, 0, 0)
             runs, flagged_runs = runs + 1, flagged_runs + (dominance > 0)
             slots, flagged_slots = slots + len(run.records), flagged_slots + dominance
-        assert (flagged_runs, runs) == (17, 17)
+        assert (flagged_runs, runs) == (20, 20)
         assert (flagged_slots, slots) == (n_flagged, n_slots)
 
 

@@ -13,12 +13,14 @@ from emsched import controller
 from emsched.controller import ControllerState
 from emsched.cli import load_experiment, main
 from emsched.model import (
+    GRID_CAP_TOL,
     CostModel,
     InfeasibleSlot,
     ModelBundle,
     StateConsistencyError,
     Weights,
 )
+from emsched.oracle import feasibility_checks, slot_mismatches
 from emsched.scenario import LoadTask, SlotInput, StageProfile, Trace, generate_trace
 from emsched.simulator import (
     POLICIES,
@@ -29,7 +31,10 @@ from emsched.simulator import (
     write_records,
 )
 
-from conftest import DAY_HORIZON, day_bundle, day_profile, warm_bundle
+from conftest import (
+    DAY_HORIZON, SMALL_HORIZON, day_bundle, day_profile, small_bundle, small_profile, warm_bundle,
+)
+from test_oracle import run_rows
 
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
@@ -379,6 +384,28 @@ class TestSeededRegression:
         assert none.total == pytest.approx(0.004262232955472221, rel=1e-9)
         assert joint.total < none.total
         assert joint.monetary_cost < storage.monetary_cost < none.monetary_cost
+
+
+@pytest.mark.parametrize("scale, seed, slot", [
+    ("default", 1, 218), ("default", 4, 208), ("default", 10, 174), ("small", 8, 22),
+])
+def test_a_demand_spike_over_the_grid_cap_is_covered_by_a_forced_discharge(scale, seed, slot):
+    # Each joint run aborted at `slot` while the energy rule checked e_max only
+    # after it had picked its regime; a discharge could cover the excess.
+    bundle, profile, horizon = {
+        "default": (day_bundle(), day_profile(), DAY_HORIZON),
+        "small": (small_bundle(), small_profile(), SMALL_HORIZON),
+    }[scale]
+    trace = generate_trace(profile, horizon, seed)
+    run = run_policy(trace, bundle, "joint")
+    assert [r.slot for r in run.records if r.regime == "forced"] == [slot]
+    r = run.records[slot]
+    residual = r.demand - r.s_w
+    assert residual > bundle.grid.e_max + GRID_CAP_TOL  # idle buys too much
+    assert residual - r.d_rate == r.e <= bundle.grid.e_max + GRID_CAP_TOL
+    assert 0.0 < r.d_rate <= min(bundle.battery.d_max_rate, r.b - bundle.battery.b_min)
+    assert feasibility_checks(run, bundle).passed
+    assert slot_mismatches(run_rows(trace, run), bundle, run.initial_state.v) == (0, 0, 0, 0)
 
 
 class TestScaleInvariance:

@@ -4,13 +4,15 @@
 `traces(bundle)` draws whole traces that reach the edges instead: prices at
 `p_min` or `p_max`, no renewable or the full `r_max`, zero-intensity tasks,
 caps of 0 and caps past the horizon. A run on any of them either completes
-and passes the run-level checks, or aborts with `InfeasibleSlot`.
+and passes the run-level checks, or aborts with `InfeasibleSlot` in a slot
+that no action can serve within `e_max`.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsched import controller
 from emsched.controller import drift_bound_G
 from emsched.model import InfeasibleSlot, ModelBundle
 from emsched.oracle import drift_checks, feasibility_checks, margin_checks, slot_mismatches
@@ -43,17 +45,37 @@ def traces(draw, bundle: ModelBundle) -> Trace:
     return Trace(tuple(slots))
 
 
+def zero_delay_residual(trace: Trace, t: int) -> float:
+    """Slot t's demand less the renewable that serves it, when every task is
+    served on arrival (a drain slot has no renewable)."""
+    demand = sum(s.task.intensity for s in trace.slots[: t + 1] if s.task and t < s.slot + s.task.duration)
+    renewable = trace.slots[t].renewable if t < trace.horizon else 0.0
+    return demand - min(demand, renewable)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @given(trace=traces(BUNDLE))
 @settings(max_examples=60, deadline=None)
 def test_a_run_completes_cleanly_or_raises_infeasible_slot(policy, trace):
-    # Until the energy rule respects the grid cap (ROADMAP item 1), a run may
-    # abort where a discharge could have covered the slot, so only the
-    # exception's type is asserted.
-    try:
-        run = run_policy(trace, BUNDLE, policy)
-    except InfeasibleSlot:
-        return
+    # A run may abort only in a slot whose residual demand exceeds e_max even
+    # after the largest discharge the battery allows; with no storage, once it
+    # exceeds e_max.
+    decided = []  # the energy rule's (state, demand, s_w) of each slot
+    with pytest.MonkeyPatch.context() as patch:
+        rule = controller.energy_control
+        patch.setattr(controller, "energy_control", lambda *a: decided.append(a[:3]) or rule(*a))
+        try:
+            run = run_policy(trace, BUNDLE, policy)
+        except InfeasibleSlot as exc:
+            battery, e_max = BUNDLE.battery, BUNDLE.grid.e_max
+            if policy == "no_storage":
+                assert zero_delay_residual(trace, exc.slot) > e_max
+                return
+            state, demand, s_w = decided[-1]
+            residual = demand - s_w
+            assert state.slot == exc.slot
+            assert residual - min(battery.d_max_rate, residual, state.b - battery.b_min) > e_max
+            return
     g = drift_bound_G(BUNDLE, trace.max_task_delay())
     for report in (feasibility_checks(run, BUNDLE), drift_checks(run, g, BUNDLE), margin_checks(run, g, BUNDLE)):
         assert report.passed, [c for c in report if not c.passed]
