@@ -289,6 +289,16 @@ def _load_or_generate(spec: ExperimentSpec, seed: int) -> Trace:
     return trace
 
 
+def _run_trace(spec: ExperimentSpec, seed: int) -> Trace:
+    """`_load_or_generate`, with the config validated against the trace's
+    largest per-load delay cap, as `run_sweep` validates each point."""
+    trace = _load_or_generate(spec, seed)
+    problems = validate_config(spec.bundle, max_task_delay=trace.max_task_delay())
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    return trace
+
+
 def _fmt_value(value: object) -> str:
     if value is None:
         return ""
@@ -344,7 +354,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args)
     seed = spec.seed_base
     bundle = spec.bundle
-    trace = _load_or_generate(spec, seed)
+    trace = _run_trace(spec, seed)
     _, v_max, _ = controller.design_params(bundle)
     policy = spec.policies[0]
     summary = run_policy(trace, bundle, policy)
@@ -494,7 +504,7 @@ def run_checks(spec: ExperimentSpec) -> oracle.CheckReport:
             f"experiment.frame_length={spec.frame_length} must divide "
             f"scenario.horizon={bundle.horizon}"
         )
-    trace = _load_or_generate(spec, seed)
+    trace = _run_trace(spec, seed)
     run = run_policy(trace, bundle, "joint")
     g = controller.drift_bound_G(bundle, trace.max_task_delay())
 

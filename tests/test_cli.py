@@ -419,6 +419,29 @@ class TestTraceCheck:
             assert r["total"] == ""
 
 
+    def test_every_command_rejects_an_average_delay_target_above_the_files_caps(self, tmp_path, capsys):
+        # small.yaml's d_avg_max 6 over a trace file generated at max_delay 4
+        cfg = yaml.safe_load(SMALL.read_text())
+        cfg["scenario"]["profile"]["max_delay"] = 4
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["gen-trace", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]) == 0
+        cfg = yaml.safe_load(SMALL.read_text())
+        cfg["scenario"]["trace"] = str(tmp_path / "trace_seed0.csv")
+        cfg["experiment"].update(policies=["joint"], replications=1)
+        del cfg["experiment"]["sweep"]
+        path.write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        problem = "average-delay target d_avg_max=6 exceeds the largest per-load delay cap 4; the constraint cannot bind"
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == f"config error: {problem}\n"
+            assert not (tmp_path / command).exists()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        (row,) = csv.DictReader(open(tmp_path / "sweep" / "sweep.csv"))
+        assert row["error"] == f"ConfigurationError: {problem}"
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
