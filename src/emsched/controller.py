@@ -234,10 +234,10 @@ def energy_control(
     if e > grid.e_max + GRID_CAP_TOL:
         # Forced: only a discharge in [residual - e_max, min(d_max_rate, residual, b - b_min)]
         # keeps the purchase within e_max. There the bound is e*key1 + v*c_dc, linear in d.
-        lo = residual - grid.e_max
         hi = min(d_max_rate, residual, state.b - battery.b_min)
         if residual - hi > grid.e_max + GRID_CAP_TOL:
             raise InfeasibleSlot(state.slot, e, grid.e_max, f"regime={regime}, residual demand {residual:.6f}")
+        lo = residual - grid.e_max
         d_rate = lo if key1 <= 0.0 and lo < hi else hi
         e, q, s_r, regime = residual - d_rate, 0.0, 0.0, "forced"
     return e, q, d_rate, s_r, regime
