@@ -2,8 +2,9 @@
 
 Three layers of independent verification live here:
 
-* per-slot searches over each control subproblem, used to confirm the
-  closed-form rules are actual minimizers,
+* exact per-slot minimizers of each control subproblem (every delay, a
+  clipped stationary point per auxiliary stand-in, five energy flows), used
+  to confirm the closed-form rules are actual minimizers,
 * an exhaustive short-frame look-ahead optimizer (non-causal, sees the whole
   frame) that lower-bounds what any policy could pay on that frame under the
   frame-local reference constraints, and
@@ -15,9 +16,10 @@ desk scale it is exact within one grid step per energy coordinate and needs
 no solver to trust. Its lattice flows per slot (`_slot_flows`) take the
 renewable surplus before the grid; v >= 0 and prices >= 0 make that exact.
 
-A single slot's energy decision needs no lattice: its per-slot bound is
-linear in each direction's flow, so `_energy_minima` prices the five points
-where its exact minimum lies.
+A single slot's decisions need no lattice: its energy bound is linear in
+each direction's flow, so `_energy_minima` prices the five points where its
+exact minimum lies, and each auxiliary objective is a 1-D convex quadratic,
+so `_aux_mismatches` computes its argmin.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .scenario import LoadTask, SlotInput, Trace
 from .simulator import RunSummary, SlotRecord
 
 _FEAS_TOL = 1e-9
-_GAMMA_STEP = 1e-4  # auxiliary gamma lattice
-_LADDER = 10  # each level of the gamma search scans 2*_LADDER + 1 points, a tenth of the last stride apart
 _MAX_NODES = 1e8  # largest frame search `lookahead_optima` enumerates
 _BATCH_CELLS = 1 << 16  # delay-combination cells `lookahead_optima` sets up at once; bounds only its memory
 
@@ -117,41 +117,6 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # Per-slot subproblem oracles
 # ---------------------------------------------------------------------------
-
-
-def _aux_argmins(cost: QuadraticCost, cap: np.ndarray, h: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first argmin of h*g + vb*C(g) over its gamma lattice
-    0, _GAMMA_STEP, 2*_GAMMA_STEP, ..., cap, and its value, for vb >= 0 and a cap >= 0 per row.
-
-    C(g) = k*g**2 with k >= 0, so the objective is convex and a ladder of
-    exhaustive scans finds the whole lattice's first argmin: every stride-th
-    point plus cap, then every point a tenth of the stride apart between the
-    argmin's two neighbours, down to a stride of one point (README, "Why the
-    gamma ladder is exact"). One table per level prices all rows, and a row
-    repeats its cap past its own end. Each row is scaled by the power of two
-    that lifts its larger coefficient into [0.5, 1), exact wherever nothing
-    underflows, so tiny coefficients (h = -5e-324 with vb = 0) do not tie
-    every point at 0; the value is returned at the original scale.
-    """
-    n = np.ceil(cap / _GAMMA_STEP).astype(int)[:, None]  # point i < n is i*_GAMMA_STEP, as in np.arange(0, cap, step)
-    _, exponent = np.frexp(np.maximum(np.abs(h), np.abs(vb)))
-    shift = np.maximum(-exponent, 0)
-    h_s, vb_s = np.ldexp(h, shift)[:, None], np.ldexp(vb, shift)[:, None]
-    rows, span = np.arange(len(h)), np.arange(2 * _LADDER + 1)
-    stride = 1
-    while 2 * _LADDER * stride < n.max():
-        stride *= _LADDER
-    first = np.zeros_like(n)  # each row's first point of the level
-    while True:
-        index = np.minimum(first + stride * span, n)
-        g = np.where(index == n, cap[:, None], index * _GAMMA_STEP)
-        j = (h_s * g + vb_s * cost.value(g)).argmin(axis=1)
-        if stride == 1:
-            break
-        # the next level spans 2*stride from the argmin's left neighbour, so it holds the right one
-        first, stride = index[rows, np.maximum(j - 1, 0)][:, None], stride // _LADDER
-    g = g[rows, j]
-    return g, h * g + vb * cost.value(g)
 
 
 class _SlotFlows(NamedTuple):
@@ -889,9 +854,28 @@ def sample_slot_states(
 
 
 def _aux_mismatches(cost: QuadraticCost, h: np.ndarray, vb: np.ndarray, cap: np.ndarray, gamma: np.ndarray) -> int:
-    """Count rows whose gamma is off the first argmin of h*g + vb*C(g) on the gamma lattice by over one step."""
-    grid_g, _ = _aux_argmins(cost, cap, h, vb)
-    return int((np.abs(gamma - grid_g) > _GAMMA_STEP + 1e-9).sum())
+    """Count rows whose gamma is more than 1e-9 from the exact argmin of
+    h*g + vb*C(g) on [0, cap], for vb >= 0 and a cap >= 0 per row.
+
+    C(g) = k*g**2 with k >= 0, so the objective is a 1-D convex quadratic:
+    with curvature (vb*k > 0) its argmin is the stationary point -h/(2*vb*k)
+    clipped to [0, cap], and without it the cap where h < 0 and 0 elsewhere.
+    The stationary point is a quotient of mantissas scaled by a difference
+    of exponents, so no partial quotient under- or overflows: a subnormal
+    h/vb over a subnormal k, or a subnormal vb*k, keeps its value. The count
+    is of argmin distance, not value: over a nearly flat objective a far
+    gamma can price within 1e-9 of the minimum.
+    """
+    best = np.where(h < 0.0, cap, 0.0)
+    if cost.k > 0.0:
+        curved = vb > 0.0
+        m_h, e_h = np.frexp(-h)
+        m_vb, e_vb = np.frexp(np.where(curved, vb, 1.0))
+        m_k, e_k = math.frexp(cost.k)
+        with np.errstate(over="ignore"):  # a stationary point past the float range is past the cap
+            stationary = np.ldexp(m_h / (m_vb * m_k), e_h - e_vb - e_k - 1)
+        best = np.where(curved, np.clip(stationary, 0.0, cap), best)
+    return int((np.abs(gamma - best) > 1e-9).sum())
 
 
 def slot_mismatches(
@@ -906,9 +890,9 @@ def slot_mismatches(
     with a baseline's tasks at max_delay 0. The rows are judged as columns,
     one array per record field. The delay must be the first argmin of its
     slot's scheduling objective over every delay 0..cap, a row of one table;
-    gamma_u and gamma_d must lie within one gamma step of their lattice
-    argmins, gamma_d's cap being min(cap, d_avg_max), or d_avg_max in a slot
-    with no task, as `run_policy` has it; and the flows' value
+    gamma_u and gamma_d must lie within 1e-9 of their exact argmins
+    (`_aux_mismatches`), gamma_d's cap being min(cap, d_avg_max), or
+    d_avg_max in a slot with no task, as `run_policy` has it; and the flows' value
     (`_slot_bound`) must be no worse than the exact minimum (`_energy_minima`,
     dominance) and no better (slack, a flow outside the feasible set), within
     1e-9. A `no_storage` record is no row: its battery is pinned idle, which a

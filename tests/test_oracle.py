@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,8 +135,10 @@ class TestSubproblemOracles:
         assert oracle_schedule(state, task_with(), mu=1.0) == 0
 
     def test_aux_oracle_lands_on_the_interior_optimum(self):
-        g, _ = oracle._aux_argmins(QuadraticCost(0.2), np.array([0.165]), np.array([-0.4]), np.array([10.0]))
-        assert g[0] == pytest.approx(0.1, abs=1e-4)
+        # -0.4*g + 10*0.2*g**2 is least at g = 0.1, inside the cap 0.165; 1e-9 either side is the tolerance
+        h, vb, cap = np.full(5, -0.4), np.full(5, 10.0), np.full(5, 0.165)
+        gamma = np.array([0.1, 0.1 - 9e-10, 0.1 + 9e-10, 0.1 - 2e-9, 0.1 + 1e-4])
+        assert oracle._aux_mismatches(QuadraticCost(0.2), h, vb, cap, gamma) == 2
 
     def test_energy_oracle_reproduces_the_charge_example_value(self):
         # the surplus 0.05 topped up from the grid to r_max, as the rule charges
@@ -464,15 +467,19 @@ def test_aux_closed_form_tracks_grid_search(params):
     h, v, beta, k = params
     cost = QuadraticCost(k)
     closed = controller.aux_solution(h, v, beta, cost, 0.165)
-    grid, _ = oracle._aux_argmins(cost, np.array([0.165]), np.array([h]), np.array([v * beta]))
-    assert abs(closed - grid[0]) <= 1e-4 + 1e-9
+    assert abs(closed - full_lattice_argmin(h, v * beta, cost, 0.165)[0]) <= GAMMA_STEP + 1e-9
+    assert oracle._aux_mismatches(cost, np.array([h]), np.array([v * beta]), np.array([0.165]), np.array([closed])) == 0
+
+
+GAMMA_STEP = 1e-4  # the spacing of `full_lattice_argmin`'s lattice
 
 
 def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
-    """The exhaustive reference for `oracle._aux_argmins`: h*g + vb*C(g) on
+    """The exhaustive reference for the auxiliary argmin: h*g + vb*C(g) on
     every point of the gamma lattice 0, step, 2*step, ..., cap, scaled by the
-    same power of two, with the first minimum winning."""
-    grid = np.append(np.arange(0.0, cap, oracle._GAMMA_STEP), cap)
+    power of two that lifts the larger of |h| and vb into [0.5, 1), so tiny
+    coefficients do not tie every point at 0, with the first minimum winning."""
+    grid = np.append(np.arange(0.0, cap, GAMMA_STEP), cap)
     values = cost.value(grid)
     _, exponent = math.frexp(max(abs(h), abs(vb)))
     shift = max(-exponent, 0)
@@ -480,11 +487,17 @@ def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) ->
     return float(grid[i]), float(h * grid[i] + vb * values[i])
 
 
-def full_lattice_argmins(cost, cap, h, vb):
-    """`oracle._aux_argmins` by the exhaustive reference, one row (and its own cap) at a time."""
-    rows = zip(h.tolist(), vb.tolist(), cap.tolist())
-    g, value = zip(*(full_lattice_argmin(h_i, vb_i, cost, cap_i) for h_i, vb_i, cap_i in rows))
-    return np.array(g), np.array(value)
+def exact_aux_argmin(h: float, vb: float, k: float, cap: float) -> float:
+    """The argmin of h*g + vb*k*g**2 on [0, cap] in rational arithmetic, rounded to the nearest float."""
+    h, vb, k, cap = map(Fraction, (h, vb, k, cap))
+    g = -h / (2 * vb * k) if vb * k > 0 else cap if h < 0 else Fraction(0)
+    return float(min(max(g, Fraction(0)), cap))
+
+
+def exact_aux_value(h: float, vb: float, k: float, g: float) -> Fraction:
+    """h*g + vb*k*g**2 in rational arithmetic."""
+    h, vb, k, g = map(Fraction, (h, vb, k, g))
+    return h * g + vb * k * g * g
 
 
 GAMMA_CAPS = (0.0, 1e-4, 0.165, 6.0, 0.12345)  # the last is not a multiple of the gamma step
@@ -502,48 +515,56 @@ TINY_WEIGHTS = (5e-324, 1e-310, 0.0)
         min_size=1, max_size=6,
     ),
     k=st.floats(0.0, 1e3),
+    offsets=st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=4),
 )
-@example(rows=[(-5e-324, 0.0, 0.165)], k=0.01)  # h*g underflows to 0 on every lattice point
-@example(rows=[(-5e-324, 0.0, 0.165), (-0.4, 10.0, 0.165)], k=0.2)  # rows scaled apart
-@example(rows=[(-0.4, 1.0, 6.0), (0.4, 1.0, 6.0)], k=0.0)  # flat: a negative backlog takes the cap, a positive one 0
-@example(rows=[(0.0, 1.0, 0.12345), (0.0, 0.0, 0.12345)], k=0.2)
-@example(rows=[(-0.4, 1.0, 1e-4), (-1e-3, 0.5, 1e-4)], k=0.2)
-@example(rows=[(-2.0, 1.0, 0.165), (-0.0661, 1.0, 0.165)], k=0.2)  # interior and at the cap
-@example(rows=[(-3.0, 1.0 / 36.0, 6.0), (-1e-3, 1.0, 6.0)], k=1.0)
-# one table, caps from 0 to 6: small caps repeat past their end through every level of the large one
-@example(rows=[(-3.0, 1.0 / 36.0, 6.0), (-0.4, 1.0, 0.0), (-2.0, 1.0, 0.12345), (-1e-3, 1.0, 1e-4)], k=1.0)
-@example(rows=[(-5e-324, 0.0, 6.0), (-5e-324, 0.0, 0.12345), (0.4, 1.0, 5.99995)], k=0.0)
+@example(rows=[(-5e-324, 0.0, 0.165)], k=0.01, offsets=[0.0])  # h*g underflows to 0 on every lattice point
+@example(rows=[(-5e-324, 5e-324, 0.165)], k=2.0, offsets=[0.0])  # vb*k subnormal: the stationary point 0.25 is past the cap
+@example(rows=[(-5e-324, 2.0, 1e-4), (-5e-324, 2.0, 6.0)], k=5e-324, offsets=[0.0])  # h/vb underflows; the stationary point is 0.25
+@example(rows=[(-5e-324, 0.0, 0.165), (-0.4, 10.0, 0.165)], k=0.2, offsets=[0.0])  # rows scaled apart
+@example(rows=[(-0.4, 1.0, 6.0), (0.4, 1.0, 6.0)], k=0.0, offsets=[0.0])  # flat: a negative backlog takes the cap, a positive one 0
+@example(rows=[(0.0, 1.0, 0.12345), (0.0, 0.0, 0.12345)], k=0.2, offsets=[0.0])
+@example(rows=[(-0.4, 1.0, 1e-4), (-1e-3, 0.5, 1e-4)], k=0.2, offsets=[0.0])
+@example(rows=[(-2.0, 1.0, 0.165), (-0.0661, 1.0, 0.165)], k=0.2, offsets=[0.0, 5e-5])  # interior and at the cap
+@example(rows=[(-3.0, 1.0 / 36.0, 6.0), (-0.4, 1.0, 0.0), (-2.0, 1.0, 0.12345), (-1e-3, 1.0, 1e-4)], k=1.0, offsets=[0.0])
+@example(rows=[(-5e-324, 0.0, 6.0), (-5e-324, 0.0, 0.12345), (0.4, 1.0, 5.99995)], k=0.0, offsets=[0.0])
 @settings(max_examples=200, deadline=None)
-def test_gamma_ladder_equals_the_full_lattice(rows, k):
+def test_the_exact_aux_argmin_beats_the_full_lattice_and_flags_what_it_flagged(rows, k, offsets):
+    # (a) The oracle accepts the exact argmin, which prices no higher than the
+    # lattice's first argmin. (b) Every gamma the one-step lattice check
+    # flagged, more than a step and 1e-9 from the lattice argmin, the oracle
+    # flags too.
     h, vb, cap = (np.array(column) for column in zip(*rows))
     cost = QuadraticCost(k)
-    g, value = oracle._aux_argmins(cost, cap, h, vb)
-    assert list(zip(g.tolist(), value.tolist())) == [full_lattice_argmin(*row[:2], cost, row[2]) for row in rows]
+    lattice = np.array([full_lattice_argmin(*row[:2], cost, row[2])[0] for row in rows])
+    exact = np.array([exact_aux_argmin(*row[:2], k, row[2]) for row in rows])
+    assert oracle._aux_mismatches(cost, h, vb, cap, exact) == 0
+    for (h_i, vb_i, _), g, g_lattice in zip(rows, exact.tolist(), lattice.tolist()):
+        assert exact_aux_value(h_i, vb_i, k, g) <= exact_aux_value(h_i, vb_i, k, g_lattice)
+    for offset, sign in itertools.product(offsets, (1.0, -1.0)):
+        gamma = lattice + sign * (GAMMA_STEP + 1e-9 + offset)
+        flagged = np.abs(gamma - lattice) > GAMMA_STEP + 1e-9
+        assert oracle._aux_mismatches(cost, h[flagged], vb[flagged], cap[flagged], gamma[flagged]) == flagged.sum()
 
 
-@pytest.mark.parametrize("steps", [1, 2])
-def test_aux_answers_over_one_gamma_step_off_are_caught(monkeypatch, steps):
-    # A closed form that answers `steps` lattice steps away from the lattice
-    # argmin wherever that argmin is interior (moving inward at the cap) is
-    # within the battery's one-step tolerance at one step and counted at
-    # two, by the gamma ladder and by the full-lattice reference alike.
-    bundle, shift = small_bundle(), steps * oracle._GAMMA_STEP
-    moved = []
+@pytest.mark.parametrize("shift, caught", [(5e-10, False), (1e-8, True), (GAMMA_STEP, True), (2 * GAMMA_STEP, True)])
+def test_aux_answers_off_the_exact_argmin_are_caught(monkeypatch, shift, caught):
+    # A closed form that answers `shift` away from the exact argmin wherever
+    # that argmin is interior (moving inward at the cap) is counted once per
+    # moved answer from past the 1e-9 tolerance on: one lattice step off,
+    # which a one-step lattice check let pass, is caught.
+    bundle, exact, moved = small_bundle(), controller.aux_solution, []
 
     def off(h, v, beta, cost, cap):
-        g = full_lattice_argmin(h, v * beta, cost, cap)[0] if cap > 0.0 else 0.0
+        g = exact(h, v, beta, cost, cap)
         if not 0.0 < g < cap:
             return g
         moved.append(h)
         return g + shift if g + shift <= cap else g - shift
 
     monkeypatch.setattr(controller, "aux_solution", off)
-    pruned = equivalence_battery(bundle, 120, 2024)["aux_equivalence"].achieved
-    n_moved, moved[:] = len(moved), []
-    monkeypatch.setattr(oracle, "_aux_argmins", full_lattice_argmins)
-    reference = equivalence_battery(bundle, 120, 2024)["aux_equivalence"].achieved
-    assert len(moved) == n_moved > 0
-    assert pruned == reference == (0.0 if steps == 1 else float(n_moved))
+    count = equivalence_battery(bundle, 120, 2024)["aux_equivalence"].achieved
+    assert len(moved) > 0
+    assert count == (float(len(moved)) if caught else 0.0)
 
 
 @pytest.mark.parametrize("alpha, counts", [(1.0, (0, 0)), (0.5, (11, 48)), (4.0, (29, 112))])
