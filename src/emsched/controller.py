@@ -130,7 +130,8 @@ def aux_solution(h: float, v: float, beta: float, cost: QuadraticCost, cap: floa
         return cap
     if h < -vb * cost.derivative(cap):
         return cap
-    return cost.inverse_derivative(-h / vb)
+    g = cost.inverse_derivative(-h / vb)
+    return g if g < cap else cap  # vb*C'(cap) can round up past |h| when subnormal
 
 
 def renewable_split(demand: float, renewable: float) -> float:

@@ -453,7 +453,7 @@ def backlogs(draw):
     return (
         draw(st.floats(-2.0, 2.0)),
         draw(st.floats(0.0, 13.0)),
-        draw(st.floats(0.05, 2.0)),
+        draw(st.floats(0.05, 2.0) | st.floats(5e-324, 1e-308)),  # beta, subnormal too
         draw(st.floats(0.01, 1.0)),
     )
 
@@ -462,6 +462,7 @@ def backlogs(draw):
 @example((-5e-324, 0.0, 0.05, 0.01))  # h*g underflowed to 0 on every lattice point
 @example((-0.4, 10.0, 1.0, 0.0))  # a flat cost: a negative backlog takes the cap, a positive one 0
 @example((0.4, 10.0, 1.0, 0.0))
+@example((-5e-324, 1.0, 5e-324, 2.0))  # v*beta*C'(cap) rounds up to h's magnitude; the inversion gives 0.25
 @settings(max_examples=100, deadline=None)
 def test_aux_closed_form_tracks_grid_search(params):
     h, v, beta, k = params
