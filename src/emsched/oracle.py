@@ -618,7 +618,8 @@ def lookahead_bound_check(
     """Compare the run's average cost against the mean frame optimum plus the bound.
 
     `trace` is the run's trace; its largest per-load delay cap (at most
-    d_avg_max) is where the delay cost's slope enters the bound.
+    d_avg_max) is where the delay cost's slope enters the bound. At v = 0
+    the bound is inf.
     """
     if not frames:
         raise ValueError("no frame solutions supplied")
@@ -653,7 +654,8 @@ def lookahead_bound_check(
     gamma_d_cap = float(min(max(trace.max_task_delay(), 0), bundle.weights.d_avg_max))
     cu_prime = bundle.costs.usage.derivative(bundle.battery.gamma_u_cap)
     cd_prime = bundle.costs.delay.derivative(gamma_d_cap)
-    rhs = (
+    # At v = 0 the G*F/V term is unbounded, and the terms over v could add up to inf - inf = nan.
+    rhs = math.inf if v == 0.0 else (
         g * frame_length / v
         + (l0 - l_end) / (v * horizon)
         + (

@@ -776,6 +776,14 @@ class TestVerifyCommand:
         assert "FAILED checks: battery_bounds" in captured.err
         assert "FAIL battery_bounds" in (tmp_path / "verify_report.txt").read_text()
 
+    def test_a_zero_weight_has_an_unbounded_lookahead_bound(self, tmp_path, capsys):
+        # G*F/V has no finite value at v = 0, which validate_config accepts and a run completes with
+        path = small_config(tmp_path, **{"weights.v": 0})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "all 17 checks passed" in capsys.readouterr().out
+        report = (tmp_path / "verify_report.txt").read_text()
+        assert re.search(r"^PASS lookahead_bound: achieved=\S+ bound=inf margin=inf ", report, re.MULTILINE)
+
     def test_a_too_fine_oracle_step_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"experiment.oracle_energy_step": 0.0005})
         out = tmp_path / "out"
