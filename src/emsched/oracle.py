@@ -817,12 +817,13 @@ def sample_slot_states(
     a_o: float,
     v: float,
 ) -> list[tuple[ControllerState, SlotInput, float]]:
-    """Random (queue state, slot, demand) triples spanning all control regimes.
+    """Random (queue state, slot, demand) triples, each field drawn uniformly from a fixed box.
 
     Residual demand and surplus renewable are never both positive (the
     renewable split guarantees that in a real run), and residual demand stays
-    under the grid cap so every sample admits a feasible action. Each field
-    is drawn as one column of n values.
+    under 0.9*e_max so every sample admits a feasible action. So no sample
+    is a forced discharge, and every sample's battery level is b_init
+    (ROADMAP item 13). Each field is drawn as one column of n values.
     """
     rng = np.random.default_rng(seed)
     battery, grid_params = bundle.battery, bundle.grid
@@ -935,7 +936,7 @@ def slot_mismatches(
 
 
 def equivalence_battery(bundle: ModelBundle, n_states: int, seed: int) -> CheckReport:
-    """Closed-form rules vs grid search over randomized states: the rules
+    """Closed-form rules vs brute force over randomized states: the rules
     decide each sampled state into a `SlotRecord`, as a run decides its
     slots, and `slot_mismatches` must count nothing. The rules are looked up
     on `controller` once, when the call starts, as `run_policy` looks them up."""
