@@ -131,7 +131,7 @@ def aux_solution(h: float, v: float, beta: float, cost: QuadraticCost, cap: floa
     if h < -vb * cost.derivative(cap):
         return cap
     g = cost.inverse_derivative(-h / vb)
-    return g if g < cap else cap  # vb*C'(cap) can round up past |h| when subnormal
+    return g if g < cap else cap  # a subnormal vb*C'(cap) can round up to |h|, skipping the cap branch
 
 
 def renewable_split(demand: float, renewable: float) -> float:
