@@ -20,6 +20,8 @@ execute concurrently without sharing anything.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
@@ -39,6 +41,8 @@ if TYPE_CHECKING:
     from .simulator import SlotRecord
 
 _IDENTITY_TOL = 1e-9
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_new_tuple = tuple.__new__  # builds a NamedTuple from a tuple in field order, without `_make`'s checks
 
 
 class ControllerState(NamedTuple):
@@ -118,9 +122,10 @@ def schedule_load(state: ControllerState, task: LoadTask, mu: float, effective_d
 def aux_solution(h: float, v: float, beta: float, cost: QuadraticCost, cap: float) -> float:
     """Optimal auxiliary stand-in gamma* in [0, cap] for backlog h.
 
-    Minimizes h*gamma + v*beta*C(gamma): 0 when the backlog is nonnegative,
-    the cap when the backlog outweighs the marginal cost there, and the
-    marginal-cost inversion in between. v*beta = 0 degenerates to a bang-bang
+    Minimizes h*gamma + v*beta*C(gamma) with C(gamma) = k*gamma**2: 0 when
+    the backlog is nonnegative, the cap when the backlog outweighs the
+    marginal cost 2*k*cap there (always, for k = 0), and the stationary point
+    (-h/(v*beta))/(2*k) in between. v*beta = 0 degenerates to a bang-bang
     choice (the limit of the general rule).
     """
     if cap <= 0.0 or h >= 0.0:
@@ -128,9 +133,17 @@ def aux_solution(h: float, v: float, beta: float, cost: QuadraticCost, cap: floa
     vb = v * beta
     if vb <= 0.0:
         return cap
-    if h < -vb * cost.derivative(cap):
+    k2 = 2.0 * cost.k
+    if h < -vb * (k2 * cap):  # -vb * cost.derivative(cap)
         return cap
-    g = cost.inverse_derivative(-h / vb)
+    y = -h / vb
+    if y < _FLOAT_MIN:
+        # y is subnormal or 0: divide mantissas and subtract exponents instead,
+        # as oracle._aux_mismatches does, so no partial quotient underflows.
+        (m_h, e_h), (m_vb, e_vb), (m_k, e_k) = math.frexp(-h), math.frexp(vb), math.frexp(cost.k)
+        g = math.ldexp(m_h / (m_vb * m_k), e_h - e_vb - e_k - 1)
+    else:
+        g = y / k2
     return g if g < cap else cap  # a subnormal vb*C'(cap) can round up to |h|, skipping the cap branch
 
 
@@ -253,7 +266,8 @@ def update_queues(state: ControllerState, record: SlotRecord, d_avg_max: int, sh
     StateConsistencyError.
     """
     z, x, h_u, h_d, b, a_o, v, slot = state
-    q, d_rate, s_r, delay = record.q, record.d_rate, record.s_r, record.delay
+    # Unpacking all 18 fields checks the record's arity.
+    _, _, _, _, _, q, d_rate, _, s_r, delay, _, _, _, _, _, _, gamma_u, gamma_d = record
     net_flow = q + s_r - d_rate
     z = z + net_flow - shift
     b = b + net_flow
@@ -265,11 +279,11 @@ def update_queues(state: ControllerState, record: SlotRecord, d_avg_max: int, sh
         )
     x = x + delay - d_avg_max
     # In field order: z, x, h_u, h_d, b, a_o, v, slot.
-    return ControllerState._make((
+    return _new_tuple(ControllerState, (
         z,
         0.0 if 0.0 > x else x,  # max(x, 0.0)
-        h_u + record.gamma_u - abs(net_flow),  # usage_amount(q, s_r, d_rate)
-        h_d + record.gamma_d - delay,
+        h_u + gamma_u - abs(net_flow),  # usage_amount(q, s_r, d_rate)
+        h_d + gamma_d - delay,
         b, a_o, v, slot,
     ))
 

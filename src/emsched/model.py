@@ -60,13 +60,6 @@ class QuadraticCost:
     def derivative(self, x: float) -> float:
         return 2.0 * self.k * x
 
-    def inverse_derivative(self, y: float) -> float:
-        if self.k <= 0.0:
-            # Flat cost: the marginal-cost inversion is never consulted because
-            # the closed-form saturates first; 0 is a safe answer for probes.
-            return 0.0
-        return y / (2.0 * self.k)
-
 
 def default_k_d(d_avg_max: int) -> float:
     """Delay-cost coefficient normalizing the cost at the average-delay target to 1.

@@ -160,7 +160,7 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
     energy_control = controller.energy_control
     update_queues = controller.update_queues
     entry_cost = controller.entry_cost
-    make_record = SlotRecord._make
+    new_tuple = tuple.__new__  # builds a record in field order; update_queues checks its arity
     ledger = ServiceLedger()
     add_task, active_demand = ledger.add, ledger.active_demand
 
@@ -180,7 +180,10 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
             if t == horizon:
                 state_at_horizon = state
                 horizon_sums = (purchase, entry, usage, delay_sum, net_flow)
-            elif t > 2 * horizon + 10_000:
+                # No task arrives from here on, so the latest window end is
+                # fixed: the drain must stop there, and one slot past it is a bug.
+                drain_end = len(ledger._demand)
+            elif t > drain_end:
                 raise StateConsistencyError("drain phase failed to terminate")
             if not ledger.pending_after(t - 1):
                 break
@@ -193,7 +196,7 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
             d_cap = task.max_delay if joint else 0
             delay = schedule_load(state, task, mu, d_cap)
             add_task(task, delay)
-            gamma_d_cap = float(d_avg_max if d_avg_max < d_cap else d_cap)  # min(d_cap, d_avg_max)
+            gamma_d_cap = d_avg_cap if d_avg_max < d_cap else float(d_cap)  # min(d_cap, d_avg_max)
         gamma_d = aux_solution(h_d, v, delay_beta, delay_cost, gamma_d_cap)
 
         demand = active_demand(t)
@@ -219,7 +222,7 @@ def run_policy(trace: Trace, bundle: ModelBundle, policy: str = "joint") -> RunS
         net_flow += net
 
         # In SlotRecord's field order.
-        record = make_record((
+        record = new_tuple(SlotRecord, (
             t, price, renewable, demand,
             e, q, d_rate, s_w, s_r, delay,
             b, z, x, h_u, h_d,

@@ -1,7 +1,9 @@
 """Closed-form per-slot decisions, parameter design, and queue dynamics."""
 
 import struct
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,6 +186,36 @@ def test_aux_solution_is_feasible_and_locally_optimal(h, v, beta, k, cap):
     for probe in (g - eps, g + eps):
         if 0.0 <= probe <= cap:
             assert objective(g) <= objective(probe) + 1e-9
+
+
+@given(
+    h=st.floats(-5.0, 0.0, exclude_max=True),
+    v=st.floats(1e-3, 20.0),
+    beta=st.floats(1e-3, 2.0),
+    k=st.floats(1e-3, 10.0) | st.floats(5e-324, 1e-300),
+    cap=st.floats(0.01, 20.0),
+)
+@example(h=-0.4, v=10.0, beta=1.0, k=0.2, cap=0.165)  # 0.1
+@example(h=-5e-324, v=2.0, beta=1.0, k=5e-324, cap=6.0)  # -h/(v*beta) underflows to 0; the answer is 0.25
+@settings(max_examples=200)
+def test_an_interior_aux_answer_is_the_stationary_point(h, v, beta, k, cap):
+    # Where the answer is a normal float below the cap, the marginal cost
+    # there balances the backlog, v*beta*2k*gamma* = -h, to within rounding;
+    # a subnormal answer keeps too few bits to say.
+    g = aux_solution(h, v, beta, QuadraticCost(k), cap)
+    if sys.float_info.min <= g < cap:
+        balance = Fraction(v * beta) * 2 * Fraction(k) * Fraction(g) / Fraction(-h)
+        assert float(balance) == pytest.approx(1.0, rel=1e-12)
+
+
+@given(
+    h=st.floats(-5.0, 0.0, exclude_max=True) | st.just(-5e-324),
+    v=st.floats(0.0, 20.0),
+    beta=st.floats(0.0, 2.0),
+    cap=st.floats(0.0, 20.0),
+)
+def test_a_flat_cost_takes_the_cap_on_a_negative_backlog(h, v, beta, cap):
+    assert aux_solution(h, v, beta, QuadraticCost(0.0), cap) == cap
 
 
 class TestRenewableSplit:

@@ -48,10 +48,6 @@ class TestQuadraticCosts:
         assert default_k_d(18) == pytest.approx(1.0 / 324.0)
         assert default_k_d(0) == 1.0  # degenerate target: any coefficient works
 
-    def test_inverse_derivative_degenerate_coefficient(self):
-        # A flat cost has no marginal-cost inversion; the convention is 0.
-        assert QuadraticCost(0.0).inverse_derivative(1.0) == 0.0
-
     @pytest.mark.parametrize(("k_u", "k_d", "d_avg_max", "key"), [
         (-0.2, -1.0, 18, "costs.k_u"),  # concave: a default day run on it totalled -79.94
         (0.2, math.inf, 0, "costs.k_d"),  # validate_config probes the delay slope only when d_avg_max > 0
@@ -92,12 +88,6 @@ def test_derivative_matches_finite_difference(k, x):
     h = 1e-6 * max(x, 1.0)
     fd = (cost.value(x + h) - cost.value(x - h)) / (2 * h)
     assert cost.derivative(x) == pytest.approx(fd, rel=1e-6)
-
-
-@given(k=st.floats(min_value=1e-3, max_value=10.0), y=st.floats(min_value=0.0, max_value=50.0))
-def test_inverse_derivative_round_trip(k, y):
-    cost = QuadraticCost(k)
-    assert cost.derivative(cost.inverse_derivative(y)) == pytest.approx(y, abs=1e-9)
 
 
 class TestValidateConfig:

@@ -455,37 +455,41 @@ def backlogs(draw):
         draw(st.floats(0.0, 13.0)),
         draw(st.floats(0.05, 2.0) | st.floats(5e-324, 1e-308)),  # beta, subnormal too
         draw(st.floats(0.01, 1.0)),
+        draw(st.sampled_from((0.165, 6.0))),  # cap
     )
 
 
 @given(backlogs())
-@example((-5e-324, 0.0, 0.05, 0.01))  # h*g underflowed to 0 on every lattice point
-@example((-0.4, 10.0, 1.0, 0.0))  # a flat cost: a negative backlog takes the cap, a positive one 0
-@example((0.4, 10.0, 1.0, 0.0))
-@example((-5e-324, 1.0, 5e-324, 2.0))  # v*beta*C'(cap) rounds up to h's magnitude; the inversion gives 0.25
+@example((-5e-324, 0.0, 0.05, 0.01, 0.165))  # h*g underflowed to 0 on every lattice point
+@example((-0.4, 10.0, 1.0, 0.0, 0.165))  # a flat cost: a negative backlog takes the cap, a positive one 0
+@example((0.4, 10.0, 1.0, 0.0, 0.165))
+@example((-5e-324, 1.0, 5e-324, 2.0, 0.165))  # v*beta*C'(cap) rounds up to h's magnitude; the inversion gives 0.25
+@example((-5e-324, 2.0, 1.0, 5e-324, 6.0))  # -h/(v*beta) underflows to 0; the stationary point is 0.25
 @settings(max_examples=100, deadline=None)
 def test_aux_closed_form_tracks_grid_search(params):
-    h, v, beta, k = params
+    h, v, beta, k, cap = params
     cost = QuadraticCost(k)
-    closed = controller.aux_solution(h, v, beta, cost, 0.165)
-    assert abs(closed - full_lattice_argmin(h, v * beta, cost, 0.165)[0]) <= GAMMA_STEP + 1e-9
-    assert oracle._aux_mismatches(cost, np.array([h]), np.array([v * beta]), np.array([0.165]), np.array([closed])) == 0
+    closed = controller.aux_solution(h, v, beta, cost, cap)
+    assert abs(closed - full_lattice_argmin(h, v * beta, cost, cap)) <= GAMMA_STEP + 1e-9
+    assert oracle._aux_mismatches(cost, np.array([h]), np.array([v * beta]), np.array([cap]), np.array([closed])) == 0
 
 
 GAMMA_STEP = 1e-4  # the spacing of `full_lattice_argmin`'s lattice
 
 
-def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) -> tuple[float, float]:
-    """The exhaustive reference for the auxiliary argmin: h*g + vb*C(g) on
-    every point of the gamma lattice 0, step, 2*step, ..., cap, scaled by the
-    power of two that lifts the larger of |h| and vb into [0.5, 1), so tiny
-    coefficients do not tie every point at 0, with the first minimum winning."""
+def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) -> float:
+    """The exhaustive reference for the auxiliary argmin: h*g + vb*k*g**2 on
+    every point of the gamma lattice 0, step, 2*step, ..., cap, with the first
+    minimum winning. Both coefficients are scaled by the power of two that
+    puts the larger of |h| and vb*k in [0.5, 1), the quadratic one from the
+    mantissas and exponents of vb and k, so tiny coefficients do not tie
+    every point at 0."""
     grid = np.append(np.arange(0.0, cap, GAMMA_STEP), cap)
-    values = cost.value(grid)
-    _, exponent = math.frexp(max(abs(h), abs(vb)))
-    shift = max(-exponent, 0)
-    i = int(np.argmin(grid * math.ldexp(h, shift) + values * math.ldexp(vb, shift)))
-    return float(grid[i]), float(h * grid[i] + vb * values[i])
+    (m_h, e_h), (m_vb, e_vb), (m_k, e_k) = math.frexp(h), math.frexp(vb), math.frexp(cost.k)
+    m_c, e_c = m_vb * m_k, e_vb + e_k
+    shift = -max((e for m, e in ((m_h, e_h), (m_c, e_c)) if m), default=0)
+    i = int(np.argmin(grid * math.ldexp(m_h, e_h + shift) + grid * grid * math.ldexp(m_c, e_c + shift)))
+    return float(grid[i])
 
 
 def exact_aux_argmin(h: float, vb: float, k: float, cap: float) -> float:
@@ -536,7 +540,7 @@ def test_the_exact_aux_argmin_beats_the_full_lattice_and_flags_what_it_flagged(r
     # flags too.
     h, vb, cap = (np.array(column) for column in zip(*rows))
     cost = QuadraticCost(k)
-    lattice = np.array([full_lattice_argmin(*row[:2], cost, row[2])[0] for row in rows])
+    lattice = np.array([full_lattice_argmin(*row[:2], cost, row[2]) for row in rows])
     exact = np.array([exact_aux_argmin(*row[:2], k, row[2]) for row in rows])
     assert oracle._aux_mismatches(cost, h, vb, cap, exact) == 0
     for (h_i, vb_i, _), g, g_lattice in zip(rows, exact.tolist(), lattice.tolist()):

@@ -179,20 +179,34 @@ class TestRun:
         assert joint.total == pytest.approx(storage.total, abs=1e-15)
 
     def test_drain_guard_stops_a_ledger_that_never_empties(self, monkeypatch):
-        # The guard fires after the record of slot 2*horizon + 10_000.
+        # No task arrives after the horizon, so the last window's end is fixed
+        # there; the guard fires after the record of the slot at that end.
         calls = []
         original = controller.update_queues
 
-        def counting(*args):
-            calls.append(args[0].slot)
-            return original(*args)
+        def counting(state, record, *args):
+            calls.append((state.slot, record.delay))
+            return original(state, record, *args)
 
         monkeypatch.setattr(ServiceLedger, "pending_after", lambda self, t: True)
         monkeypatch.setattr(controller, "update_queues", counting)
+        task = LoadTask(arrival_slot=3, intensity=0.05, duration=4, max_delay=6)
         with pytest.raises(StateConsistencyError, match="^drain phase failed to terminate$"):
-            run_policy(flat_trace(4), small_run_bundle(4), policy="joint")
-        assert len(calls) == 2 * 4 + 10_001
-        assert calls[-1] == 2 * 4 + 10_000
+            run_policy(flat_trace(4, tasks={3: task}), small_run_bundle(4, d_avg_max=6), policy="joint")
+        window_end = 3 + calls[3][1] + 4
+        assert len(calls) == window_end + 1
+        assert calls[-1][0] == window_end
+
+    def test_a_task_capped_at_twenty_thousand_slots_is_drained(self):
+        # Any per-load cap is a valid config, so the drain lasts as long as the
+        # latest window: seed 0 defers one task by the whole cap.
+        trace = generate_trace(replace(small_profile(), max_delay=20_000), SMALL_HORIZON, seed=0)
+        bundle = small_bundle()
+        summary = run_policy(trace, bundle, policy="joint")
+        assert max(r.delay for r in summary.records) == 20_000
+        assert summary.drain_slots == 19_980
+        assert summary.records[-1].demand > 0.0
+        assert feasibility_checks(summary, bundle).passed
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
@@ -524,7 +538,8 @@ class TestSlotLoopHooks:
         for args, kwargs in calls["energy_control"]:
             assert len(args) == 7 and not kwargs
 
-    def test_records_and_states_are_immutable(self, monkeypatch):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_records_and_states_are_immutable(self, monkeypatch, policy):
         returned = {"energy_control": [], "update_queues": []}
         for name, values in returned.items():
             def recorder(*args, _original=getattr(controller, name), _values=values):
@@ -534,21 +549,24 @@ class TestSlotLoopHooks:
 
             monkeypatch.setattr(controller, name, recorder)
         trace = generate_trace(day_profile(), DAY_HORIZON, seed=0)
-        summary = run_policy(trace, day_bundle(), policy="joint")
+        summary = run_policy(trace, day_bundle(), policy=policy)
         with pytest.raises(AttributeError):
             summary.records[0].e = 1.0
         with pytest.raises(AttributeError):
             summary.final_state.z = 1.0
 
-        assert all(type(r) is SlotRecord for r in summary.records)
+        # The loop builds records and states with a bare `tuple.__new__`,
+        # which checks no field count, so count every one of them here.
+        assert all(type(r) is SlotRecord and len(r) == 18 for r in summary.records)
         states = [summary.initial_state, summary.state_at_horizon, summary.final_state, *returned["update_queues"]]
         assert len(states) == 3 + len(summary.records)
-        assert all(type(s) is ControllerState for s in states)
-        assert len(returned["energy_control"]) == len(summary.records)
+        assert all(type(s) is ControllerState and len(s) == 8 for s in states)
+        assert len(returned["energy_control"]) == (0 if policy == "no_storage" else len(summary.records))
         assert all(type(a) is tuple and len(a) == 5 for a in returned["energy_control"])
-        # `_make` checks the arity that a bare `tuple.__new__` would not.
-        with pytest.raises(TypeError):
-            SlotRecord._make(tuple(summary.records[0])[:17])
+        # update_queues unpacks all 18 fields of its record, which checks the arity.
+        short = tuple.__new__(SlotRecord, tuple(summary.records[0])[:17])
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            controller.update_queues(summary.initial_state, short, 18, 0.0)
 
 
 def _sha256(path: Path) -> str:
