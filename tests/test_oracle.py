@@ -481,7 +481,7 @@ def full_lattice_argmin(h: float, vb: float, cost: QuadraticCost, cap: float) ->
     """The exhaustive reference for the auxiliary argmin: h*g + vb*k*g**2 on
     every point of the gamma lattice 0, step, 2*step, ..., cap, with the first
     minimum winning. Both coefficients are scaled by the power of two that
-    puts the larger of |h| and vb*k in [0.5, 1), the quadratic one from the
+    puts the larger of |h| and vb*k in [0.25, 1), the quadratic one from the
     mantissas and exponents of vb and k, so tiny coefficients do not tie
     every point at 0."""
     grid = np.append(np.arange(0.0, cap, GAMMA_STEP), cap)
